@@ -200,7 +200,7 @@ def _check_preserved(g: TemporalGraph, completed: TemporalGraph, d: DistanceMatr
                 )
 
 
-def clique_completion(g: TemporalGraph, kind: str | None = None) -> TemporalGraph:
+def clique_completion(g: TemporalGraph) -> TemporalGraph:
     """Append a complete layer after all distances have settled.
 
     With d the largest finite temporal distance of g, every pair already
@@ -208,8 +208,6 @@ def clique_completion(g: TemporalGraph, kind: str | None = None) -> TemporalGrap
     faster walk between original vertices: the underlying graph becomes a
     clique, monotone growth is preserved, and the distance matrix is
     unchanged (re-checked before returning). Requires temporal connectivity.
-    The construction is game-independent; ``kind`` is accepted so call sites
-    can pass the game they are studying, and is ignored.
     """
     d = all_pairs(g)
     if not d.all_finite():

@@ -21,7 +21,6 @@ deterministic: two sweeps of one spec produce identical output bytes.
 from __future__ import annotations
 
 import json
-from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations, product
 from pathlib import Path
@@ -29,7 +28,15 @@ from typing import Iterator
 
 from .classify import ClassReport, build_class_report
 from .games import GameKind, Profile, first_nash
-from .graph import Edge, TemporalGraph, to_json_obj
+from .graph import (
+    Edge,
+    TemporalGraph,
+    _cycle_edges,
+    _grid_edges,
+    _path_edges,
+    _pruefer_edges,
+    to_json_obj,
+)
 from .reach import all_pairs
 
 BASE_CLASSES = (
@@ -98,26 +105,6 @@ def _check_spec(spec: FamilySpec) -> None:
 # --- underlying graph enumeration -------------------------------------------
 
 
-def _path_edges(n: int) -> tuple[Edge, ...]:
-    return tuple((i, i + 1) for i in range(1, n))
-
-
-def _cycle_edges(n: int) -> tuple[Edge, ...]:
-    return _path_edges(n) + ((1, n),)
-
-
-def _grid_edges(a: int, b: int) -> tuple[Edge, ...]:
-    edges = []
-    for r in range(a):
-        for c in range(b):
-            v = r * b + c + 1
-            if c + 1 < b:
-                edges.append((v, v + 1))
-            if r + 1 < a:
-                edges.append((v, v + b))
-    return tuple(edges)
-
-
 def _partitions_desc(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
     cap = n if cap is None else cap
     if n == 0:
@@ -129,27 +116,8 @@ def _partitions_desc(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]
 
 
 def _labeled_trees(n: int) -> Iterator[tuple[Edge, ...]]:
-    if n == 1:
-        yield ()
-        return
-    if n == 2:
-        yield ((1, 2),)
-        return
-    for seq in product(range(1, n + 1), repeat=n - 2):
-        degree = [1] * (n + 1)
-        for x in seq:
-            degree[x] += 1
-        leaves = sorted(v for v in range(1, n + 1) if degree[v] == 1)
-        edges = []
-        for x in seq:
-            leaf = leaves.pop(0)
-            edges.append((min(leaf, x), max(leaf, x)))
-            degree[x] -= 1
-            if degree[x] == 1:
-                insort(leaves, x)
-        u, v = leaves
-        edges.append((min(u, v), max(u, v)))
-        yield tuple(sorted(edges))
+    for seq in product(range(1, n + 1), repeat=max(0, n - 2)):
+        yield tuple(sorted(_pruefer_edges(seq, n)))
 
 
 def _kpartite_edge_sets(n: int) -> Iterator[tuple[Edge, ...]]:

@@ -7,6 +7,11 @@ Two variants share one payoff machinery:
 * ``"rvor"`` -- a player wins the vertices that reach her strictly earlier:
   v goes to player i when td(v, p_i) < td(v, p_j).
 
+The variants differ only in which distances they compare, so every query
+reads the distance matrix through one view, ``_rows(d, kind)``: row p holds
+the times a player at p is compared on -- row p of the matrix for ``"vor"``,
+column p for ``"rvor"``. Nothing else looks at the game kind.
+
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
 same vertex; then both payoffs are 0. All searches are exhaustive: instances
@@ -16,6 +21,7 @@ are desk-scale by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterator, Literal
 
 from .graph import TemporalGraph
@@ -41,6 +47,11 @@ def _check_inputs(g: TemporalGraph, d: DistanceMatrix, kind: str) -> None:
     _check_kind(kind)
     if d.n != g.n:
         raise ValueError("distance matrix does not match graph size")
+
+
+def _rows(d: DistanceMatrix, kind: str) -> tuple[tuple[float, ...], ...]:
+    """The game's view of ``d``: row p holds the times a player at p is compared on."""
+    return d.rows if kind == "vor" else tuple(zip(*d.rows))
 
 
 @dataclass(frozen=True)
@@ -79,47 +90,27 @@ def payoff(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> P
     p1, p2 = s
     _check_vertex(g, p1, "p1")
     _check_vertex(g, p2, "p2")
-    u1, u2, rest = set(), set(), set()
-    for v in g.vertices:
-        if kind == "vor":
-            a, b = d.td(p1, v), d.td(p2, v)
-        else:
-            a, b = d.td(v, p1), d.td(v, p2)
-        if a < b:
-            u1.add(v)
-        elif b < a:
-            u2.add(v)
-        else:
-            rest.add(v)
-    return PayoffResult(frozenset(u1), frozenset(u2), frozenset(rest))
+    rows = _rows(d, kind)
+    pairs = tuple(zip(g.vertices, rows[p1 - 1], rows[p2 - 1]))
+    u1 = frozenset(v for v, a, b in pairs if a < b)
+    u2 = frozenset(v for v, a, b in pairs if b < a)
+    return PayoffResult(u1, u2, frozenset(g.vertices) - u1 - u2)
 
 
-def _count_wins(g: TemporalGraph, d: DistanceMatrix, kind: str, mine: int, theirs: int) -> int:
+def _wins(rows: tuple[tuple[float, ...], ...], mine: int, theirs: int) -> int:
     """Payoff of the player at ``mine`` against the opponent at ``theirs``.
 
     Symmetric in roles: player 1 at a vs player 2 at b scores the same as
     player 2 at a vs player 1 at b.
     """
-    total = 0
-    for v in g.vertices:
-        if kind == "vor":
-            if d.td(mine, v) < d.td(theirs, v):
-                total += 1
-        else:
-            if d.td(v, mine) < d.td(v, theirs):
-                total += 1
-    return total
+    return sum(map(lt, rows[mine - 1], rows[theirs - 1]))
 
 
-def _win_table(g: TemporalGraph, d: DistanceMatrix, kind: str) -> list[list[int]]:
+def _win_table(rows: tuple[tuple[float, ...], ...]) -> list[list[int]]:
     """W[a-1][b-1] = payoff of the player at a against the opponent at b."""
-    n = g.n
+    n = len(rows)
     table = [[0] * n for _ in range(n)]
-    for v in g.vertices:
-        if kind == "vor":
-            dist = [d.td(p, v) for p in g.vertices]
-        else:
-            dist = [d.td(v, p) for p in g.vertices]
+    for dist in zip(*rows):
         for a in range(n):
             da = dist[a]
             row = table[a]
@@ -141,9 +132,10 @@ def best_responses(
     if role not in (1, 2):
         raise ValueError(f"role must be 1 or 2, got {role}")
     _check_vertex(g, fixed, "fixed vertex")
-    values = {cand: _count_wins(g, d, kind, cand, fixed) for cand in g.vertices}
-    best = max(values.values())
-    return tuple(sorted(v for v, val in values.items() if val == best)), best
+    rows = _rows(d, kind)
+    col = [_wins(rows, cand, fixed) for cand in g.vertices]
+    best = max(col)
+    return tuple(v for v, val in zip(g.vertices, col) if val == best), best
 
 
 @dataclass(frozen=True)
@@ -183,41 +175,35 @@ def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> 
     p1, p2 = s
     _check_vertex(g, p1, "p1")
     _check_vertex(g, p2, "p2")
+    rows = _rows(d, kind)
     for player, mine, theirs in ((1, p1, p2), (2, p2, p1)):
-        current = _count_wins(g, d, kind, mine, theirs)
-        best_vertex, best = mine, current
-        for cand in g.vertices:
-            val = _count_wins(g, d, kind, cand, theirs)
-            if val > best:
-                best_vertex, best = cand, val
+        col = [_wins(rows, cand, theirs) for cand in g.vertices]
+        current, best = col[mine - 1], max(col)
         if best > current:
-            return NashCheck(False, Deviation(player, best_vertex, current, best))
+            # the certificate is the smallest strictly better vertex
+            return NashCheck(False, Deviation(player, col.index(best) + 1, current, best))
     return NashCheck(True, None)
+
+
+def _equilibria(g: TemporalGraph, d: DistanceMatrix, kind: str) -> Iterator[Profile]:
+    """Nash profiles in lexicographic order: both players earn their column maximum."""
+    _check_inputs(g, d, kind)
+    table = _win_table(_rows(d, kind))
+    col_max = [max(col) for col in zip(*table)]
+    for p1 in g.vertices:
+        for p2 in g.vertices:
+            if table[p1 - 1][p2 - 1] == col_max[p2 - 1] and table[p2 - 1][p1 - 1] == col_max[p1 - 1]:
+                yield (p1, p2)
 
 
 def enumerate_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> list[Profile]:
     """All Nash equilibria over the n^2 profiles, in lexicographic order."""
-    _check_inputs(g, d, kind)
-    table = _win_table(g, d, kind)
-    col_max = [max(table[a][b] for a in range(g.n)) for b in range(g.n)]
-    out = []
-    for p1 in g.vertices:
-        for p2 in g.vertices:
-            if table[p1 - 1][p2 - 1] == col_max[p2 - 1] and table[p2 - 1][p1 - 1] == col_max[p1 - 1]:
-                out.append((p1, p2))
-    return out
+    return list(_equilibria(g, d, kind))
 
 
 def first_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> Profile | None:
     """Lexicographically first equilibrium, or None; short-circuits the scan."""
-    _check_inputs(g, d, kind)
-    table = _win_table(g, d, kind)
-    col_max = [max(table[a][b] for a in range(g.n)) for b in range(g.n)]
-    for p1 in g.vertices:
-        for p2 in g.vertices:
-            if table[p1 - 1][p2 - 1] == col_max[p2 - 1] and table[p2 - 1][p1 - 1] == col_max[p1 - 1]:
-                return (p1, p2)
-    return None
+    return next(_equilibria(g, d, kind), None)
 
 
 @dataclass(frozen=True)
@@ -246,13 +232,12 @@ class BestResponseGraph:
 
 def best_response_graph(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> BestResponseGraph:
     _check_inputs(g, d, kind)
-    table = _win_table(g, d, kind)
+    table = _win_table(_rows(d, kind))
     responses: dict[int, tuple[int, ...]] = {}
     values: dict[int, int] = {}
-    for fixed in g.vertices:
-        col = [table[a][fixed - 1] for a in range(g.n)]
+    for fixed, col in zip(g.vertices, zip(*table)):
         best = max(col)
-        responses[fixed] = tuple(a + 1 for a in range(g.n) if col[a] == best)
+        responses[fixed] = tuple(a for a, val in zip(g.vertices, col) if val == best)
         values[fixed] = best
     return BestResponseGraph(responses, values)
 
@@ -320,7 +305,7 @@ def best_response_dynamics(
         if p1 not in allowed or p2 not in allowed:
             raise ValueError("start profile must lie inside the allowed set")
 
-    table = _win_table(g, d, kind)
+    table = _win_table(_rows(d, kind))
     profile = [p1, p2]
     mover = 1
     trace: list[DynamicsStep] = []

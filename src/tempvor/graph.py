@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -156,6 +157,55 @@ def is_monotone(g: TemporalGraph) -> tuple[bool, bool]:
         g.layer_set(t + 1) <= g.layer_set(t) for t in range(1, g.tau)
     )
     return growing, shrinking
+
+
+# --- standard edge sets on 1..n ----------------------------------------------
+
+
+def _path_edges(n: int) -> tuple[Edge, ...]:
+    return tuple((i, i + 1) for i in range(1, n))
+
+
+def _cycle_edges(n: int) -> tuple[Edge, ...]:
+    return _path_edges(n) + ((1, n),)
+
+
+def _grid_edges(rows: int, cols: int) -> tuple[Edge, ...]:
+    # vertex at row r, column c (0-based) is r*cols + c + 1
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c + 1
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return tuple(edges)
+
+
+def _pruefer_edges(seq: Sequence[int], n: int) -> list[Edge]:
+    """Edges of the labeled tree on 1..n with Pruefer code ``seq`` (length n - 2).
+
+    Edges come in decode order: each code entry is joined to the smallest
+    remaining leaf, and the last two leaves form the final edge.
+    """
+    if n < 2:
+        return []
+    degree = [1] * (n + 1)
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u, v = sorted(leaves)
+    edges.append((u, v))
+    return edges
 
 
 # --- JSON interchange -------------------------------------------------------

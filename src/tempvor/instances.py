@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .games import GameKind, Profile
-from .graph import Edge, TemporalGraph
+from .graph import Edge, TemporalGraph, _cycle_edges, _grid_edges, _path_edges
 
 
 @dataclass(frozen=True)
@@ -32,27 +32,6 @@ class Fixture:
     graph: TemporalGraph
     ne_exists: dict[GameKind, bool] = field(default_factory=dict)
     witnesses: dict[GameKind, tuple[Profile, ...]] = field(default_factory=dict)
-
-
-def _path_edges(n: int) -> list[Edge]:
-    return [(i, i + 1) for i in range(1, n)]
-
-
-def _cycle_edges(n: int) -> list[Edge]:
-    return _path_edges(n) + [(1, n)]
-
-
-def _grid_edges(rows: int, cols: int) -> list[Edge]:
-    # vertex at row r, column c (0-based) is r*cols + c + 1
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c + 1
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return edges
 
 
 def _clique_edges(vs) -> list[Edge]:

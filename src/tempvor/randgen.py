@@ -2,36 +2,16 @@
 
 from __future__ import annotations
 
-import heapq
 import random
 from itertools import combinations
 
-from .graph import Edge, TemporalGraph
+from .graph import Edge, TemporalGraph, _pruefer_edges
 from .reach import all_pairs
 
 
 def random_tree_edges(rng: random.Random, n: int) -> list[Edge]:
-    """Uniform labeled tree on 1..n (Pruefer decode)."""
-    if n <= 1:
-        return []
-    if n == 2:
-        return [(1, 2)]
-    seq = [rng.randint(1, n) for _ in range(n - 2)]
-    degree = [1] * (n + 1)
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u, v = sorted(leaves)
-    edges.append((u, v))
-    return edges
+    """Uniform labeled tree on 1..n (Pruefer decode), edges in decode order."""
+    return _pruefer_edges([rng.randint(1, n) for _ in range(n - 2)], n)
 
 
 def _growing_layers(rng: random.Random, edges: list[Edge], tau: int) -> list[tuple[Edge, ...]]:

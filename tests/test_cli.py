@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -194,3 +195,53 @@ def test_distances_command(capsys, cycle7_path):
     assert code == 0
     rows = json.loads(out)["distances"]
     assert rows[4] == [3, 3, 2, 1, 0, 1, 2]
+
+
+def _fixture_commands(path: str, n: int) -> list[list[str]]:
+    profiles = (f"1,{n}", f"{n},1", "2,3")
+    argvs = [["analyze", path], ["distances", path]]
+    for game in ("vor", "rvor"):
+        base = ["--game", game]
+        argvs.append(["nash", path] + base)
+        argvs.append(["best-response", path] + base)
+        argvs.append(["best-response", path] + base + ["--fixed", "1", "--role", "1"])
+        argvs.append(["best-response", path] + base + ["--fixed", str(n), "--role", "2"])
+        for profile in profiles:
+            argvs.append(["nash", path] + base + ["--profile", profile])
+            argvs.append(["payoff", path] + base + ["--profile", profile])
+            argvs.append(["dynamics", path] + base + ["--profile", profile])
+    return argvs
+
+
+def _stdout_digest(capsys, argvs: list[list[str]]) -> str:
+    h = hashlib.sha256()
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        h.update(capsys.readouterr().out.encode("utf-8"))
+    return h.hexdigest()
+
+
+# sha256 over the concatenated stdout of _fixture_commands, per bundled fixture
+_FIXTURE_STDOUT_SHA256 = {
+    "grow_cycle_7": "5d36cc3c3e48fe11bf2f1c0828e88cb64e867d8914be842e3cffb37c2aa18f9e",
+    "grow_grid_6": "eb67b7ccb437602c889c04c7608e1743dfce5fa0d6c74a9180013cb4b1b439a7",
+    "shrink_path_9": "91e2b3ff426d9bb8cdc60e06a16196b4df64a2e98bb636337f2d7ddd8d629891",
+    "shrink_cycle_10": "9f5a663b1b2e7c40c32cf4f45634e43bc2e3106520ad6a027001267a1cc4554d",
+    "shrink_split_8": "cb63eca8c9ec96e6d3eb4eaf9ff93b4784dff2332dc7f31ede116eced67b0034",
+    "vor_grow_grid_12": "f447c1886b1bc27867eb8be78b53dffd8610b0574a05c0e8ebfd27b7f34305a8",
+}
+
+_REPRODUCE_STDOUT_SHA256 = "e2b86bca2b6655bfd5d315a60e56cb7aae6712fab516e029076ba871c52a6ed2"
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_STDOUT_SHA256))
+def test_game_commands_stdout_is_pinned(capsys, tmp_path, name):
+    g = build_instance(name).graph
+    path = tmp_path / f"{name}.json"
+    path.write_text(to_canonical_json(g))
+    digest = _stdout_digest(capsys, _fixture_commands(str(path), g.n))
+    assert digest == _FIXTURE_STDOUT_SHA256[name]
+
+
+def test_reproduce_stdout_is_pinned(capsys):
+    assert _stdout_digest(capsys, [["reproduce"]]) == _REPRODUCE_STDOUT_SHA256

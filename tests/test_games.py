@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from brute import brute_nash_profiles, walk_distances
+from brute import brute_nash_profiles, brute_payoff_sets, walk_distances
 
 from tempvor import (
     TemporalGraph,
@@ -100,6 +100,59 @@ def test_partition_occupancy_and_swap_symmetry(gp):
             assert p1 in r.u1_set and p2 in r.u2_set
         swapped = payoff(g, d, kind, (p2, p1))
         assert swapped.u1_set == r.u2_set and swapped.u2_set == r.u1_set
+
+
+@given(graph_and_profile(max_n=6, max_tau=2))
+def test_every_game_query_matches_brute_force(gp):
+    g, (p1, p2) = gp
+    d = all_pairs(g)
+    td = walk_distances(g)
+    n = g.n
+
+    for kind in ("vor", "rvor"):
+        def sets(a, b):
+            return brute_payoff_sets(td, kind, a, b, n)
+
+        def replies(scores):
+            best = max(scores.values())
+            return tuple(v for v in g.vertices if scores[v] == best), best
+
+        u1, u2 = sets(p1, p2)
+        r = payoff(g, d, kind, (p1, p2))
+        assert (r.u1_set, r.u2_set) == (u1, u2)
+        assert r.unclaimed == set(g.vertices) - u1 - u2
+
+        # player 1 answering player 2 at p2, and player 2 answering player 1 at p1
+        as_p1 = {q: len(sets(q, p2)[0]) for q in g.vertices}
+        as_p2 = {q: len(sets(p1, q)[1]) for q in g.vertices}
+        assert best_responses(g, d, kind, 1, p2) == replies(as_p1)
+        assert best_responses(g, d, kind, 2, p1) == replies(as_p2)
+
+        brg = best_response_graph(g, d, kind)
+        for v in g.vertices:
+            expected = replies({q: len(sets(q, v)[0]) for q in g.vertices})
+            assert (brg.responses[v], brg.values[v]) == expected
+
+        equilibria = brute_nash_profiles(td, kind, n)
+        check = is_nash(g, d, kind, (p1, p2))
+        assert check.ok == ((p1, p2) in equilibria)
+        expected_dev = None
+        for player, old, scores in ((1, len(u1), as_p1), (2, len(u2), as_p2)):
+            best = max(scores.values())
+            if best > old:
+                vertex = min(v for v in g.vertices if scores[v] == best)
+                expected_dev = (player, vertex, old, best)
+                break
+        dev = check.deviation
+        got_dev = dev and (dev.player, dev.vertex, dev.old_payoff, dev.new_payoff)
+        assert got_dev == expected_dev
+
+        assert enumerate_nash(g, d, kind) == equilibria
+        assert first_nash(g, d, kind) == (equilibria or [None])[0]
+
+        for step in best_response_dynamics(g, d, kind, (p1, p2)).trace:
+            r = payoff(g, d, kind, step.profile)
+            assert (r.u1, r.u2) == step.payoffs
 
 
 def test_payoff_rejects_bad_inputs():
