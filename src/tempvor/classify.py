@@ -1,33 +1,39 @@
 """Recognition of temporal properties and underlying-graph classes.
 
-Every label is verified against its definition before it is reported; a graph
-may legitimately carry several labels at once (a clique is also split and
-threshold), and consumers are expected to filter. A 1 x m grid is reported as
-a path, never as a grid.
+Every label is decided by an exact characterisation of its class: breadth-
+first hop distances (one helper) for connectivity, trees, paths, cycles and
+grids; equal-neighbourhood classes and an edge count for complete
+multipartite graphs; and degree-sequence equalities for split graphs (Hammer & Simeone, "The splittance of a graph", Combinatorica 1(3),
+1981) and threshold graphs (Hammer, Ibaraki & Simeone, "Threshold
+sequences", SIAM J. Algebraic Discrete Methods 2(1), 1981). A graph may
+legitimately carry several labels at once (a clique is also split and
+threshold), and consumers are expected to filter. A 1 x m grid is reported
+as a path, never as a grid.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from math import isqrt
+from math import comb, isqrt
 
-from .graph import Edge, StaticGraph, TemporalGraph, is_monotone, underlying
+from .graph import StaticGraph, TemporalGraph, is_monotone, underlying
 from .reach import DistanceMatrix, all_pairs
 
 
-def is_connected(s: StaticGraph) -> bool:
-    if s.n <= 1:
-        return True
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
+def _distances(s: StaticGraph, source: int) -> dict[int, int]:
+    """Hop distance from ``source`` to every vertex it reaches (BFS)."""
+    dist = {source: 0}
+    queue = [source]
+    for v in queue:
         for w in s.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == s.n
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def is_connected(s: StaticGraph) -> bool:
+    return s.n <= 1 or len(_distances(s, 1)) == s.n
 
 
 def is_tree(s: StaticGraph) -> bool:
@@ -49,157 +55,92 @@ def is_clique(s: StaticGraph) -> bool:
 def grid_dims(s: StaticGraph) -> tuple[int, int] | None:
     """(a, b) with a <= b if s is an a x b grid with a, b >= 2, else None.
 
-    Anchors a degree-2 vertex as the (0,0) corner, grows coordinates row by
-    row (each interior cell is the unique common neighbour of its upper and
-    left cells besides the diagonal one), and finally verifies that the
-    resulting coordinate map reproduces the edge set exactly.
+    An a x b grid has 2ab - a - b edges, which singles out at most one
+    factorisation n = ab. Hop distance in a grid is Manhattan distance, so
+    BFS from a corner c (a degree-2 vertex) and from a corner c' at distance
+    b - 1 from it puts v in cell i = (d(c,v) + d(c',v) - b + 1) / 2,
+    j = d(c,v) - i. s is the grid iff these cells are a bijection onto the
+    a x b cells. That suffices: along an edge each distance changes by at
+    most 1 and 2i, 2j (their sum and difference) by an even amount, so both
+    change by 1 (both 0 would put the ends in one cell) and the edge is a
+    unit step. Every edge is then a grid edge, and s has as many as the grid.
     """
     n = s.n
-    if n < 4:
+    dims = [
+        (a, n // a) for a in range(2, isqrt(n) + 1) if n % a == 0 and s.m == 2 * n - a - n // a
+    ]
+    corners = [v for v in s.vertices if s.degree(v) == 2]
+    if not dims or not corners:
         return None
-    for a in range(2, isqrt(n) + 1):
-        if n % a:
-            continue
-        b = n // a
-        if _degree_hist_matches(s, a, b) and _grid_assignment(s, a, b):
-            return (a, b)
-    return None
-
-
-def _degree_hist_matches(s: StaticGraph, a: int, b: int) -> bool:
-    expected: Counter[int] = Counter({2: 4})
-    side = 2 * (a - 2) + 2 * (b - 2)
-    if side:
-        expected[3] = side
-    inner = (a - 2) * (b - 2)
-    if inner:
-        expected[4] = inner
-    return Counter(s.degree(v) for v in s.vertices) == expected
-
-
-def _grid_assignment(s: StaticGraph, a: int, b: int) -> bool:
-    corner = min(v for v in s.vertices if s.degree(v) == 2)
-    x, y = sorted(s.neighbors(corner))
-    return _fill_grid(s, a, b, corner, x, y) or _fill_grid(s, a, b, corner, y, x)
-
-
-def _fill_grid(s: StaticGraph, a: int, b: int, corner: int, right: int, down: int) -> bool:
-    pos: dict[tuple[int, int], int] = {(0, 0): corner, (0, 1): right, (1, 0): down}
-    used = {corner, right, down}
-
-    def place(cell: tuple[int, int], candidates: set[int]) -> bool:
-        candidates -= used
-        if len(candidates) != 1:
-            return False
-        v = candidates.pop()
-        pos[cell] = v
-        used.add(v)
-        return True
-
-    if not place((1, 1), set(s.neighbors(right) & s.neighbors(down)) - {corner}):
-        return False
-    for j in range(2, b):
-        if not place((0, j), set(s.neighbors(pos[(0, j - 1)])) - {pos[(0, j - 2)], pos[(1, j - 1)]}):
-            return False
-        if not place((1, j), set(s.neighbors(pos[(1, j - 1)]) & s.neighbors(pos[(0, j)])) - {pos[(0, j - 1)]}):
-            return False
-    for i in range(2, a):
-        if not place((i, 0), set(s.neighbors(pos[(i - 1, 0)])) - {pos[(i - 2, 0)], pos[(i - 1, 1)]}):
-            return False
-        for j in range(1, b):
-            common = s.neighbors(pos[(i - 1, j)]) & s.neighbors(pos[(i, j - 1)])
-            if not place((i, j), set(common) - {pos[(i - 1, j - 1)]}):
-                return False
-    grid_edges: set[Edge] = set()
-    for i in range(a):
-        for j in range(b):
-            if j + 1 < b:
-                e = (pos[(i, j)], pos[(i, j + 1)])
-                grid_edges.add((min(e), max(e)))
-            if i + 1 < a:
-                e = (pos[(i, j)], pos[(i + 1, j)])
-                grid_edges.add((min(e), max(e)))
-    return grid_edges == set(s.edges)
+    a, b = dims[0]
+    d1 = _distances(s, corners[0])
+    far = [v for v in corners if d1.get(v) == b - 1]
+    if len(d1) < n or not far:
+        return None
+    d2 = _distances(s, far[0])
+    # twice the cell (i, j) of every vertex
+    cells = {(d1[v] + d2[v] - b + 1, d1[v] - d2[v] + b - 1) for v in s.vertices}
+    return (a, b) if cells == {(2 * i, 2 * j) for i in range(a) for j in range(b)} else None
 
 
 def kpartite_parts(s: StaticGraph) -> tuple[frozenset[int], ...] | None:
     """The unique partition into parts if s is complete multipartite, else None.
 
-    The complement of a complete k-partite graph is a disjoint union of k
-    cliques, so the parts are the complement's connected components; each must
-    be independent in s. Parts are ordered by smallest member.
+    Vertices with equal neighbourhoods are never adjacent (neither is its own
+    neighbour), so every such class is independent and s has at most
+    C(n,2) - sum C(|class|,2) edges, with equality iff every pair from
+    different classes is an edge. In a complete multipartite graph the
+    classes are exactly the parts. Parts are ordered by smallest member.
     """
     if s.n == 0:
         return None
-    unseen = set(s.vertices)
-    parts = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in unseen - comp:
-                if not s.has_edge(v, w):
-                    comp.add(w)
-                    stack.append(w)
-        unseen -= comp
-        for u in comp:
-            for w in comp:
-                if u < w and s.has_edge(u, w):
-                    return None
-        parts.append(frozenset(comp))
-    return tuple(sorted(parts, key=min))
+    classes: dict[frozenset[int], list[int]] = {}
+    for v in s.vertices:
+        classes.setdefault(s.neighbors(v), []).append(v)
+    if s.m != comb(s.n, 2) - sum(comb(len(c), 2) for c in classes.values()):
+        return None
+    return tuple(frozenset(c) for c in classes.values())
+
+
+def _by_degree(s: StaticGraph) -> tuple[list[int], list[int], int]:
+    """Vertices by decreasing degree (ties by id), their degrees d_1..d_n, and
+    m = max{i : d_i >= i - 1}; d_i - i decreases, so those i are 1..m."""
+    order = sorted(s.vertices, key=lambda v: (-s.degree(v), v))
+    degs = [s.degree(v) for v in order]
+    return order, degs, sum(d >= i for i, d in enumerate(degs))
 
 
 def split_partition(s: StaticGraph) -> tuple[frozenset[int], frozenset[int]] | None:
     """A (clique, independent set) partition if s is split, else None.
 
-    Takes the m highest-degree vertices where m is the largest index with
-    d_i >= i - 1 in the sorted degree sequence, then explicitly verifies the
-    partition, so a wrong candidate can never leak out.
+    By Hammer & Simeone, s is split iff its m highest-degree vertices form a
+    clique and the rest an independent set. Their degrees sum to
+    2 e(top) + e(across) and the rest's to 2 e(rest) + e(across), so
+    sum(top) == m(m-1) + sum(rest) holds exactly when e(top) = C(m,2) and
+    e(rest) = 0: the one comparison is the verification.
     """
-    if s.n == 0:
-        return frozenset(), frozenset()
-    order = sorted(s.vertices, key=lambda v: (-s.degree(v), v))
-    degs = [s.degree(v) for v in order]
-    m = max(i for i in range(1, s.n + 1) if degs[i - 1] >= i - 1)
-    clique, indep = order[:m], order[m:]
-    for i, u in enumerate(clique):
-        for w in clique[i + 1 :]:
-            if not s.has_edge(u, w):
-                return None
-    for i, u in enumerate(indep):
-        for w in indep[i + 1 :]:
-            if s.has_edge(u, w):
-                return None
-    return frozenset(clique), frozenset(indep)
+    order, degs, m = _by_degree(s)
+    if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
+        return None
+    return frozenset(order[:m]), frozenset(order[m:])
 
 
 def is_threshold(s: StaticGraph) -> bool:
-    """Iteratively strip isolated or dominating vertices; threshold iff empty."""
-    live = {v: set(s.neighbors(v)) for v in s.vertices}
-    remaining = set(s.vertices)
-    while remaining:
-        isolated = [v for v in remaining if not live[v]]
-        if isolated:
-            for v in isolated:
-                remaining.remove(v)
-            continue
-        dom = next(
-            (v for v in sorted(remaining) if len(live[v]) == len(remaining) - 1), None
-        )
-        if dom is None:
-            return False
-        remaining.remove(dom)
-        for u in live[dom]:
-            live[u].discard(dom)
-        live[dom] = set()
-    return True
+    """True iff s is a threshold graph.
+
+    By Hammer, Ibaraki & Simeone, exactly the threshold graphs meet the first
+    m Erdos-Gallai inequalities with equality:
+    d_1 + ... + d_k == k(k-1) + sum over i > k of min(d_i, k) for k = 1..m.
+    """
+    _, degs, m = _by_degree(s)
+    return all(
+        sum(degs[:k]) == k * (k - 1) + sum(min(d, k) for d in degs[k:])
+        for k in range(1, m + 1)
+    )
 
 
 def classify_underlying(s: StaticGraph) -> frozenset[str]:
-    """All class labels the graph satisfies, each verified by definition."""
+    """All class labels the graph satisfies, each decided by an exact test."""
     if s.n == 0:
         return frozenset()
     labels = set()

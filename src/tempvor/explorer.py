@@ -159,16 +159,13 @@ def _split_edge_sets(n: int) -> Iterator[tuple[Edge, ...]]:
 
 
 def _threshold_edge_sets(n: int) -> Iterator[tuple[Edge, ...]]:
-    seen: set[frozenset[Edge]] = set()
+    # bit v says whether v dominates 1..v-1; edge (1, v) is present iff bit v
+    # is set, so distinct creation sequences give distinct edge sets
     for bits in product((0, 1), repeat=max(0, n - 1)):
         edges = []
         for v, bit in zip(range(2, n + 1), bits):
             if bit:
                 edges.extend((u, v) for u in range(1, v))
-        key = frozenset(edges)
-        if key in seen:
-            continue
-        seen.add(key)
         yield tuple(sorted(edges))
 
 
@@ -225,25 +222,17 @@ def _layer_chains(
         if monotonicity == "shrinking" or tau == 1:
             yield universe
             return
-        cap = m if budget is None else min(budget, m)
-        for missing in _subsets(ordered, cap):
+        for missing in _subsets(ordered, m if budget is None else budget):
             yield universe - missing
 
     def nexts(prev: frozenset[Edge], remaining: int | None) -> Iterator[frozenset[Edge]]:
-        if monotonicity == "growing":
-            pool = tuple(sorted(universe - prev))
-            cap = len(pool) if remaining is None else min(remaining, len(pool))
-            for added in _subsets(pool, cap):
-                yield prev | added
-        elif monotonicity == "shrinking":
-            pool = tuple(sorted(prev))
-            cap = len(pool) if remaining is None else min(remaining, len(pool))
-            for removed in _subsets(pool, cap):
-                yield prev - removed
+        # a growing step toggles absent edges, a shrinking one present edges
+        if monotonicity == "any":
+            pool = ordered
         else:
-            cap = m if remaining is None else min(remaining, m)
-            for toggled in _subsets(ordered, cap):
-                yield prev ^ toggled
+            pool = tuple(sorted(universe - prev if monotonicity == "growing" else prev))
+        for toggled in _subsets(pool, m if remaining is None else remaining):
+            yield prev ^ toggled
 
     def extend(
         chain: list[frozenset[Edge]], union: frozenset[Edge], spent: int
@@ -341,9 +330,6 @@ class SearchOutcome:
     @property
     def without_nash(self) -> int:
         return self.total - self.with_nash
-
-    def counterexamples(self) -> list[InstanceOutcome]:
-        return [o for o in self.outcomes if not o.has_nash]
 
     def min_counterexample_n(self) -> int | None:
         sizes = [o.graph.n for o in self.outcomes if not o.has_nash]

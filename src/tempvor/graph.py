@@ -37,7 +37,6 @@ class TemporalGraph:
             tuple(sorted(_norm_edge(e) for e in layer)) for layer in self.layers
         )
         object.__setattr__(self, "layers", norm)
-        object.__setattr__(self, "_sets", tuple(frozenset(l) for l in norm))
 
     @property
     def tau(self) -> int:
@@ -57,16 +56,16 @@ class TemporalGraph:
         return self.layers[min(t, self.tau) - 1]
 
     def layer_set(self, t: int) -> frozenset[Edge]:
-        if t < 1:
-            raise ValueError(f"time step must be >= 1, got {t}")
-        if not self.layers:
-            raise ValueError("graph has no layers")
-        return self._sets[min(t, self.tau) - 1]  # type: ignore[attr-defined]
+        return frozenset(self.layer(t))
 
 
 @dataclass(frozen=True)
 class StaticGraph:
-    """Simple undirected graph; the time-collapsed view of a temporal graph."""
+    """Simple undirected graph; the time-collapsed view of a temporal graph.
+
+    Construction raises ValueError on a self-loop or on an endpoint outside
+    1..n, so ``m`` always counts edges of the adjacency.
+    """
 
     n: int
     edges: frozenset[Edge]
@@ -76,9 +75,12 @@ class StaticGraph:
         object.__setattr__(self, "edges", frozenset(_norm_edge(e) for e in self.edges))
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
         for u, v in self.edges:
-            if u != v and u in adj and v in adj:
-                adj[u].add(v)
-                adj[v].add(u)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if u not in adj or v not in adj:
+                raise ValueError(f"edge ({u},{v}) has an endpoint outside 1..{self.n}")
+            adj[u].add(v)
+            adj[v].add(u)
         object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
 
     @property
@@ -150,13 +152,9 @@ def is_monotone(g: TemporalGraph) -> tuple[bool, bool]:
     A single-layer graph is vacuously both. Empty layers count: an all-empty
     graph is monotonically growing and shrinking.
     """
-    growing = all(
-        g.layer_set(t) <= g.layer_set(t + 1) for t in range(1, g.tau)
-    )
-    shrinking = all(
-        g.layer_set(t + 1) <= g.layer_set(t) for t in range(1, g.tau)
-    )
-    return growing, shrinking
+    sets = [frozenset(layer) for layer in g.layers]
+    pairs = list(zip(sets, sets[1:]))
+    return all(a <= b for a, b in pairs), all(b <= a for a, b in pairs)
 
 
 # --- standard edge sets on 1..n ----------------------------------------------

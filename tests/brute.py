@@ -84,6 +84,20 @@ def brute_nash_profiles(td: list[tuple[float, ...]], kind: str, n: int) -> list[
 # --- exhaustive class recognition -------------------------------------------
 
 
+def oracle_connected(s: StaticGraph) -> bool:
+    """Union-find over the edge list: one component (the empty graph counts)."""
+    root = {v: v for v in s.vertices}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in s.edges:
+        root[find(u)] = find(v)
+    return len({find(v) for v in s.vertices}) <= 1
+
+
 def oracle_split(s: StaticGraph) -> bool:
     verts = list(s.vertices)
     for r in range(len(verts) + 1):

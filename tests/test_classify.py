@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import isqrt
 
-from brute import oracle_grid_dims, oracle_kpartite_k, oracle_split, oracle_threshold
+from brute import (
+    oracle_connected,
+    oracle_grid_dims,
+    oracle_kpartite_k,
+    oracle_split,
+    oracle_threshold,
+)
 
 from tempvor import (
     StaticGraph,
@@ -90,6 +97,12 @@ def test_exhaustive_agreement_up_to_five_vertices():
             assert dims == oracle_grid_dims(s), s.edges
             if "threshold" in labels:
                 assert "split" in labels
+            degrees = [sum(v in e for e in s.edges) for v in s.vertices]
+            tree = s.m == n - 1 and oracle_connected(s)
+            assert ("tree" in labels) == tree, s.edges
+            assert ("path" in labels) == (tree and max(degrees) <= 2), s.edges
+            cycle = n >= 3 and oracle_connected(s) and set(degrees) == {2}
+            assert ("cycle" in labels) == cycle, s.edges
 
 
 def test_randomized_agreement_on_larger_graphs():
@@ -128,6 +141,57 @@ def test_grid_recognition_on_relabeled_grids():
         # one edge off is never a grid
         broken = base[:-1]
         assert grid_dims(_static(n, broken)) is None
+
+
+def _constructions(rng, n):
+    """(class, edges, answer) for one member of each class on n vertices, with
+    the answer the classifier must give: True, k parts, or grid dims."""
+    yield "threshold", [(u, v) for v in range(2, n + 1) if rng.random() < 0.5 for u in range(1, v)], True
+    c = rng.randint(1, n - 1)
+    cross = [(u, v) for v in range(c + 1, n + 1) for u in range(1, c + 1) if rng.random() < 0.5]
+    yield "split", list(combinations(range(1, c + 1), 2)) + cross, True
+    part = {v: rng.randrange(rng.randint(2, n)) for v in range(1, n + 1)}
+    edges = [(u, v) for u, v in combinations(range(1, n + 1), 2) if part[u] != part[v]]
+    yield "kpartite", edges, len(set(part.values()))
+    for a in range(2, isqrt(n) + 1):
+        if n % a == 0:
+            b = n // a
+            edges = [(v, v + 1) for v in range(1, n + 1) if v % b]
+            yield "grid", edges + [(v, v + b) for v in range(1, n - b + 1)], (a, b)
+
+
+def _answers(s):
+    labels = classify_underlying(s)
+    k = [int(l.split("(")[1][:-1]) for l in labels if l.startswith("complete_k_partite")]
+    return {
+        "threshold": "threshold" in labels,
+        "split": "split" in labels,
+        "kpartite": k[0] if k else None,
+        "grid": grid_dims(s),
+    }
+
+
+def test_relabelled_constructions_and_one_edge_perturbations():
+    """Positives at n = 6..12, where random graphs almost never land in these
+    classes, plus each with one edge toggled, against the oracles (k-partite
+    and grid only up to n = 8, where their searches stay tractable)."""
+    rng = random.Random(2024)
+    for n in range(6, 13):
+        for _ in range(3):
+            for name, edges, answer in _constructions(rng, n):
+                perm = list(range(1, n + 1))
+                rng.shuffle(perm)
+                base = {tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in edges}
+                s = _static(n, base)
+                assert _answers(s)[name] == answer, (name, s.edges)
+                flip = tuple(sorted(rng.sample(range(1, n + 1), 2)))
+                for t in (s, _static(n, base ^ {flip})):
+                    got = _answers(t)
+                    assert got["split"] == oracle_split(t), t.edges
+                    assert got["threshold"] == oracle_threshold(t), t.edges
+                    if n <= 8:
+                        assert got["kpartite"] == oracle_kpartite_k(t), t.edges
+                        assert got["grid"] == oracle_grid_dims(t), t.edges
 
 
 def test_split_partition_is_verified():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tempvor import (
+    StaticGraph,
     TemporalGraph,
     build_instance,
     from_json,
@@ -86,6 +87,18 @@ def test_underlying_of_growing_cycle_is_the_full_cycle():
 
 def test_underlying_of_empty_layers_is_edgeless():
     assert underlying(TemporalGraph(4, ((), ()))).edges == frozenset()
+
+
+def test_static_graph_rejects_self_loops():
+    with pytest.raises(ValueError, match="self-loop"):
+        StaticGraph(3, frozenset({(1, 2), (1, 1)}))
+
+
+def test_static_graph_rejects_out_of_range_endpoints():
+    # m has to count adjacency edges only: the class tests compare it with degree sums
+    for bad in [(2, 5), (0, 1), (-1, 2)]:
+        with pytest.raises(ValueError, match="outside 1..3"):
+            StaticGraph(3, frozenset({(1, 2), bad}))
 
 
 def test_underlying_split_instance_partition():
