@@ -19,26 +19,28 @@ def enumerate_walk_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
     sequence (strictly increasing time labels, each edge present in its
     layer). A foremost walk never needs to revisit a vertex -- cutting the
     loop keeps the labels strictly increasing -- so the enumeration ranges
-    over simple walks only.
+    over simple walks only. From vertex v at time t each edge vw is crossed
+    at the first step after t at which it is present: a later crossing
+    reaches w later with the same visited set, so every walk it continues
+    into is also a continuation of the earliest one.
     """
     horizon = g.tau + g.n
+    # first[t][v][w]: the first step after t at which edge vw is present
+    first = [{v: {} for v in g.vertices} for _ in range(horizon + 1)]
+    for t in range(horizon - 1, -1, -1):
+        first[t] = {v: dict(ws) for v, ws in first[t + 1].items()}
+        for a, b in g.layer(t + 1):
+            first[t][a][b] = first[t][b][a] = t + 1
     best: dict[int, float] = {v: INF for v in g.vertices}
     best[source] = 0
 
     def extend(v: int, t: int, visited: frozenset[int]) -> None:
-        for t2 in range(t + 1, horizon + 1):
-            for a, b in g.layer(t2):
-                if a == v:
-                    w = b
-                elif b == v:
-                    w = a
-                else:
-                    continue
-                if w in visited:
-                    continue
-                if t2 < best[w]:
-                    best[w] = t2
-                extend(w, t2, visited | {w})
+        for w, t2 in first[t][v].items():
+            if w in visited:
+                continue
+            if t2 < best[w]:
+                best[w] = t2
+            extend(w, t2, visited | {w})
 
     extend(source, 0, frozenset({source}))
     return tuple(best[v] for v in g.vertices)
