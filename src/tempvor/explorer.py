@@ -196,12 +196,6 @@ def _underlying_edge_sets(base_class: str, n: int) -> Iterator[tuple[Edge, ...]]
 # --- temporal layer patterns -------------------------------------------------
 
 
-def _subsets(pool: tuple[Edge, ...], cap: int) -> Iterator[frozenset[Edge]]:
-    for r in range(0, min(cap, len(pool)) + 1):
-        for combo in combinations(pool, r):
-            yield frozenset(combo)
-
-
 def _layer_chains(
     edge_set: tuple[Edge, ...],
     tau: int,
@@ -212,46 +206,36 @@ def _layer_chains(
 
     Yields tuples (E_1, ..., E_tau) with union exactly ``edge_set``, the given
     monotonicity, total change within ``budget``, and E_tau != E_{tau-1} when
-    tau >= 2.
+    tau >= 2. Each layer is its predecessor with a subset of a pool toggled:
+    all edges for ``any``, absent edges for ``growing``, present edges for
+    ``shrinking``. E_1 toggles the edge set itself, dropping the edges that
+    appear later (none when shrinking or when tau is 1), uncharged but capped
+    by the budget. The last toggle holds every edge no layer has held yet and
+    is not empty, so every completed branch is an instance. Toggles go by
+    (size, sorted edges) at each step, and M | X sorts as X does for a fixed M.
     """
     universe = frozenset(edge_set)
     ordered = tuple(sorted(universe))
-    m = len(ordered)
+    shrinking = monotonicity == "shrinking"
 
-    def firsts() -> Iterator[frozenset[Edge]]:
-        if monotonicity == "shrinking" or tau == 1:
-            yield universe
-            return
-        for missing in _subsets(ordered, m if budget is None else budget):
-            yield universe - missing
+    def toggles(pool, required: frozenset[Edge], room: float, least: int = 0):
+        free = [e for e in pool if e not in required]
+        for r in range(least, min(len(free), room - len(required)) + 1):
+            for extra in combinations(free, r):
+                yield required.union(extra)
 
-    def nexts(prev: frozenset[Edge], remaining: int | None) -> Iterator[frozenset[Edge]]:
-        # a growing step toggles absent edges, a shrinking one present edges
-        if monotonicity == "any":
-            pool = ordered
-        else:
-            pool = tuple(sorted(universe - prev if monotonicity == "growing" else prev))
-        for toggled in _subsets(pool, m if remaining is None else remaining):
-            yield prev ^ toggled
-
-    def extend(
-        chain: list[frozenset[Edge]], union: frozenset[Edge], spent: int
-    ) -> Iterator[tuple[frozenset[Edge], ...]]:
+    def extend(chain: tuple[frozenset[Edge], ...], unseen: frozenset[Edge], left: float):
         if len(chain) == tau:
-            if union == universe and (tau == 1 or chain[-1] != chain[-2]):
-                yield tuple(chain)
+            yield chain
             return
-        if budget is not None and len(universe - union) > budget - spent:
-            return
-        remaining = None if budget is None else budget - spent
-        for nxt in nexts(chain[-1], remaining):
-            cost = len(chain[-1] ^ nxt)
-            chain.append(nxt)
-            yield from extend(chain, union | nxt, spent + cost)
-            chain.pop()
+        prev, last = chain[-1], len(chain) == tau - 1
+        pool = ordered if monotonicity == "any" else [e for e in ordered if (e in prev) == shrinking]
+        for toggle in toggles(pool, unseen if last else frozenset(), left, int(last and not unseen)):
+            yield from extend(chain + (prev ^ toggle,), unseen - toggle, left - len(toggle))
 
-    for first in firsts():
-        yield from extend([first], first, 0)
+    left = float("inf") if budget is None else budget
+    for dropped in toggles(() if shrinking or tau == 1 else ordered, frozenset(), left):
+        yield from extend((universe - dropped,), dropped, left)
 
 
 def _dihedral_maps(n: int) -> list[dict[int, int]]:
@@ -285,7 +269,7 @@ def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
                 for chain in _layer_chains(
                     edge_set, tau, spec.monotonicity, spec.max_edge_changes
                 ):
-                    g = TemporalGraph(n, tuple(tuple(sorted(layer)) for layer in chain))
+                    g = TemporalGraph(n, chain)
                     if spec.base_class == "cycle" and tuple(g.layers) != _cycle_canonical_key(g):
                         continue
                     yield g
@@ -298,8 +282,11 @@ def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
 class InstanceOutcome:
     graph: TemporalGraph
     report: ClassReport
-    has_nash: bool
     witness: Profile | None
+
+    @property
+    def has_nash(self) -> bool:
+        return self.witness is not None
 
     def to_record_obj(self, kind: GameKind) -> dict:
         return {
@@ -370,9 +357,7 @@ def sweep(
             raise FamilyBudgetError(limit)
         d = all_pairs(g)
         witness = first_nash(g, d, kind)
-        outcomes.append(
-            InstanceOutcome(g, build_class_report(g, d), witness is not None, witness)
-        )
+        outcomes.append(InstanceOutcome(g, build_class_report(g, d), witness))
     return SearchOutcome(spec, kind, tuple(outcomes))
 
 

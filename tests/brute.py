@@ -9,7 +9,7 @@ subsets and vertex bijections. Only usable on small instances.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from tempvor import INF, StaticGraph, TemporalGraph
 
@@ -81,6 +81,43 @@ def brute_nash_profiles(td: list[tuple[float, ...]], kind: str, n: int) -> list[
                 continue
             out.append((p1, p2))
     return out
+
+
+# --- exhaustive family enumeration -------------------------------------------
+
+
+def oracle_layer_chains(edge_set, tau: int, monotonicity: str, budget: int | None):
+    """Every minimal-lifetime layer sequence over ``edge_set``, by filtering all
+    tau-tuples of edge subsets with the definition: the union is the edge set,
+    consecutive layers only gain (growing) or only lose (shrinking) edges, the
+    summed symmetric differences fit the budget, and E_tau != E_{tau-1}. The
+    survivors are sorted by their per-step toggles, (size, sorted edges) each,
+    where the first toggle is the edge set minus E_1.
+    """
+    universe = frozenset(edge_set)
+    subsets = [
+        frozenset(c) for r in range(len(universe) + 1) for c in combinations(sorted(universe), r)
+    ]
+    out = []
+    for chain in product(subsets, repeat=tau):
+        steps = list(zip(chain, chain[1:]))
+        if frozenset().union(*chain) != universe:
+            continue
+        if monotonicity == "growing" and not all(a <= b for a, b in steps):
+            continue
+        if monotonicity == "shrinking" and not all(a >= b for a, b in steps):
+            continue
+        if budget is not None and sum(len(a ^ b) for a, b in steps) > budget:
+            continue
+        if tau >= 2 and chain[-1] == chain[-2]:
+            continue
+        out.append(chain)
+
+    def toggle_keys(chain):
+        toggles = [universe ^ chain[0]] + [a ^ b for a, b in zip(chain, chain[1:])]
+        return [(len(t), sorted(t)) for t in toggles]
+
+    return sorted(out, key=toggle_keys)
 
 
 # --- exhaustive class recognition -------------------------------------------

@@ -7,6 +7,8 @@ from itertools import combinations
 
 import pytest
 
+from brute import oracle_layer_chains
+
 from tempvor import (
     FamilyBudgetError,
     FamilySpec,
@@ -24,7 +26,13 @@ from tempvor import (
     validate,
     write_outcome,
 )
-from tempvor.explorer import _cycle_canonical_key
+from tempvor.explorer import (
+    BASE_CLASSES,
+    MONOTONICITY,
+    _cycle_canonical_key,
+    _layer_chains,
+    _underlying_edge_sets,
+)
 
 
 def _changes(g):
@@ -58,6 +66,29 @@ def test_growing_cycle_family_contains_the_bundled_instance():
     assert len(fam) == 4  # one edge late, or two at cyclic gap 1, 2 or 3
     key = _cycle_canonical_key(build_instance("grow_cycle_7").graph)
     assert any(tuple(g.layers) == key for g in fam)
+
+
+@pytest.mark.parametrize("base", BASE_CLASSES)
+def test_layer_chains_match_the_definition_in_order(base):
+    # the first edge set of each size m that the class has on n <= 4
+    # vertices, as long as the oracle's 2^(m * tau) layer tuples stay small
+    edge_sets = {}
+    for n in range(1, 5):
+        for es in _underlying_edge_sets(base, n):
+            edge_sets.setdefault(len(es), es)
+    checked = 0
+    for edge_set in edge_sets.values():
+        for tau in (1, 2, 3):
+            if len(edge_set) * tau > 12:
+                continue
+            for mono in MONOTONICITY:
+                for budget in (None, 0, 1, 2, 3):
+                    got = list(_layer_chains(edge_set, tau, mono, budget))
+                    assert got == oracle_layer_chains(edge_set, tau, mono, budget), (
+                        edge_set, tau, mono, budget,
+                    )
+                    checked += len(got)
+    assert checked
 
 
 def test_emitted_instances_satisfy_the_spec():

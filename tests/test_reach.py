@@ -77,6 +77,23 @@ def test_invalid_source_raises():
         oracle_arrivals(g, 8)
 
 
+@pytest.mark.parametrize(
+    "layer",
+    [
+        ((0, 2), (1, 2)),  # index -1 used to wrap to vertex 3: td(2, 3) read 1
+        ((1, 2), (2, 4)),  # used to raise a bare IndexError
+    ],
+)
+def test_out_of_range_endpoints_raise(layer):
+    g = TemporalGraph(3, (layer,))
+    with pytest.raises(ValueError, match="outside 1..3"):
+        all_pairs(g)
+    for query in (earliest_arrivals, oracle_arrivals):
+        for source in g.vertices:
+            with pytest.raises(ValueError, match="outside 1..3"):
+                query(g, source)
+
+
 def test_sweep_matches_time_expanded_oracle_on_randoms():
     rng = random.Random(2024)
     for _ in range(300):

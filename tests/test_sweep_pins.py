@@ -23,6 +23,11 @@ FAMILIES = {
     "complete_k_partite": FamilySpec("complete_k_partite", (1, 6), (1, 1)),
     "split": FamilySpec("split", (1, 4), (1, 1)),
     "threshold": FamilySpec("threshold", (1, 5), (1, 1)),
+    # budgeted and three-layer families
+    "cycle_budget1": FamilySpec("cycle", (3, 6), (1, 3), "any", 1),
+    "tree_growing_budget2": FamilySpec("tree", (2, 4), (1, 3), "growing", 2),
+    "path_shrinking_tau3": FamilySpec("path", (2, 5), (3, 3), "shrinking"),
+    "clique_budget2": FamilySpec("clique", (3, 4), (1, 3), "any", 2),
 }
 
 # (family, game) -> (records sha256, summary sha256)
@@ -90,6 +95,38 @@ PINS = {
     ("threshold", "rvor"): (
         "dfa936ebe741cbb8c684cbeb62e8277e33639e98ceb579e24531ee121388082b",
         "e416a5ae0d1338e50d1b24aafd808c91b04c33ceb984a341407c8e34b6f10c1e",
+    ),
+    ("cycle_budget1", "vor"): (
+        "b05e207eddac1667e1781b9ff0682aa7d83aa9a322288c36d4a4226f293a1e4f",
+        "7c9f3cb2b4b8a681c5e62c5c5ac4e607d5634278e4f87d00a2d7ce8df97d37b5",
+    ),
+    ("cycle_budget1", "rvor"): (
+        "07981c6e6131640c34688abbf30d94886ac79260edb89c5ce4ac659231abd9f3",
+        "7322bd96ae6e491dc2e62919afe758e5218e41e3dd8d2e546eb5c9639ffa4029",
+    ),
+    ("tree_growing_budget2", "vor"): (
+        "19ef5a349555ff2fa565f7aa12fab0e642e80eb7253bc287b1e1ba38cc9e6c4c",
+        "1751b5bfb6dfe8f4bb429cd79adc38b4cb391126d2bf2901b6008bfb46b338ee",
+    ),
+    ("tree_growing_budget2", "rvor"): (
+        "af4ec6a1640401cda6a9bf64915b17d639204b7cf340240bdef97c0243e5e518",
+        "590cd7d1e148878eae8c14c9a0b2ea276e89bcc65c400e46b8bced8415ba7f12",
+    ),
+    ("path_shrinking_tau3", "vor"): (
+        "4f4376755d87c9b085d7900416ca81b17ded349073cd03bc79d85fd8f51d98be",
+        "af117a6278ad08168f8ace87268d88830b88c2b9c303b025a0818ae751d8374e",
+    ),
+    ("path_shrinking_tau3", "rvor"): (
+        "5f03042cf822451e08bb361f107303a0781673ba710f5a3daf47c589e331ce44",
+        "1264b58baa753ce1bf17b7a29cf4a3f6afe9296f16da9be6ccd78f934a07f8ba",
+    ),
+    ("clique_budget2", "vor"): (
+        "a25fc84de5c9dcea6f555d3c828ab6e67ab35796b75632ad42d8bd7b7ed95300",
+        "1f18107f4e1ea9435c5bc4804940abf046369c44c99791a2ca050781c789eb70",
+    ),
+    ("clique_budget2", "rvor"): (
+        "87151e868625d04fb1ee1aea08d787e172ed1580e00ede6672570207878f7a86",
+        "35407a1461bd22566a687105696df1b2c17bfd688616379e9b55b9cb792de8ae",
     ),
 }
 
