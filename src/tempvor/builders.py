@@ -11,11 +11,9 @@ foremost).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .classify import is_threshold, is_tree, kpartite_parts, split_partition
 from .games import Profile, best_response_dynamics, enumerate_nash, is_nash
-from .graph import StaticGraph, TemporalGraph, is_monotone, underlying
+from .graph import StaticGraph, TemporalGraph, _clique_edges, is_monotone, underlying
 from .instances import build_instance
 from .reach import DistanceMatrix, all_pairs
 
@@ -214,7 +212,7 @@ def clique_completion(g: TemporalGraph) -> TemporalGraph:
         raise ValueError("graph is not temporally connected")
     cut = max(d.max_finite(), g.tau)
     layers = _extended_layers(g, cut)
-    layers.append(tuple(combinations(range(1, g.n + 1), 2)))
+    layers.append(_clique_edges(g.vertices))
     completed = TemporalGraph(g.n, tuple(layers))
     _check_preserved(g, completed, d)
     return completed

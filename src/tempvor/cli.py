@@ -1,7 +1,14 @@
 """Command-line front end.
 
+The six single-instance commands (analyze, distances, payoff, best-response,
+nash, dynamics) share one request path: read the input file, validate it, hash
+it, compute all-pairs distances once, and open the report with the command,
+the input's sha256 and, for the four game commands, the game. Each command's
+handler adds only its own fields.
+
 Exit codes are a stable contract: 0 success, 1 claim failure, 2 parse error,
-3 validation error, 4 bad profile, 5 bad family spec, 6 family budget
+3 validation error, 4 bad profile, 5 bad request argument (family spec,
+unknown instance or claim, unwritable output directory), 6 family budget
 exceeded. Reports are pure functions of the input bytes and flags: no
 timestamps, hostnames or other machine state appear in any output.
 """
@@ -33,7 +40,7 @@ from .games import (
 )
 from .graph import TemporalGraph, from_json, to_canonical_json, to_json_obj, validate
 from .instances import INSTANCE_NAMES, build_instance
-from .reach import all_pairs
+from .reach import DistanceMatrix, all_pairs
 from .reproduce import DEFAULT_SEED, run_claims
 
 EXIT_OK = 0
@@ -46,47 +53,24 @@ EXIT_BUDGET = 6
 
 
 class _CliError(Exception):
-    code = EXIT_CLAIM_FAILURE
+    """A request that cannot be answered; ``code`` is its exit code."""
 
-
-class _ParseError(_CliError):
-    code = EXIT_PARSE
-
-
-class _ValidationError(_CliError):
-    code = EXIT_VALIDATION
-
-
-class _ProfileError(_CliError):
-    code = EXIT_PROFILE
-
-
-def _load_graph(path: str) -> tuple[TemporalGraph, str]:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise _ParseError(f"cannot read {path}: {exc}") from exc
-    try:
-        g = from_json(raw.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise _ParseError(f"{path}: {exc}") from exc
-    problems = validate(g)
-    if problems:
-        raise _ValidationError(f"{path}: " + "; ".join(problems))
-    return g, hashlib.sha256(raw).hexdigest()
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _parse_profile(text: str, n: int) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise _ProfileError(f"profile must be two comma-separated vertices, got {text!r}")
+        raise _CliError(EXIT_PROFILE, f"profile must be two comma-separated vertices, got {text!r}")
     try:
         p1, p2 = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise _ProfileError(f"profile must be two integers, got {text!r}") from exc
+        raise _CliError(EXIT_PROFILE, f"profile must be two integers, got {text!r}") from exc
     for p in (p1, p2):
         if not 1 <= p <= n:
-            raise _ProfileError(f"profile vertex {p} out of range 1..{n}")
+            raise _CliError(EXIT_PROFILE, f"profile vertex {p} out of range 1..{n}")
     return p1, p2
 
 
@@ -105,108 +89,72 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _cmd_analyze(args) -> int:
-    g, digest = _load_graph(args.input)
+def _request(args) -> int:
+    """Answer one single-instance command; ``args.handler`` adds its fields."""
+    try:
+        raw = Path(args.input).read_bytes()
+    except OSError as exc:
+        raise _CliError(EXIT_PARSE, f"cannot read {args.input}: {exc}") from exc
+    try:
+        g = from_json(raw.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise _CliError(EXIT_PARSE, f"{args.input}: {exc}") from exc
+    problems = validate(g)
+    if problems:
+        raise _CliError(EXIT_VALIDATION, f"{args.input}: " + "; ".join(problems))
     d = all_pairs(g)
-    _emit(
-        {
-            "command": "analyze",
-            "input_sha256": digest,
-            "n": g.n,
-            "tau": g.tau,
-            "class_report": build_class_report(g, d).to_json_obj(),
-            "distances": d.to_json_obj(),
-        }
-    )
-    return EXIT_OK
-
-
-def _cmd_distances(args) -> int:
-    g, digest = _load_graph(args.input)
-    _emit(
-        {
-            "command": "distances",
-            "input_sha256": digest,
-            "distances": all_pairs(g).to_json_obj(),
-        }
-    )
-    return EXIT_OK
-
-
-def _cmd_payoff(args) -> int:
-    g, digest = _load_graph(args.input)
-    profile = _parse_profile(args.profile, g.n)
-    result = payoff(g, all_pairs(g), args.game, profile)
-    _emit(
-        {
-            "command": "payoff",
-            "input_sha256": digest,
-            "game": args.game,
-            "profile": list(profile),
-            "payoff": result.to_json_obj(),
-        }
-    )
-    return EXIT_OK
-
-
-def _cmd_best_response(args) -> int:
-    g, digest = _load_graph(args.input)
-    d = all_pairs(g)
-    out = {"command": "best-response", "input_sha256": digest, "game": args.game}
-    if args.fixed is not None:
-        if not 1 <= args.fixed <= g.n:
-            raise _ProfileError(f"fixed vertex {args.fixed} out of range 1..{g.n}")
-        responses, value = best_responses(g, d, args.game, args.role, args.fixed)
-        out.update({"fixed": args.fixed, "role": args.role, "responses": list(responses), "value": value})
-    else:
-        out["best_response_graph"] = best_response_graph(g, d, args.game).to_json_obj()
+    out = {"command": args.command, "input_sha256": hashlib.sha256(raw).hexdigest()}
+    if "game" in args:
+        out["game"] = args.game
+    out.update(args.handler(args, g, d))
     _emit(out)
     return EXIT_OK
 
 
-def _cmd_nash(args) -> int:
-    g, digest = _load_graph(args.input)
-    d = all_pairs(g)
-    out = {"command": "nash", "input_sha256": digest, "game": args.game}
+def _analyze(args, g: TemporalGraph, d: DistanceMatrix) -> dict:
+    return {
+        "n": g.n,
+        "tau": g.tau,
+        "class_report": build_class_report(g, d).to_json_obj(),
+        "distances": d.to_json_obj(),
+    }
+
+
+def _distances(args, g: TemporalGraph, d: DistanceMatrix) -> dict:
+    return {"distances": d.to_json_obj()}
+
+
+def _payoff(args, g: TemporalGraph, d: DistanceMatrix) -> dict:
+    profile = _parse_profile(args.profile, g.n)
+    return {"profile": list(profile), "payoff": payoff(g, d, args.game, profile).to_json_obj()}
+
+
+def _best_response(args, g: TemporalGraph, d: DistanceMatrix) -> dict:
+    if args.fixed is None:
+        return {"best_response_graph": best_response_graph(g, d, args.game).to_json_obj()}
+    if not 1 <= args.fixed <= g.n:
+        raise _CliError(EXIT_PROFILE, f"fixed vertex {args.fixed} out of range 1..{g.n}")
+    responses, value = best_responses(g, d, args.game, args.role, args.fixed)
+    return {"fixed": args.fixed, "role": args.role, "responses": list(responses), "value": value}
+
+
+def _nash(args, g: TemporalGraph, d: DistanceMatrix) -> dict:
     if args.profile:
         profile = _parse_profile(args.profile, g.n)
-        out["profile"] = list(profile)
-        out["result"] = is_nash(g, d, args.game, profile).to_json_obj()
-    else:
-        equilibria = enumerate_nash(g, d, args.game)
-        out["equilibria"] = [list(p) for p in equilibria]
-        out["count"] = len(equilibria)
-    _emit(out)
-    return EXIT_OK
+        return {"profile": list(profile), "result": is_nash(g, d, args.game, profile).to_json_obj()}
+    equilibria = enumerate_nash(g, d, args.game)
+    return {"equilibria": [list(p) for p in equilibria], "count": len(equilibria)}
 
 
-def _cmd_dynamics(args) -> int:
-    g, digest = _load_graph(args.input)
+def _dynamics(args, g: TemporalGraph, d: DistanceMatrix) -> dict:
     profile = _parse_profile(args.profile, g.n)
-    result = best_response_dynamics(
-        g, all_pairs(g), args.game, profile, max_steps=args.max_steps
-    )
-    _emit(
-        {
-            "command": "dynamics",
-            "input_sha256": digest,
-            "game": args.game,
-            "start": list(profile),
-            "result": result.to_json_obj(),
-        }
-    )
-    return EXIT_OK
+    result = best_response_dynamics(g, d, args.game, profile, max_steps=args.max_steps)
+    return {"start": list(profile), "result": result.to_json_obj()}
 
 
 def _cmd_reproduce(args) -> int:
-    if args.claim:
-        target = args.claim
-    elif args.instance:
-        target = args.instance
-    else:
-        target = "all"
     try:
-        results = run_claims(target, seed=args.seed)
+        results = run_claims(args.claim or args.instance or "all", seed=args.seed)
     except ValueError as exc:
         raise FamilySpecError(str(exc)) from exc
     for res in results:
@@ -228,7 +176,10 @@ def _cmd_sweep(args) -> int:
         max_edge_changes=args.changes,
     )
     outcome = sweep(spec, args.game, limit=args.limit)
-    records_path, summary_path = write_outcome(outcome, args.out)
+    try:
+        records_path, summary_path = write_outcome(outcome, args.out)
+    except OSError as exc:
+        raise _CliError(EXIT_SPEC, f"cannot write {args.out}: {exc}") from exc
     _emit(
         {
             "command": "sweep",
@@ -248,12 +199,15 @@ def _cmd_fixtures(args) -> int:
         raise FamilySpecError(str(exc)) from exc
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         written = []
-        for fx in fixtures:
-            path = outdir / f"{fx.name}.json"
-            path.write_text(to_canonical_json(fx.graph) + "\n", encoding="utf-8")
-            written.append(str(path))
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for fx in fixtures:
+                path = outdir / f"{fx.name}.json"
+                path.write_text(to_canonical_json(fx.graph) + "\n", encoding="utf-8")
+                written.append(str(path))
+        except OSError as exc:
+            raise _CliError(EXIT_SPEC, f"cannot write {args.out}: {exc}") from exc
         _emit({"command": "fixtures", "written": written})
     else:
         _emit(
@@ -287,39 +241,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--game", choices=("vor", "rvor"), required=True,
                        help="classic (vor) or reverse (rvor) game")
 
-    p = sub.add_parser("analyze", help="class report plus all-pairs distances")
-    p.add_argument("input", help="temporal graph JSON file")
-    p.set_defaults(fn=_cmd_analyze)
+    def add_request(name, handler, summary, game=True):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("input", help="temporal graph JSON file")
+        if game:
+            add_game(p)
+        p.set_defaults(fn=_request, handler=handler)
+        return p
 
-    p = sub.add_parser("distances", help="all-pairs temporal distances")
-    p.add_argument("input")
-    p.set_defaults(fn=_cmd_distances)
+    add_request("analyze", _analyze, "class report plus all-pairs distances", game=False)
+    add_request("distances", _distances, "all-pairs temporal distances", game=False)
 
-    p = sub.add_parser("payoff", help="evaluate a strategy profile")
-    p.add_argument("input")
-    add_game(p)
+    p = add_request("payoff", _payoff, "evaluate a strategy profile")
     p.add_argument("--profile", required=True, metavar="P1,P2")
-    p.set_defaults(fn=_cmd_payoff)
 
-    p = sub.add_parser("best-response", help="best replies to a fixed vertex, or the full graph")
-    p.add_argument("input")
-    add_game(p)
+    p = add_request("best-response", _best_response,
+                    "best replies to a fixed vertex, or the full graph")
     p.add_argument("--fixed", type=int, help="opponent vertex; omit for the whole graph")
     p.add_argument("--role", type=int, choices=(1, 2), default=2, help="responding player")
-    p.set_defaults(fn=_cmd_best_response)
 
-    p = sub.add_parser("nash", help="check a profile or enumerate all equilibria")
-    p.add_argument("input")
-    add_game(p)
+    p = add_request("nash", _nash, "check a profile or enumerate all equilibria")
     p.add_argument("--profile", metavar="P1,P2")
-    p.set_defaults(fn=_cmd_nash)
 
-    p = sub.add_parser("dynamics", help="alternating best-response dynamics")
-    p.add_argument("input")
-    add_game(p)
+    p = add_request("dynamics", _dynamics, "alternating best-response dynamics")
     p.add_argument("--profile", required=True, metavar="P1,P2", help="start profile")
     p.add_argument("--max-steps", type=int, default=10_000)
-    p.set_defaults(fn=_cmd_dynamics)
 
     p = sub.add_parser("reproduce", help="re-check the bundled results")
     group = p.add_mutually_exclusive_group()
@@ -358,15 +304,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except _CliError as exc:
+    except (_CliError, FamilySpecError, FamilyBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except FamilySpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except FamilyBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        if isinstance(exc, _CliError):
+            return exc.code
+        return EXIT_SPEC if isinstance(exc, FamilySpecError) else EXIT_BUDGET
 
 
 def run() -> None:

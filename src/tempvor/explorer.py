@@ -10,19 +10,25 @@ semantically distinct instance appears exactly once per lifetime.
 
 Underlying graphs are enumerated as canonical labeled representatives: one
 standard labeling for paths, cycles, grids and cliques, one per part-size
-multiset for complete multipartite graphs, all clique-to-independent
-connection patterns for split graphs, and all creation sequences for
-threshold graphs; labeled trees run over all Pruefer codes. Cycle instances
-are additionally deduplicated up to rotation and reflection of the labeling;
-other classes get no isomorphism reduction. Streams are lazy and
+multiset for complete multipartite graphs, every distinct clique-to-independent
+connection pattern for split graphs, and all creation sequences for threshold
+graphs; labeled trees run over all Pruefer codes. The edge sets come from the
+class constructions in :mod:`tempvor.graph`, which :mod:`tempvor.randgen`
+draws from too. Cycle instances are additionally deduplicated up to rotation
+and reflection of the labeling: an instance is kept only when no image of it
+has lexicographically smaller layers, and the check stops at the first image
+that does. Other classes get no isomorphism reduction. Streams are lazy and
 deterministic: two sweeps of one spec produce identical output bytes.
+
+:func:`sweep` takes at most ``limit + 1`` instances from the stream and raises
+the budget error before it computes any distance.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from pathlib import Path
 from typing import Iterator
 
@@ -31,10 +37,14 @@ from .games import GameKind, Profile, first_nash
 from .graph import (
     Edge,
     TemporalGraph,
+    _clique_edges,
     _cycle_edges,
     _grid_edges,
+    _kpartite_edges,
     _path_edges,
     _pruefer_edges,
+    _split_edges,
+    _threshold_edges,
     to_json_obj,
 )
 from .reach import all_pairs
@@ -115,60 +125,6 @@ def _partitions_desc(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]
             yield (first,) + rest
 
 
-def _labeled_trees(n: int) -> Iterator[tuple[Edge, ...]]:
-    for seq in product(range(1, n + 1), repeat=max(0, n - 2)):
-        yield tuple(sorted(_pruefer_edges(seq, n)))
-
-
-def _kpartite_edge_sets(n: int) -> Iterator[tuple[Edge, ...]]:
-    # one canonical labeling per part-size multiset, two or more parts
-    for sizes in _partitions_desc(n):
-        if len(sizes) < 2:
-            continue
-        part_of = {}
-        v = 1
-        for idx, size in enumerate(sizes):
-            for _ in range(size):
-                part_of[v] = idx
-                v += 1
-        yield tuple(
-            (u, w)
-            for u, w in combinations(range(1, n + 1), 2)
-            if part_of[u] != part_of[w]
-        )
-
-
-def _split_edge_sets(n: int) -> Iterator[tuple[Edge, ...]]:
-    seen: set[frozenset[Edge]] = set()
-    for c in range(0, n + 1):
-        clique = tuple(combinations(range(1, c + 1), 2))
-        i_vertices = range(c + 1, n + 1)
-        subsets = [
-            tuple(combinations(range(1, c + 1), r)) for r in range(0, c + 1)
-        ]
-        choices = [s for group in subsets for s in group]
-        for pick in product(choices, repeat=len(i_vertices)):
-            edges = list(clique)
-            for v, nbrs in zip(i_vertices, pick):
-                edges.extend((u, v) for u in nbrs)
-            key = frozenset(edges)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield tuple(sorted(edges))
-
-
-def _threshold_edge_sets(n: int) -> Iterator[tuple[Edge, ...]]:
-    # bit v says whether v dominates 1..v-1; edge (1, v) is present iff bit v
-    # is set, so distinct creation sequences give distinct edge sets
-    for bits in product((0, 1), repeat=max(0, n - 1)):
-        edges = []
-        for v, bit in zip(range(2, n + 1), bits):
-            if bit:
-                edges.extend((u, v) for u in range(1, v))
-        yield tuple(sorted(edges))
-
-
 def _underlying_edge_sets(base_class: str, n: int) -> Iterator[tuple[Edge, ...]]:
     if base_class == "path":
         yield _path_edges(n)
@@ -180,15 +136,29 @@ def _underlying_edge_sets(base_class: str, n: int) -> Iterator[tuple[Edge, ...]]
             if n % a == 0 and a * a <= n:
                 yield _grid_edges(a, n // a)
     elif base_class == "clique":
-        yield tuple(combinations(range(1, n + 1), 2))
+        yield _clique_edges(range(1, n + 1))
     elif base_class == "tree":
-        yield from _labeled_trees(n)
+        for seq in product(range(1, n + 1), repeat=max(0, n - 2)):
+            yield tuple(sorted(_pruefer_edges(seq, n)))
     elif base_class == "complete_k_partite":
-        yield from _kpartite_edge_sets(n)
+        # one canonical labeling per part-size multiset, two or more parts
+        for sizes in _partitions_desc(n):
+            if len(sizes) >= 2:
+                yield _kpartite_edges([i for i, size in enumerate(sizes) for _ in range(size)])
     elif base_class == "split":
-        yield from _split_edge_sets(n)
+        # clique 1..c; when no independent vertex picks c, the same edge set is
+        # the (c - 1)-clique graph in which c picks all of 1..c-1, so it is
+        # kept only there
+        for c in range(0, n + 1):
+            subsets = [s for r in range(c + 1) for s in combinations(range(1, c + 1), r)]
+            for picks in product(subsets, repeat=n - c):
+                if c == 0 or any(c in pick for pick in picks):
+                    yield tuple(sorted(_split_edges(c, picks)))
     elif base_class == "threshold":
-        yield from _threshold_edge_sets(n)
+        # edge (1, v) is present iff bit v is set, so distinct creation
+        # sequences give distinct edge sets
+        for bits in product((0, 1), repeat=max(0, n - 1)):
+            yield tuple(sorted(_threshold_edges(bits)))
     else:  # pragma: no cover - guarded by _check_spec
         raise FamilySpecError(base_class)
 
@@ -238,24 +208,27 @@ def _layer_chains(
         yield from extend((universe - dropped,), dropped, left)
 
 
-def _dihedral_maps(n: int) -> list[dict[int, int]]:
-    maps = []
+def _is_cycle_canonical(g: TemporalGraph) -> bool:
+    """Whether no rotation or reflection of the labels gives smaller layers.
+
+    Each image is compared with g layer by layer and dropped at the first
+    layer that differs, so most images cost one sorted layer.
+    """
+    n = g.n
     for k in range(n):
-        maps.append({v: (v - 1 + k) % n + 1 for v in range(1, n + 1)})
-        maps.append({v: (k - (v - 1)) % n + 1 for v in range(1, n + 1)})
-    return maps
-
-
-def _cycle_canonical_key(g: TemporalGraph) -> tuple:
-    best = None
-    for perm in _dihedral_maps(g.n):
-        mapped = tuple(
-            tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in layer))
-            for layer in g.layers
-        )
-        if best is None or mapped < best:
-            best = mapped
-    return best
+        for perm in (
+            [0] + [(v - 1 + k) % n + 1 for v in range(1, n + 1)],
+            [0] + [(k - (v - 1)) % n + 1 for v in range(1, n + 1)],
+        ):
+            for layer in g.layers:
+                image = tuple(
+                    sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in layer)
+                )
+                if image != layer:
+                    if image < layer:
+                        return False
+                    break
+    return True
 
 
 def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
@@ -270,9 +243,8 @@ def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
                     edge_set, tau, spec.monotonicity, spec.max_edge_changes
                 ):
                     g = TemporalGraph(n, chain)
-                    if spec.base_class == "cycle" and tuple(g.layers) != _cycle_canonical_key(g):
-                        continue
-                    yield g
+                    if spec.base_class != "cycle" or _is_cycle_canonical(g):
+                        yield g
 
 
 # --- sweeping -----------------------------------------------------------------
@@ -344,17 +316,17 @@ def sweep(
 ) -> SearchOutcome:
     """Decide equilibrium existence for every instance of the family.
 
-    Raises :class:`FamilyBudgetError` once more than ``limit`` instances are
-    generated; a partial sweep is never returned. Every stored verdict is
-    reproducible by re-running the equilibrium enumeration on the stored
-    graph.
+    Raises :class:`FamilyBudgetError` when the family has more than ``limit``
+    instances, before any instance is decided; a partial sweep is never
+    returned. Every stored verdict is reproducible by re-running the
+    equilibrium enumeration on the stored graph.
     """
+    bound = max(limit, 0)
+    graphs = list(islice(generate_family(spec), bound + 1))
+    if len(graphs) > bound:
+        raise FamilyBudgetError(limit)
     outcomes = []
-    count = 0
-    for g in generate_family(spec):
-        count += 1
-        if count > limit:
-            raise FamilyBudgetError(limit)
+    for g in graphs:
         d = all_pairs(g)
         witness = first_nash(g, d, kind)
         outcomes.append(InstanceOutcome(g, build_class_report(g, d), witness))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -166,6 +167,42 @@ def _path_edges(n: int) -> tuple[Edge, ...]:
 
 def _cycle_edges(n: int) -> tuple[Edge, ...]:
     return _path_edges(n) + ((1, n),)
+
+
+def _clique_edges(vertices: Iterable[int]) -> tuple[Edge, ...]:
+    """Every pair of ``vertices`` (given in increasing order), lexicographically."""
+    return tuple(combinations(vertices, 2))
+
+
+def _kpartite_edges(part: Sequence[int]) -> tuple[Edge, ...]:
+    """Complete multipartite graph on 1..len(part); vertex v lies in ``part[v - 1]``."""
+    return tuple(
+        (u, w)
+        for u, w in combinations(range(1, len(part) + 1), 2)
+        if part[u - 1] != part[w - 1]
+    )
+
+
+def _threshold_edges(bits: Sequence[int]) -> tuple[Edge, ...]:
+    """Threshold graph on 1..len(bits)+1 from its creation sequence.
+
+    ``bits[v - 2]`` says whether vertex v arrives dominating 1..v-1 (else
+    isolated). Edges come in creation order: by v, then by the older endpoint.
+    """
+    return tuple(
+        (u, v) for v, bit in enumerate(bits, start=2) if bit for u in range(1, v)
+    )
+
+
+def _split_edges(c: int, picks: Sequence[Iterable[int]]) -> tuple[Edge, ...]:
+    """Split graph: a clique on 1..c plus independent vertices c+1, c+2, ...
+
+    Independent vertex c+1+i is joined to the clique vertices ``picks[i]``.
+    Edges come in creation order: the clique, then each independent vertex.
+    """
+    return _clique_edges(range(1, c + 1)) + tuple(
+        (u, v) for v, nbrs in enumerate(picks, start=c + 1) for u in nbrs
+    )
 
 
 def _grid_edges(rows: int, cols: int) -> tuple[Edge, ...]:

@@ -20,10 +20,9 @@ non-existence result:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .games import GameKind, Profile
-from .graph import Edge, TemporalGraph, _cycle_edges, _grid_edges, _path_edges
+from .graph import TemporalGraph, _clique_edges, _cycle_edges, _grid_edges, _path_edges
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,6 @@ class Fixture:
     graph: TemporalGraph
     ne_exists: dict[GameKind, bool] = field(default_factory=dict)
     witnesses: dict[GameKind, tuple[Profile, ...]] = field(default_factory=dict)
-
-
-def _clique_edges(vs) -> list[Edge]:
-    return [tuple(sorted(e)) for e in combinations(sorted(vs), 2)]
 
 
 def _grow_cycle_7() -> Fixture:
@@ -81,7 +76,7 @@ def _shrink_cycle_10() -> Fixture:
 
 
 def _shrink_split_8() -> Fixture:
-    e1 = _clique_edges(range(4, 8)) + [(1, 4), (2, 4), (2, 5), (3, 5), (6, 8), (7, 8)]
+    e1 = _clique_edges(range(4, 8)) + ((1, 4), (2, 4), (2, 5), (3, 5), (6, 8), (7, 8))
     e2 = [(2, 4), (2, 5), (4, 6), (5, 7)]
     return Fixture(
         "shrink_split_8",

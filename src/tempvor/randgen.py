@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from typing import Sequence
 
-from .graph import Edge, TemporalGraph, _pruefer_edges
+from .graph import (
+    Edge,
+    TemporalGraph,
+    _clique_edges,
+    _kpartite_edges,
+    _pruefer_edges,
+    _split_edges,
+    _threshold_edges,
+)
 from .reach import all_pairs
 
 
@@ -14,12 +22,12 @@ def random_tree_edges(rng: random.Random, n: int) -> list[Edge]:
     return _pruefer_edges([rng.randint(1, n) for _ in range(n - 2)], n)
 
 
-def _growing_layers(rng: random.Random, edges: list[Edge], tau: int) -> list[tuple[Edge, ...]]:
+def _growing_layers(rng: random.Random, edges: Sequence[Edge], tau: int) -> list[tuple[Edge, ...]]:
     birth = {e: rng.randint(1, tau) for e in edges}
     return [tuple(e for e in edges if birth[e] <= t) for t in range(1, tau + 1)]
 
 
-def _shrinking_layers(rng: random.Random, edges: list[Edge], tau: int) -> list[tuple[Edge, ...]]:
+def _shrinking_layers(rng: random.Random, edges: Sequence[Edge], tau: int) -> list[tuple[Edge, ...]]:
     # an edge dying at time t is absent from layer t onward; tau + 1 = survives
     death = {}
     for e in edges:
@@ -58,14 +66,8 @@ def random_shrinking_kpartite(
 ) -> TemporalGraph:
     """Monotonically shrinking complete k-partite instance."""
     n = rng.randint(max(k, 2), n_max)
-    part_of = {v: v for v in range(1, k + 1)}
-    for v in range(k + 1, n + 1):
-        part_of[v] = rng.randint(1, k)
-    edges = [
-        (u, v)
-        for u, v in combinations(range(1, n + 1), 2)
-        if part_of[u] != part_of[v]
-    ]
+    part = list(range(1, k + 1)) + [rng.randint(1, k) for _ in range(k + 1, n + 1)]
+    edges = _kpartite_edges(part)
     tau = rng.randint(1, tau_max)
     return TemporalGraph(n, tuple(_shrinking_layers(rng, edges, tau)))
 
@@ -75,10 +77,7 @@ def random_shrinking_threshold(
 ) -> TemporalGraph:
     """Monotonically shrinking threshold instance built from a creation sequence."""
     n = rng.randint(1, n_max)
-    edges: list[Edge] = []
-    for v in range(2, n + 1):
-        if rng.random() < 0.5:  # v arrives dominating, else isolated
-            edges.extend((u, v) for u in range(1, v))
+    edges = _threshold_edges([rng.random() < 0.5 for _ in range(2, n + 1)])
     tau = rng.randint(1, tau_max)
     return TemporalGraph(n, tuple(_shrinking_layers(rng, edges, tau)))
 
@@ -90,11 +89,8 @@ def random_shrinking_split(
     c = rng.randint(2, max(2, n_max - 2))
     i = rng.randint(0, n_max - c)
     n = c + i
-    edges = [tuple(e) for e in combinations(range(1, c + 1), 2)]
-    for v in range(c + 1, n + 1):
-        for u in range(1, c + 1):
-            if rng.random() < 0.45:
-                edges.append((u, v))
+    picks = [[u for u in range(1, c + 1) if rng.random() < 0.45] for _ in range(i)]
+    edges = _split_edges(c, picks)
     tau = rng.randint(1, tau_max)
     return TemporalGraph(n, tuple(_shrinking_layers(rng, edges, tau)))
 
@@ -106,9 +102,5 @@ def random_temporal_graph(
     n = rng.randint(1, n_max)
     tau = rng.randint(1, tau_max)
     p = rng.uniform(0.05, 0.5)
-    layers = []
-    for _t in range(tau):
-        layers.append(
-            tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p)
-        )
-    return TemporalGraph(n, tuple(layers))
+    pairs = _clique_edges(range(1, n + 1))
+    return TemporalGraph(n, tuple(tuple(e for e in pairs if rng.random() < p) for _ in range(tau)))

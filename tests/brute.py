@@ -120,6 +120,27 @@ def oracle_layer_chains(edge_set, tau: int, monotonicity: str, budget: int | Non
     return sorted(out, key=toggle_keys)
 
 
+def _dihedral_maps(n: int) -> list[dict[int, int]]:
+    maps = []
+    for k in range(n):
+        maps.append({v: (v - 1 + k) % n + 1 for v in range(1, n + 1)})
+        maps.append({v: (k - (v - 1)) % n + 1 for v in range(1, n + 1)})
+    return maps
+
+
+def _cycle_canonical_key(g: TemporalGraph) -> tuple:
+    """The smallest layer tuple among all 2n rotations and reflections of g."""
+    best = None
+    for perm in _dihedral_maps(g.n):
+        mapped = tuple(
+            tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in layer))
+            for layer in g.layers
+        )
+        if best is None or mapped < best:
+            best = mapped
+    return best
+
+
 # --- exhaustive class recognition -------------------------------------------
 
 

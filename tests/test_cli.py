@@ -175,6 +175,22 @@ def test_sweep_spec_and_budget_exit_codes(tmp_path):
                  "--limit", "3"]) == 6
 
 
+def test_unwritable_output_directory_is_a_request_error(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    argvs = (
+        ["sweep", "--class", "path", "--n", "3", "--tau", "1", "--game", "rvor", "--out", out],
+        ["fixtures", "--out", out],
+    )
+    for argv in argvs:
+        assert main(argv) == 5, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: "), captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_fixtures_listing_and_dump(capsys, tmp_path):
     code, out = _run(capsys, ["fixtures"])
     assert code == 0

@@ -7,8 +7,9 @@ from itertools import combinations
 
 import pytest
 
-from brute import oracle_layer_chains
+from brute import _cycle_canonical_key, oracle_layer_chains
 
+import tempvor.explorer
 from tempvor import (
     FamilyBudgetError,
     FamilySpec,
@@ -29,7 +30,6 @@ from tempvor import (
 from tempvor.explorer import (
     BASE_CLASSES,
     MONOTONICITY,
-    _cycle_canonical_key,
     _layer_chains,
     _underlying_edge_sets,
 )
@@ -165,6 +165,23 @@ def test_sweep_budget_guard_raises():
     spec = FamilySpec("cycle", (6, 8), (1, 2), "any", 2)
     with pytest.raises(FamilyBudgetError):
         sweep(spec, "rvor", limit=3)
+
+
+def test_sweep_budget_guard_fires_before_any_distance(monkeypatch):
+    calls = []
+
+    def counting_all_pairs(g):
+        calls.append(g)
+        return all_pairs(g)
+
+    monkeypatch.setattr(tempvor.explorer, "all_pairs", counting_all_pairs)
+    spec = FamilySpec("cycle", (6, 8), (1, 2), "any", 2)
+    for limit in (3, -2):
+        with pytest.raises(FamilyBudgetError):
+            sweep(spec, "rvor", limit=limit)
+    assert calls == []
+    sweep(FamilySpec("path", (3, 3), (1, 1)), "rvor", limit=1)
+    assert len(calls) == 1
 
 
 def test_one_change_cycles_all_have_reverse_equilibria():
