@@ -19,12 +19,7 @@ from .builders import (
     tree_ne,
     vor_split_shrink_ne,
 )
-from .classify import (
-    ClassReport,
-    build_class_report,
-    classify_underlying,
-    is_temporally_connected,
-)
+from .classify import ClassReport, build_class_report, classify_underlying
 from .explorer import (
     FamilyBudgetError,
     FamilySpec,
@@ -111,7 +106,6 @@ __all__ = [
     "graph_from_obj",
     "is_monotone",
     "is_nash",
-    "is_temporally_connected",
     "kpartite_completion",
     "kpartite_shrink_ne",
     "normalize_lifetime",

@@ -165,13 +165,6 @@ def classify_underlying(s: StaticGraph) -> frozenset[str]:
     return frozenset(labels)
 
 
-def is_temporally_connected(g: TemporalGraph, d: DistanceMatrix) -> bool:
-    """True iff every ordered pair has a finite temporal distance."""
-    if d.n != g.n:
-        raise ValueError("distance matrix does not match graph size")
-    return d.all_finite()
-
-
 @dataclass(frozen=True)
 class ClassReport:
     temporally_connected: bool
@@ -191,9 +184,11 @@ class ClassReport:
 def build_class_report(g: TemporalGraph, d: DistanceMatrix | None = None) -> ClassReport:
     if d is None:
         d = all_pairs(g)
+    if d.n != g.n:
+        raise ValueError("distance matrix does not match graph size")
     growing, shrinking = is_monotone(g)
     return ClassReport(
-        temporally_connected=is_temporally_connected(g, d),
+        temporally_connected=d.all_finite(),
         monotone_growing=growing,
         monotone_shrinking=shrinking,
         underlying_class=tuple(sorted(classify_underlying(underlying(g)))),

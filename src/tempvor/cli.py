@@ -8,9 +8,10 @@ handler adds only its own fields.
 
 Exit codes are a stable contract: 0 success, 1 claim failure, 2 parse error,
 3 validation error, 4 bad profile, 5 bad request argument (family spec,
-unknown instance or claim, unwritable output directory), 6 family budget
-exceeded. Reports are pure functions of the input bytes and flags: no
-timestamps, hostnames or other machine state appear in any output.
+unknown instance or claim, non-positive --max-steps, unwritable output
+directory), 6 family budget exceeded. Reports are pure functions of the
+input bytes and flags: no timestamps, hostnames or other machine state
+appear in any output.
 """
 
 from __future__ import annotations
@@ -147,6 +148,8 @@ def _nash(args, g: TemporalGraph, d: DistanceMatrix) -> dict:
 
 
 def _dynamics(args, g: TemporalGraph, d: DistanceMatrix) -> dict:
+    if args.max_steps < 1:
+        raise _CliError(EXIT_SPEC, f"--max-steps must be positive, got {args.max_steps}")
     profile = _parse_profile(args.profile, g.n)
     result = best_response_dynamics(g, d, args.game, profile, max_steps=args.max_steps)
     return {"start": list(profile), "result": result.to_json_obj()}

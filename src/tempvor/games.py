@@ -218,11 +218,6 @@ class BestResponseGraph:
     responses: dict[int, tuple[int, ...]]
     values: dict[int, int]
 
-    def arcs(self) -> Iterator[tuple[int, int]]:
-        for v in sorted(self.responses):
-            for w in self.responses[v]:
-                yield (v, w)
-
     def to_json_obj(self) -> dict:
         return {
             "responses": {str(v): list(ws) for v, ws in sorted(self.responses.items())},
@@ -290,9 +285,12 @@ def best_response_dynamics(
     profile is a Nash equilibrium (an equilibrium start yields an empty
     trace). Cycle detection keys on (profile, player to move): the same
     profile with a different mover is a different dynamics state. ``allowed``
-    restricts both players' choices to a vertex subset.
+    restricts both players' choices to a vertex subset. ``max_steps`` must be
+    positive.
     """
     _check_inputs(g, d, kind)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be positive, got {max_steps}")
     p1, p2 = start
     _check_vertex(g, p1, "p1")
     _check_vertex(g, p2, "p2")

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
+from itertools import permutations, product
+from operator import eq, le
 from typing import Callable
 
 from .builders import (
@@ -27,6 +30,8 @@ from .builders import (
 from .classify import classify_underlying
 from .explorer import FamilySpec, sweep
 from .games import (
+    GameKind,
+    Profile,
     best_response_dynamics,
     best_response_graph,
     best_responses,
@@ -43,7 +48,7 @@ from .randgen import (
     random_temporal_graph,
     random_temporal_tree,
 )
-from .reach import all_pairs, earliest_arrivals, oracle_arrivals
+from .reach import DistanceMatrix, all_pairs, earliest_arrivals, oracle_arrivals
 
 DEFAULT_SEED = 1729
 
@@ -55,127 +60,104 @@ class ClaimResult:
     detail: str
 
 
-class _Checks:
-    def __init__(self) -> None:
-        self.failures: list[str] = []
-
-    def expect(self, cond: bool, msg: str) -> None:
-        if not cond:
-            self.failures.append(msg)
-
-    def result(self, claim: str, detail: str) -> ClaimResult:
-        if self.failures:
-            return ClaimResult(claim, False, "; ".join(self.failures))
-        return ClaimResult(claim, True, detail)
+class _ClaimFailed(Exception):
+    """A claim's check found the stated fact false."""
 
 
-def _fixture(name: str):
-    fx = build_instance(name)
-    return fx, all_pairs(fx.graph)
+def _expect(cond: bool, msg: str) -> None:
+    if not cond:
+        raise _ClaimFailed(msg)
 
 
-def _claim_grow_cycle_7_rvor(seed: int) -> ClaimResult:
-    fx, d = _fixture("grow_cycle_7")
-    c = _Checks()
-    c.expect(enumerate_nash(fx.graph, d, "rvor") == [], "expected no reverse equilibrium")
-    rows = [
-        ((2, 5), {4, 5, 6, 7}),
-        ((3, 4), {4, 5, 6, 7}),
-        ((4, 7), {1, 2, 6, 7}),
-        ((5, 4), {1, 2, 3, 4}),
-    ]
-    for profile, must_win in rows:
-        got = payoff(fx.graph, d, "rvor", profile).u2_set
-        c.expect(
-            must_win <= got,
-            f"U_2{profile} should contain {sorted(must_win)}, got {sorted(got)}",
-        )
-    return c.result(
+# (profile, payoff field, relation, value): the claim holds iff
+# relation(value, getattr(payoff(profile), field)).
+_Expectation = tuple[Profile, str, Callable[[object, object], bool], object]
+
+# The fixture claims. A claim id reads <instance>.<game>.<statement>; the
+# checker takes the equilibrium verdict and witnesses of that game from the
+# instance's Fixture and adds the payoff expectations of the row.
+_FIXTURE_CLAIMS: tuple[tuple[str, tuple[_Expectation, ...], str], ...] = (
+    (
         "grow_cycle_7.rvor.no_equilibrium",
+        (
+            ((2, 5), "u2_set", le, {4, 5, 6, 7}),
+            ((3, 4), "u2_set", le, {4, 5, 6, 7}),
+            ((4, 7), "u2_set", le, {1, 2, 6, 7}),
+            ((5, 4), "u2_set", le, {1, 2, 3, 4}),
+        ),
         "no equilibrium among 49 profiles; 4 dominance rows verified",
-    )
-
-
-def _claim_grow_cycle_7_vor(seed: int) -> ClaimResult:
-    fx, d = _fixture("grow_cycle_7")
-    c = _Checks()
-    c.expect(bool(is_nash(fx.graph, d, "vor", (5, 4))), "(5,4) should be an equilibrium")
-    result = payoff(fx.graph, d, "vor", (5, 4))
-    c.expect(result.u1 == 3 and result.u2 == 3, f"payoffs should be 3/3, got {result.u1}/{result.u2}")
-    c.expect((5, 4) in enumerate_nash(fx.graph, d, "vor"), "(5,4) missing from enumeration")
-    return c.result(
-        "grow_cycle_7.vor.equilibrium_5_4", "(5,4) is an equilibrium with payoffs 3/3"
-    )
-
-
-def _claim_grow_grid_6_rvor(seed: int) -> ClaimResult:
-    fx, d = _fixture("grow_grid_6")
-    c = _Checks()
-    c.expect(enumerate_nash(fx.graph, d, "rvor") == [], "expected no reverse equilibrium")
-    r12 = payoff(fx.graph, d, "rvor", (1, 2))
-    c.expect(r12.u1_set == {1, 4}, f"U_1(1,2) should be {{1,4}}, got {sorted(r12.u1_set)}")
-    c.expect(r12.u2_set == {2, 3, 5, 6}, f"U_2(1,2) should be {{2,3,5,6}}, got {sorted(r12.u2_set)}")
-    expectations = [((6, 2), {3, 5, 6}), ((2, 6), {1, 2, 4}), ((5, 6), {1, 2, 4, 5})]
-    for profile, want in expectations:
-        got = payoff(fx.graph, d, "rvor", profile).u1_set
-        c.expect(got == want, f"U_1{profile} should be {sorted(want)}, got {sorted(got)}")
-    return c.result(
+    ),
+    (
+        "grow_cycle_7.vor.equilibrium_5_4",
+        (((5, 4), "u1", eq, 3), ((5, 4), "u2", eq, 3)),
+        "(5,4) is an equilibrium with payoffs 3/3",
+    ),
+    (
         "grow_grid_6.rvor.no_equilibrium",
+        (
+            ((1, 2), "u1_set", eq, {1, 4}),
+            ((1, 2), "u2_set", eq, {2, 3, 5, 6}),
+            ((6, 2), "u1_set", eq, {3, 5, 6}),
+            ((2, 6), "u1_set", eq, {1, 2, 4}),
+            ((5, 6), "u1_set", eq, {1, 2, 4, 5}),
+        ),
         "no equilibrium among 36 profiles; 5 payoff sets match",
-    )
-
-
-def _claim_grow_grid_6_vor(seed: int) -> ClaimResult:
-    fx, d = _fixture("grow_grid_6")
-    c = _Checks()
-    c.expect(bool(is_nash(fx.graph, d, "vor", (1, 6))), "(1,6) should be an equilibrium")
-    return c.result("grow_grid_6.vor.equilibrium_1_6", "(1,6) is an equilibrium")
-
-
-def _claim_shrink_path_9_rvor(seed: int) -> ClaimResult:
-    fx, d = _fixture("shrink_path_9")
-    c = _Checks()
-    c.expect(enumerate_nash(fx.graph, d, "rvor") == [], "expected no reverse equilibrium")
-    c.expect(payoff(fx.graph, d, "rvor", (4, 5)).u1 == 2, "u1(4,5) should be 2")
-    c.expect(payoff(fx.graph, d, "rvor", (6, 5)).u1 == 4, "u1(6,5) should be 4")
-    return c.result(
+    ),
+    ("grow_grid_6.vor.equilibrium_1_6", (), "(1,6) is an equilibrium"),
+    (
         "shrink_path_9.rvor.no_equilibrium",
+        (((4, 5), "u1", eq, 2), ((6, 5), "u1", eq, 4)),
         "no equilibrium among 81 profiles; u1(4,5)=2, u1(6,5)=4",
-    )
-
-
-def _claim_shrink_cycle_10_rvor(seed: int) -> ClaimResult:
-    fx, d = _fixture("shrink_cycle_10")
-    c = _Checks()
-    c.expect(enumerate_nash(fx.graph, d, "rvor") == [], "expected no reverse equilibrium")
-    c.expect(payoff(fx.graph, d, "rvor", (6, 7)).u1 == 4, "u1(6,7) should be 4")
-    c.expect(payoff(fx.graph, d, "rvor", (2, 7)).u1 == 5, "u1(2,7) should be 5")
-    return c.result(
+    ),
+    (
         "shrink_cycle_10.rvor.no_equilibrium",
+        (((6, 7), "u1", eq, 4), ((2, 7), "u1", eq, 5)),
         "no equilibrium among 100 profiles; u1(6,7)=4, u1(2,7)=5",
-    )
-
-
-def _claim_shrink_split_8_rvor(seed: int) -> ClaimResult:
-    fx, d = _fixture("shrink_split_8")
-    c = _Checks()
-    c.expect(enumerate_nash(fx.graph, d, "rvor") == [], "expected no reverse equilibrium")
-    expectations = [
-        ((7, 4), {3, 7, 8}),
-        ((4, 7), {1, 2, 4}),
-        ((5, 7), {1, 2, 3, 5}),
-        ((5, 6), {2, 3, 5}),
-    ]
-    for profile, want in expectations:
-        got = payoff(fx.graph, d, "rvor", profile).u1_set
-        c.expect(got == want, f"U_1{profile} should be {sorted(want)}, got {sorted(got)}")
-    return c.result(
+    ),
+    (
         "shrink_split_8.rvor.no_equilibrium",
+        (
+            ((7, 4), "u1_set", eq, {3, 7, 8}),
+            ((4, 7), "u1_set", eq, {1, 2, 4}),
+            ((5, 7), "u1_set", eq, {1, 2, 3, 5}),
+            ((5, 6), "u1_set", eq, {2, 3, 5}),
+        ),
         "no equilibrium among 64 profiles; 4 payoff sets match",
+    ),
+)
+
+
+def _checked_fixture(name: str, game: GameKind) -> tuple[TemporalGraph, DistanceMatrix]:
+    """The fixture's graph and distances, after checking its stated verdict
+    and witnesses for ``game`` against the full equilibrium enumeration."""
+    fx = build_instance(name)
+    g, d = fx.graph, all_pairs(fx.graph)
+    found = enumerate_nash(g, d, game)
+    _expect(
+        bool(found) == fx.ne_exists[game],
+        f"{game} equilibria {found}, expected ne_exists={fx.ne_exists[game]}",
     )
+    for profile in fx.witnesses.get(game, ()):
+        _expect(
+            bool(is_nash(g, d, game, profile)) and profile in found,
+            f"{profile} should be an equilibrium",
+        )
+    return g, d
 
 
-def _potential_trace_ok(g: TemporalGraph, start, c: _Checks) -> None:
+def _fixture_claim(claim_id: str, expectations: tuple[_Expectation, ...], detail: str, seed: int) -> str:
+    name, game, _ = claim_id.split(".")
+    g, d = _checked_fixture(name, game)
+    for profile, field, relation, value in expectations:
+        got = getattr(payoff(g, d, game, profile), field)
+        _expect(
+            relation(value, got),
+            f"{field}{profile} = {got}, expected {relation.__name__} {value}",
+        )
+    return detail
+
+
+def _potential_trace_ok(g: TemporalGraph, start) -> None:
     """Clique-restricted dynamics from ``start`` must settle and raise the potential."""
     s = underlying(g)
     clique, indep = split_clique_partition(s)
@@ -183,42 +165,34 @@ def _potential_trace_ok(g: TemporalGraph, start, c: _Checks) -> None:
     result = best_response_dynamics(
         g, d, "vor", start, max_steps=8 * (g.n + 2) ** 2, allowed=frozenset(clique)
     )
-    c.expect(result.status == "nash", f"dynamics from {start} ended in {result.status}")
+    _expect(result.status == "nash", f"dynamics from {start} ended in {result.status}")
     phi = split_potential(s, indep, *start)
     for step in result.trace:
         nxt = split_potential(s, indep, *step.profile)
-        c.expect(
-            nxt > phi,
-            f"potential did not increase at {step.profile}: {phi} -> {nxt}",
-        )
+        _expect(nxt > phi, f"potential did not increase at {step.profile}: {phi} -> {nxt}")
         phi = nxt
 
 
-def _claim_shrink_split_8_vor(seed: int) -> ClaimResult:
-    fx, d = _fixture("shrink_split_8")
-    c = _Checks()
-    c.expect(bool(is_nash(fx.graph, d, "vor", (4, 5))), "(4,5) should be an equilibrium")
-    profile = vor_split_shrink_ne(fx.graph)
-    c.expect(bool(is_nash(fx.graph, d, "vor", profile)), f"builder output {profile} not an equilibrium")
-    clique, _ = split_clique_partition(underlying(fx.graph))
-    for a in sorted(clique):
-        for b in sorted(clique):
-            if a != b:
-                _potential_trace_ok(fx.graph, (a, b), c)
+def _claim_split_dynamics(seed: int) -> str:
+    g, d = _checked_fixture("shrink_split_8", "vor")
+    profile = vor_split_shrink_ne(g)
+    _expect(bool(is_nash(g, d, "vor", profile)), f"builder output {profile} not an equilibrium")
+    clique, _ = split_clique_partition(underlying(g))
+    for start in permutations(sorted(clique), 2):
+        _potential_trace_ok(g, start)
     rng = random.Random(f"{seed}:split")
     for _ in range(200):
-        g = random_shrinking_split(rng)
-        prof = vor_split_shrink_ne(g)
-        c.expect(
-            bool(is_nash(g, all_pairs(g), "vor", prof)),
+        h = random_shrinking_split(rng)
+        prof = vor_split_shrink_ne(h)
+        _expect(
+            bool(is_nash(h, all_pairs(h), "vor", prof)),
             f"random split instance: {prof} not an equilibrium",
         )
-        start = tuple(sorted(split_clique_partition(underlying(g))[0])[:2])
-        _potential_trace_ok(g, start, c)
-    return c.result(
-        "shrink_split_8.vor.clique_dynamics",
+        start = tuple(sorted(split_clique_partition(underlying(h))[0])[:2])
+        _potential_trace_ok(h, start)
+    return (
         f"(4,5) verified; builder returned {profile}; potential strictly increases on "
-        "all clique starts and 200 random shrinking split instances",
+        "all clique starts and 200 random shrinking split instances"
     )
 
 
@@ -247,183 +221,145 @@ def _contains_cyclic_run(moves: list[int], run: tuple[int, ...]) -> bool:
     )
 
 
-def _claim_vor_grow_grid_12(seed: int) -> ClaimResult:
-    fx, d = _fixture("vor_grow_grid_12")
-    g = fx.graph
-    c = _Checks()
-    c.expect(enumerate_nash(g, d, "vor") == [], "expected no classic equilibrium")
+def _claim_grid_12_cycle(seed: int) -> str:
+    g, d = _checked_fixture("vor_grow_grid_12", "vor")
     for fixed, (want_set, want_val) in _GRID12_BEST_REPLIES.items():
         got_set, got_val = best_responses(g, d, "vor", 2, fixed)
-        c.expect(
+        _expect(
             got_set == want_set and got_val == want_val,
             f"replies to {fixed}: expected {want_set}/{want_val}, got {got_set}/{got_val}",
         )
     brg = best_response_graph(g, d, "vor")
-    c.expect(
+    _expect(
         brg.responses == {v: rs for v, (rs, _) in _GRID12_BEST_REPLIES.items()},
         "best-response graph deviates from the expected arc sets",
     )
-    for p1 in g.vertices:
-        for p2 in g.vertices:
-            result = best_response_dynamics(g, d, "vor", (p1, p2))
-            c.expect(result.status == "cycle", f"dynamics from ({p1},{p2}) did not cycle")
-            moves = [step.profile[step.mover - 1] for step in result.cycle]
-            c.expect(
-                _contains_cyclic_run(moves, (6, 8, 7)),
-                f"cycle from ({p1},{p2}) misses the 6->8->7 run: {moves}",
-            )
-    return c.result(
-        "vor_grow_grid_12.vor.best_response_cycle",
+    for start in product(g.vertices, repeat=2):
+        result = best_response_dynamics(g, d, "vor", start)
+        _expect(result.status == "cycle", f"dynamics from {start} did not cycle")
+        moves = [step.profile[step.mover - 1] for step in result.cycle]
+        _expect(
+            _contains_cyclic_run(moves, (6, 8, 7)),
+            f"cycle from {start} misses the 6->8->7 run: {moves}",
+        )
+    return (
         "no equilibrium among 144 profiles; all 12 best-reply rows match; dynamics "
-        "from every start cycles through 6->8->7",
+        "from every start cycles through 6->8->7"
     )
 
 
-def _claim_trees(seed: int) -> ClaimResult:
+def _claim_trees(seed: int) -> str:
     rng = random.Random(f"{seed}:trees")
-    c = _Checks()
     for _ in range(200):
         g = random_temporal_tree(rng)
         profile = tree_ne(g)
         d = all_pairs(g)
-        c.expect(bool(is_nash(g, d, "rvor", profile)), f"{profile} not an equilibrium (n={g.n})")
+        _expect(bool(is_nash(g, d, "rvor", profile)), f"{profile} not an equilibrium (n={g.n})")
         result = payoff(g, d, "rvor", profile)
         if g.n >= 2:
-            c.expect(
+            _expect(
                 2 * result.u1 >= g.n >= 2 * result.u2,
                 f"payoff bound violated on n={g.n}: u1={result.u1}, u2={result.u2}",
             )
-    return c.result(
-        "trees.rvor.centroid_equilibrium",
+    return (
         "200 random temporally connected trees: centroid profile is an equilibrium "
-        "with u1 >= n/2 >= u2",
+        "with u1 >= n/2 >= u2"
     )
 
 
-def _claim_kpartite_threshold(seed: int) -> ClaimResult:
-    rng = random.Random(f"{seed}:kpartite")
-    c = _Checks()
-    for i in range(200):
-        g = random_shrinking_kpartite(rng, k=2 + i % 3)
-        profile = kpartite_shrink_ne(g)
-        c.expect(
-            bool(is_nash(g, all_pairs(g), "rvor", profile)),
-            f"k-partite profile {profile} not an equilibrium (n={g.n})",
-        )
-    rng = random.Random(f"{seed}:threshold")
-    for _ in range(200):
-        g = random_shrinking_threshold(rng)
-        profile = threshold_shrink_ne(g)
-        c.expect(
-            bool(is_nash(g, all_pairs(g), "rvor", profile)),
-            f"threshold profile {profile} not an equilibrium (n={g.n})",
-        )
-    return c.result(
-        "shrinking.rvor.kpartite_threshold_equilibrium",
+def _claim_kpartite_threshold(seed: int) -> str:
+    families = (
+        ("kpartite", lambda rng, i: random_shrinking_kpartite(rng, k=2 + i % 3), kpartite_shrink_ne),
+        ("threshold", lambda rng, i: random_shrinking_threshold(rng), threshold_shrink_ne),
+    )
+    for family, draw, build in families:
+        rng = random.Random(f"{seed}:{family}")
+        for i in range(200):
+            g = draw(rng, i)
+            profile = build(g)
+            _expect(
+                bool(is_nash(g, all_pairs(g), "rvor", profile)),
+                f"{family} profile {profile} not an equilibrium (n={g.n})",
+            )
+    return (
         "200 random shrinking complete k-partite (k in 2..4) and 200 threshold "
-        "instances: builders return verified equilibria",
+        "instances: builders return verified equilibria"
     )
 
 
-def _claim_completions(seed: int) -> ClaimResult:
-    c = _Checks()
+def _claim_completions(seed: int) -> str:
     cycle7 = build_instance("grow_cycle_7").graph
-    d1 = all_pairs(cycle7)
-    q = clique_completion(cycle7)
-    c.expect(is_monotone(q)[0], "clique completion lost monotone growth")
-    c.expect("clique" in classify_underlying(underlying(q)), "completion is not a clique")
-    dq = all_pairs(q)
-    c.expect(
-        all(dq.td(u, v) == d1.td(u, v) for u in cycle7.vertices for v in cycle7.vertices),
-        "clique completion changed original distances",
-    )
-    c.expect(enumerate_nash(q, dq, "rvor") == [], "clique completion gained an equilibrium")
-
     grid6 = build_instance("grow_grid_6").graph
-    d2 = all_pairs(grid6)
-    for k in (2, 3, 4):
-        kp = kpartite_completion(grid6, k)
-        c.expect(is_monotone(kp)[0], f"k={k} completion lost monotone growth")
-        c.expect(
-            f"complete_k_partite({k})" in classify_underlying(underlying(kp)),
-            f"k={k} completion is not complete {k}-partite",
+    cases = [(cycle7, all_pairs(cycle7), "clique", clique_completion(cycle7))]
+    d6 = all_pairs(grid6)
+    cases += [(grid6, d6, f"complete_k_partite({k})", kpartite_completion(grid6, k)) for k in (2, 3, 4)]
+    for g, d, label, q in cases:
+        _expect(is_monotone(q)[0], f"{label} completion lost monotone growth")
+        _expect(label in classify_underlying(underlying(q)), f"{label} completion has another class")
+        dq = all_pairs(q)
+        _expect(
+            all(dq.td(u, v) == d.td(u, v) for u in g.vertices for v in g.vertices),
+            f"{label} completion changed original distances",
         )
-        dk = all_pairs(kp)
-        c.expect(
-            all(dk.td(u, v) == d2.td(u, v) for u in grid6.vertices for v in grid6.vertices),
-            f"k={k} completion changed original distances",
-        )
-        c.expect(enumerate_nash(kp, dk, "rvor") == [], f"k={k} completion gained an equilibrium")
-    return c.result(
-        "completions.rvor.no_equilibrium",
+        _expect(enumerate_nash(q, dq, "rvor") == [], f"{label} completion gained an equilibrium")
+    return (
         "clique completion of the growing 7-cycle and k-partite completions "
-        "(k=2,3,4) of the growing grid keep distances and stay equilibrium-free",
+        "(k=2,3,4) of the growing grid keep distances and stay equilibrium-free"
     )
 
 
-def _claim_oracle(seed: int) -> ClaimResult:
+def _claim_oracle(seed: int) -> str:
     rng = random.Random(f"{seed}:oracle")
-    c = _Checks()
     for i in range(1000):
         g = random_temporal_graph(rng)
         for source in g.vertices:
             fast = earliest_arrivals(g, source)
             slow = oracle_arrivals(g, source)
             if fast != slow:
-                c.expect(False, f"instance {i}, source {source}: {fast} != {slow}")
-                break
-        if c.failures:
-            break
-    return c.result(
-        "reachability.oracle_equivalence",
-        "layer sweep matches time-expanded search on 1000 random instances, all sources",
-    )
+                raise _ClaimFailed(f"instance {i}, source {source}: {fast} != {slow}")
+    return "layer sweep matches time-expanded search on 1000 random instances, all sources"
 
 
-def _claim_cycle_one_change(seed: int) -> ClaimResult:
-    spec = FamilySpec("cycle", (3, 9), (1, 3), "any", 1)
-    outcome = sweep(spec, "rvor")
-    c = _Checks()
-    c.expect(outcome.total == 35, f"expected 35 instances, generated {outcome.total}")
-    c.expect(
-        outcome.without_nash == 0,
-        f"{outcome.without_nash} instances without an equilibrium",
-    )
-    return c.result(
-        "cycles.one_change.rvor.equilibrium_exists",
+def _claim_cycle_one_change(seed: int) -> str:
+    outcome = sweep(FamilySpec("cycle", (3, 9), (1, 3), "any", 1), "rvor")
+    _expect(outcome.total == 35, f"expected 35 instances, generated {outcome.total}")
+    _expect(outcome.without_nash == 0, f"{outcome.without_nash} instances without an equilibrium")
+    return (
         f"all {outcome.total} cycles (n=3..9, lifetime <= 3, at most one edge change) "
-        "have a reverse equilibrium",
+        "have a reverse equilibrium"
     )
 
 
-CLAIMS: tuple[tuple[str, Callable[[int], ClaimResult]], ...] = (
-    ("grow_cycle_7.rvor.no_equilibrium", _claim_grow_cycle_7_rvor),
-    ("grow_cycle_7.vor.equilibrium_5_4", _claim_grow_cycle_7_vor),
-    ("grow_grid_6.rvor.no_equilibrium", _claim_grow_grid_6_rvor),
-    ("grow_grid_6.vor.equilibrium_1_6", _claim_grow_grid_6_vor),
-    ("shrink_path_9.rvor.no_equilibrium", _claim_shrink_path_9_rvor),
-    ("shrink_cycle_10.rvor.no_equilibrium", _claim_shrink_cycle_10_rvor),
-    ("shrink_split_8.rvor.no_equilibrium", _claim_shrink_split_8_rvor),
-    ("shrink_split_8.vor.clique_dynamics", _claim_shrink_split_8_vor),
-    ("vor_grow_grid_12.vor.best_response_cycle", _claim_vor_grow_grid_12),
-    ("trees.rvor.centroid_equilibrium", _claim_trees),
-    ("shrinking.rvor.kpartite_threshold_equilibrium", _claim_kpartite_threshold),
-    ("completions.rvor.no_equilibrium", _claim_completions),
-    ("reachability.oracle_equivalence", _claim_oracle),
-    ("cycles.one_change.rvor.equilibrium_exists", _claim_cycle_one_change),
-)
+# Every claim by id, in report order. A check returns its detail line when the
+# claim holds and raises _ClaimFailed otherwise.
+CLAIMS: dict[str, Callable[[int], str]] = {
+    **{
+        claim_id: partial(_fixture_claim, claim_id, expectations, detail)
+        for claim_id, expectations, detail in _FIXTURE_CLAIMS
+    },
+    "shrink_split_8.vor.clique_dynamics": _claim_split_dynamics,
+    "vor_grow_grid_12.vor.best_response_cycle": _claim_grid_12_cycle,
+    "trees.rvor.centroid_equilibrium": _claim_trees,
+    "shrinking.rvor.kpartite_threshold_equilibrium": _claim_kpartite_threshold,
+    "completions.rvor.no_equilibrium": _claim_completions,
+    "reachability.oracle_equivalence": _claim_oracle,
+    "cycles.one_change.rvor.equilibrium_exists": _claim_cycle_one_change,
+}
 
-CLAIM_IDS: tuple[str, ...] = tuple(claim_id for claim_id, _ in CLAIMS)
+CLAIM_IDS: tuple[str, ...] = tuple(CLAIMS)
 
 
 def run_claim(claim_id: str, seed: int = DEFAULT_SEED) -> ClaimResult:
-    for cid, fn in CLAIMS:
-        if cid == claim_id:
-            try:
-                return fn(seed)
-            except Exception as exc:  # builder/internal errors count as failures
-                return ClaimResult(cid, False, f"raised {type(exc).__name__}: {exc}")
-    raise ValueError(f"unknown claim {claim_id!r}")
+    try:
+        check = CLAIMS[claim_id]
+    except KeyError:
+        raise ValueError(f"unknown claim {claim_id!r}") from None
+    try:
+        return ClaimResult(claim_id, True, check(seed))
+    except _ClaimFailed as exc:
+        return ClaimResult(claim_id, False, str(exc))
+    except Exception as exc:  # builder/internal errors count as failures
+        return ClaimResult(claim_id, False, f"raised {type(exc).__name__}: {exc}")
 
 
 def run_claims(target: str = "all", seed: int = DEFAULT_SEED) -> list[ClaimResult]:
@@ -432,12 +368,7 @@ def run_claims(target: str = "all", seed: int = DEFAULT_SEED) -> list[ClaimResul
     A bundled instance name like ``grow_cycle_7`` selects every claim about
     that instance.
     """
-    if target == "all":
-        selected = list(CLAIM_IDS)
-    elif target in CLAIM_IDS:
-        selected = [target]
-    else:
-        selected = [cid for cid in CLAIM_IDS if cid.startswith(target + ".")]
-        if not selected:
-            raise ValueError(f"no claims match {target!r}")
+    selected = [c for c in CLAIM_IDS if target in ("all", c) or c.startswith(target + ".")]
+    if not selected:
+        raise ValueError(f"no claims match {target!r}")
     return [run_claim(cid, seed) for cid in selected]

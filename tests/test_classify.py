@@ -21,7 +21,6 @@ from tempvor import (
     build_class_report,
     build_instance,
     classify_underlying,
-    is_temporally_connected,
     underlying,
 )
 from tempvor.classify import grid_dims, is_threshold, kpartite_parts, split_partition
@@ -215,7 +214,7 @@ def test_growing_connected_implies_temporally_connected():
         )
         g = TemporalGraph(n, layers)
         # underlying contains a spanning tree, so it is connected
-        assert is_temporally_connected(g, all_pairs(g))
+        assert all_pairs(g).all_finite()
 
 
 def test_class_report_shape():

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
+from functools import partial
+from itertools import product
 
 import pytest
 
-from tempvor import build_instance, to_canonical_json
+from tempvor import all_pairs, build_instance, is_nash, reproduce, to_canonical_json
 from tempvor.cli import main
+from tempvor.instances import INSTANCE_NAMES
+from tempvor.reproduce import CLAIM_IDS, run_claim
 
 
 @pytest.fixture()
@@ -142,6 +147,72 @@ def test_reproduce_unknown_target_is_a_spec_error():
     assert main(["reproduce", "--instance", "nonexistent"]) == 5
 
 
+def _assert_claim_fails(capsys, claim_id: str) -> None:
+    assert not run_claim(claim_id).ok
+    code, out = _run(capsys, ["reproduce", "--claim", claim_id])
+    assert code == 1
+    assert out.startswith(f"FAIL {claim_id}: ")
+
+
+def _metadata_entries():
+    """(claim id, None) for each claim that reads a fixture's verdict, and
+    (claim id, i) for the i-th witness it reads."""
+    for claim_id in CLAIM_IDS:
+        name, game = claim_id.split(".")[:2]
+        if name in INSTANCE_NAMES:
+            yield claim_id, None
+            for i in range(len(build_instance(name).witnesses.get(game, ()))):
+                yield claim_id, i
+
+
+@pytest.mark.parametrize("claim_id, witness", list(_metadata_entries()))
+def test_every_fixture_verdict_and_witness_can_fail(monkeypatch, capsys, claim_id, witness):
+    name, game, _ = claim_id.split(".")
+    fx = build_instance(name)
+    if witness is None:
+        broken = replace(fx, ne_exists={**fx.ne_exists, game: not fx.ne_exists[game]})
+    else:
+        d = all_pairs(fx.graph)
+        loser = next(
+            p for p in product(fx.graph.vertices, repeat=2) if not is_nash(fx.graph, d, game, p).ok
+        )
+        witnesses = list(fx.witnesses[game])
+        witnesses[witness] = loser
+        broken = replace(fx, witnesses={**fx.witnesses, game: tuple(witnesses)})
+    monkeypatch.setattr(
+        reproduce, "build_instance", lambda n: broken if n == name else build_instance(n)
+    )
+    _assert_claim_fails(capsys, claim_id)
+
+
+_FIXTURE_ROWS = {claim_id: row for claim_id, *row in reproduce._FIXTURE_CLAIMS}
+
+
+@pytest.mark.parametrize(
+    "claim_id, i",
+    [(claim_id, i) for claim_id, (exps, _) in _FIXTURE_ROWS.items() for i in range(len(exps))],
+)
+def test_every_payoff_expectation_can_fail(monkeypatch, capsys, claim_id, i):
+    expectations, detail = _FIXTURE_ROWS[claim_id]
+    profile, field, relation, value = expectations[i]
+    wrong = value | {0} if isinstance(value, set) else value + 1  # 0 is never a vertex
+    expectations = expectations[:i] + ((profile, field, relation, wrong),) + expectations[i + 1 :]
+    check = partial(reproduce._fixture_claim, claim_id, expectations, detail)
+    monkeypatch.setitem(reproduce.CLAIMS, claim_id, check)
+    _assert_claim_fails(capsys, claim_id)
+
+
+def test_non_positive_max_steps_is_a_request_error(capsys, tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text('{"n": 2, "layers": [[[1, 2]]]}')
+    for steps in ("0", "-1"):
+        argv = ["dynamics", str(path), "--game", "vor", "--profile", "1,2", "--max-steps", steps]
+        assert main(argv) == 5, steps
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-steps must be positive, got {steps}\n"
+
+
 def test_sweep_writes_files_and_is_deterministic(capsys, tmp_path):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"
@@ -249,6 +320,10 @@ _FIXTURE_STDOUT_SHA256 = {
 
 _REPRODUCE_STDOUT_SHA256 = "e2b86bca2b6655bfd5d315a60e56cb7aae6712fab516e029076ba871c52a6ed2"
 
+# sha256 of `tempvor fixtures` stdout: every fixture's graph, verdicts and
+# witnesses, which the reproduce claims read
+_FIXTURES_STDOUT_SHA256 = "d964fe5dce0a0966462eed4a2515900d770d08baaef639d51363c168d141902c"
+
 
 @pytest.mark.parametrize("name", sorted(_FIXTURE_STDOUT_SHA256))
 def test_game_commands_stdout_is_pinned(capsys, tmp_path, name):
@@ -261,3 +336,7 @@ def test_game_commands_stdout_is_pinned(capsys, tmp_path, name):
 
 def test_reproduce_stdout_is_pinned(capsys):
     assert _stdout_digest(capsys, [["reproduce"]]) == _REPRODUCE_STDOUT_SHA256
+
+
+def test_fixtures_stdout_is_pinned(capsys):
+    assert _stdout_digest(capsys, [["fixtures"]]) == _FIXTURES_STDOUT_SHA256

@@ -237,7 +237,7 @@ def test_enumeration_is_consistent_with_is_nash():
 def test_best_response_graph_on_large_grid():
     g, d = _ctx("vor_grow_grid_12")
     brg = best_response_graph(g, d, "vor")
-    arcs = set(brg.arcs())
+    arcs = {(v, w) for v, ws in brg.responses.items() for w in ws}
     assert {(1, 6), (4, 3), (6, 8), (8, 7)} <= arcs
     assert brg.responses[7] == (2, 6, 10)
     assert all(brg.responses[v] for v in g.vertices)
@@ -279,6 +279,13 @@ def test_dynamics_respects_max_steps():
     g, d = _ctx("vor_grow_grid_12")
     result = best_response_dynamics(g, d, "vor", (1, 1), max_steps=2)
     assert result.status == "max_steps"
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_dynamics_rejects_non_positive_budget(steps):
+    g = TemporalGraph(2, (((1, 2),),))
+    with pytest.raises(ValueError, match="max_steps must be positive"):
+        best_response_dynamics(g, all_pairs(g), "vor", (1, 2), max_steps=steps)
 
 
 def test_dynamics_restricted_to_allowed_set():
