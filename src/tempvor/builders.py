@@ -140,18 +140,16 @@ def split_clique_partition(s: StaticGraph) -> tuple[frozenset[int], frozenset[in
 
     Moving such a vertex keeps the clique a clique; after one move no other
     independent vertex can dominate the enlarged clique (independent vertices
-    are pairwise non-adjacent), so the loop settles immediately.
+    are pairwise non-adjacent), so at most the smallest one moves.
     """
     part = split_partition(s)
     if part is None:
         raise ValueError("underlying graph is not a split graph")
-    clique, indep = set(part[0]), set(part[1])
-    while True:
-        movable = sorted(v for v in indep if clique <= s.neighbors(v))
-        if not movable:
-            return frozenset(clique), frozenset(indep)
-        clique.add(movable[0])
-        indep.remove(movable[0])
+    clique, indep = part
+    v = min((v for v in indep if clique <= s.neighbors(v)), default=None)
+    if v is None:
+        return clique, indep
+    return clique | {v}, indep - {v}
 
 
 def vor_split_shrink_ne(g: TemporalGraph) -> Profile:

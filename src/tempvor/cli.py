@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_request("dynamics", _dynamics, "alternating best-response dynamics")
     p.add_argument("--profile", required=True, metavar="P1,P2", help="start profile")
-    p.add_argument("--max-steps", type=int, default=10_000)
+    p.add_argument("--max-steps", type=int, default=10_000, help="maximum number of moves")
 
     p = sub.add_parser("reproduce", help="re-check the bundled results")
     group = p.add_mutually_exclusive_group()

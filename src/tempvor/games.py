@@ -10,7 +10,10 @@ Two variants share one payoff machinery:
 The variants differ only in which distances they compare, so every query
 reads the distance matrix through one view, ``_rows(d, kind)``: row p holds
 the times a player at p is compared on -- row p of the matrix for ``"vor"``,
-column p for ``"rvor"``. Nothing else looks at the game kind.
+column p for ``"rvor"``. Nothing else looks at the game kind. Every payoff
+count comes from one helper, ``_column(rows, fixed)``: the payoff of a player
+at each vertex against an opponent at ``fixed``. Queries read only the
+columns they need.
 
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
@@ -21,6 +24,7 @@ are desk-scale by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from operator import lt
 from typing import Iterator, Literal
 
@@ -97,27 +101,14 @@ def payoff(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> P
     return PayoffResult(u1, u2, frozenset(g.vertices) - u1 - u2)
 
 
-def _wins(rows: tuple[tuple[float, ...], ...], mine: int, theirs: int) -> int:
-    """Payoff of the player at ``mine`` against the opponent at ``theirs``.
+def _column(rows: tuple[tuple[float, ...], ...], fixed: int) -> list[int]:
+    """Entry a-1 is the payoff of the player at a against the opponent at ``fixed``.
 
     Symmetric in roles: player 1 at a vs player 2 at b scores the same as
     player 2 at a vs player 1 at b.
     """
-    return sum(map(lt, rows[mine - 1], rows[theirs - 1]))
-
-
-def _win_table(rows: tuple[tuple[float, ...], ...]) -> list[list[int]]:
-    """W[a-1][b-1] = payoff of the player at a against the opponent at b."""
-    n = len(rows)
-    table = [[0] * n for _ in range(n)]
-    for dist in zip(*rows):
-        for a in range(n):
-            da = dist[a]
-            row = table[a]
-            for b in range(n):
-                if da < dist[b]:
-                    row[b] += 1
-    return table
+    theirs = rows[fixed - 1]
+    return [sum(map(lt, mine, theirs)) for mine in rows]
 
 
 def best_responses(
@@ -132,8 +123,7 @@ def best_responses(
     if role not in (1, 2):
         raise ValueError(f"role must be 1 or 2, got {role}")
     _check_vertex(g, fixed, "fixed vertex")
-    rows = _rows(d, kind)
-    col = [_wins(rows, cand, fixed) for cand in g.vertices]
+    col = _column(_rows(d, kind), fixed)
     best = max(col)
     return tuple(v for v, val in zip(g.vertices, col) if val == best), best
 
@@ -177,7 +167,7 @@ def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> 
     _check_vertex(g, p2, "p2")
     rows = _rows(d, kind)
     for player, mine, theirs in ((1, p1, p2), (2, p2, p1)):
-        col = [_wins(rows, cand, theirs) for cand in g.vertices]
+        col = _column(rows, theirs)
         current, best = col[mine - 1], max(col)
         if best > current:
             # the certificate is the smallest strictly better vertex
@@ -188,11 +178,12 @@ def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> 
 def _equilibria(g: TemporalGraph, d: DistanceMatrix, kind: str) -> Iterator[Profile]:
     """Nash profiles in lexicographic order: both players earn their column maximum."""
     _check_inputs(g, d, kind)
-    table = _win_table(_rows(d, kind))
-    col_max = [max(col) for col in zip(*table)]
+    rows = _rows(d, kind)
+    cols = [_column(rows, v) for v in g.vertices]
+    col_max = [max(col) for col in cols]
     for p1 in g.vertices:
         for p2 in g.vertices:
-            if table[p1 - 1][p2 - 1] == col_max[p2 - 1] and table[p2 - 1][p1 - 1] == col_max[p1 - 1]:
+            if cols[p2 - 1][p1 - 1] == col_max[p2 - 1] and cols[p1 - 1][p2 - 1] == col_max[p1 - 1]:
                 yield (p1, p2)
 
 
@@ -227,10 +218,11 @@ class BestResponseGraph:
 
 def best_response_graph(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> BestResponseGraph:
     _check_inputs(g, d, kind)
-    table = _win_table(_rows(d, kind))
+    rows = _rows(d, kind)
     responses: dict[int, tuple[int, ...]] = {}
     values: dict[int, int] = {}
-    for fixed, col in zip(g.vertices, zip(*table)):
+    for fixed in g.vertices:
+        col = _column(rows, fixed)
         best = max(col)
         responses[fixed] = tuple(a for a, val in zip(g.vertices, col) if val == best)
         values[fixed] = best
@@ -253,7 +245,8 @@ class DynamicsResult:
 
     ``status`` is "nash" (neither player can improve), "cycle" (a profile
     repeated with the same player to move; ``cycle`` holds the repeating
-    block of moves) or "max_steps".
+    block of moves) or "max_steps" (another improving move was due after
+    ``max_steps`` moves).
     """
 
     status: str
@@ -284,9 +277,11 @@ def best_response_dynamics(
     smallest vertex among the maximisers; two consecutive non-moves mean the
     profile is a Nash equilibrium (an equilibrium start yields an empty
     trace). Cycle detection keys on (profile, player to move): the same
-    profile with a different mover is a different dynamics state. ``allowed``
-    restricts both players' choices to a vertex subset. ``max_steps`` must be
-    positive.
+    profile with a different mover is a different dynamics state, so the run
+    ends within 2n^2 turns. ``allowed`` restricts both players' choices to a
+    vertex subset. ``max_steps`` bounds the number of moves and must be
+    positive; a turn without a move costs nothing. Only the payoff columns of
+    the opponents met are computed, each once.
     """
     _check_inputs(g, d, kind)
     if max_steps < 1:
@@ -303,31 +298,28 @@ def best_response_dynamics(
         if p1 not in allowed or p2 not in allowed:
             raise ValueError("start profile must lie inside the allowed set")
 
-    table = _win_table(_rows(d, kind))
+    column = cache(partial(_column, _rows(d, kind)))
     profile = [p1, p2]
     mover = 1
     trace: list[DynamicsStep] = []
     seen: dict[tuple[int, int, int], int] = {}
     passes = 0
-    for _ in range(max_steps):
+    while passes < 2:
         state = (profile[0], profile[1], mover)
         if state in seen:
             block = tuple(trace[seen[state] :])
             return DynamicsResult("cycle", (profile[0], profile[1]), tuple(trace), block)
         seen[state] = len(trace)
-        opponent = profile[2 - mover]
-        current = table[profile[mover - 1] - 1][opponent - 1]
-        best = max(table[c - 1][opponent - 1] for c in choices)
-        if best > current:
-            choice = min(c for c in choices if table[c - 1][opponent - 1] == best)
-            profile[mover - 1] = choice
-            new = (profile[0], profile[1])
-            payoffs = (table[new[0] - 1][new[1] - 1], table[new[1] - 1][new[0] - 1])
-            trace.append(DynamicsStep(mover, new, payoffs))
+        col = column(profile[2 - mover])
+        best = max(col[c - 1] for c in choices)
+        if best > col[profile[mover - 1] - 1]:
+            if len(trace) == max_steps:
+                return DynamicsResult("max_steps", (profile[0], profile[1]), tuple(trace), ())
+            profile[mover - 1] = min(c for c in choices if col[c - 1] == best)
+            a, b = profile
+            trace.append(DynamicsStep(mover, (a, b), (column(b)[a - 1], column(a)[b - 1])))
             passes = 0
         else:
             passes += 1
-            if passes >= 2:
-                return DynamicsResult("nash", (profile[0], profile[1]), tuple(trace), ())
         mover = 3 - mover
-    return DynamicsResult("max_steps", (profile[0], profile[1]), tuple(trace), ())
+    return DynamicsResult("nash", (profile[0], profile[1]), tuple(trace), ())

@@ -83,6 +83,54 @@ def brute_nash_profiles(td: list[tuple[float, ...]], kind: str, n: int) -> list[
     return out
 
 
+def brute_dynamics(
+    td: list[tuple[float, ...]],
+    kind: str,
+    n: int,
+    start: tuple[int, int],
+    allowed: list[int],
+    max_steps: int,
+) -> tuple:
+    """Alternating best-response dynamics by the definition.
+
+    Player 1 moves first. On a turn the mover scores every vertex of
+    ``allowed`` in her own role against the opponent's vertex and moves to the
+    smallest maximiser, but only when it beats her current payoff. Two turns
+    in a row without a move end in "nash"; a repeated (profile, mover) state
+    ends in "cycle" with the moves made since its first visit; a move due
+    after ``max_steps`` moves ends in "max_steps". Returns (status, profile,
+    trace, cycle), each step as (mover, profile, payoffs).
+    """
+    def payoffs(p1: int, p2: int) -> tuple[int, int]:
+        u1, u2 = brute_payoff_sets(td, kind, p1, p2, n)
+        return len(u1), len(u2)
+
+    def with_move(profile: tuple[int, int], mover: int, v: int) -> tuple[int, int]:
+        return (v, profile[1]) if mover == 1 else (profile[0], v)
+
+    profile, mover, idle = start, 1, 0
+    trace: list[tuple] = []
+    states: list[tuple] = []  # every (profile, mover) visited, in order
+    moved_in: list[bool] = []  # whether the mover moved on that visit
+    while idle < 2:
+        if (profile, mover) in states:
+            first = states.index((profile, mover))
+            return "cycle", profile, trace, trace[sum(moved_in[:first]) :]
+        score = {v: payoffs(*with_move(profile, mover, v))[mover - 1] for v in allowed}
+        best = max(score.values())
+        moved = best > payoffs(*profile)[mover - 1]
+        if moved and len(trace) == max_steps:
+            return "max_steps", profile, trace, []
+        states.append((profile, mover))
+        moved_in.append(moved)
+        if moved:
+            profile = with_move(profile, mover, min(v for v in allowed if score[v] == best))
+            trace.append((mover, profile, payoffs(*profile)))
+        idle = 0 if moved else idle + 1
+        mover = 3 - mover
+    return "nash", profile, trace, []
+
+
 # --- exhaustive family enumeration -------------------------------------------
 
 

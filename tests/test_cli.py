@@ -213,6 +213,16 @@ def test_non_positive_max_steps_is_a_request_error(capsys, tmp_path):
         assert captured.err == f"error: --max-steps must be positive, got {steps}\n"
 
 
+def test_max_steps_counts_moves(capsys, tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text('{"n": 2, "layers": [[[1, 2]]]}')
+    argv = ["dynamics", str(path), "--game", "vor", "--profile", "1,2", "--max-steps", "1"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["status"], result["trace"]) == ("nash", [])
+
+
 def test_sweep_writes_files_and_is_deterministic(capsys, tmp_path):
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"

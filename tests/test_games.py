@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from brute import brute_nash_profiles, brute_payoff_sets, walk_distances
+from brute import brute_dynamics, brute_nash_profiles, brute_payoff_sets, walk_distances
 
 from tempvor import (
     TemporalGraph,
@@ -21,7 +23,10 @@ from tempvor import (
     first_nash,
     is_nash,
     payoff,
+    underlying,
 )
+from tempvor.builders import split_clique_partition
+from tempvor.instances import INSTANCE_NAMES
 from tempvor.randgen import random_temporal_graph
 
 
@@ -102,12 +107,21 @@ def test_partition_occupancy_and_swap_symmetry(gp):
         assert swapped.u1_set == r.u2_set and swapped.u2_set == r.u1_set
 
 
-@given(graph_and_profile(max_n=6, max_tau=2))
-def test_every_game_query_matches_brute_force(gp):
+def _as_brute(result) -> tuple:
+    """A DynamicsResult in the shape ``brute_dynamics`` returns."""
+    def steps(block):
+        return [(s.mover, s.profile, s.payoffs) for s in block]
+
+    return result.status, result.profile, steps(result.trace), steps(result.cycle)
+
+
+@given(graph_and_profile(max_n=6, max_tau=2), st.frozensets(st.integers(1, 6)), st.integers(1, 4))
+def test_every_game_query_matches_brute_force(gp, extra, budget):
     g, (p1, p2) = gp
     d = all_pairs(g)
     td = walk_distances(g)
     n = g.n
+    allowed = frozenset(v for v in extra if v <= n) | {p1, p2}
 
     for kind in ("vor", "rvor"):
         def sets(a, b):
@@ -153,6 +167,10 @@ def test_every_game_query_matches_brute_force(gp):
         for step in best_response_dynamics(g, d, kind, (p1, p2)).trace:
             r = payoff(g, d, kind, step.profile)
             assert (r.u1, r.u2) == step.payoffs
+
+        got = best_response_dynamics(g, d, kind, (p1, p2), budget, allowed)
+        expected = brute_dynamics(td, kind, n, (p1, p2), sorted(allowed), budget)
+        assert _as_brute(got) == expected
 
 
 def test_payoff_rejects_bad_inputs():
@@ -281,6 +299,25 @@ def test_dynamics_respects_max_steps():
     assert result.status == "max_steps"
 
 
+def test_dynamics_matches_brute_force_on_fixtures():
+    # random small graphs almost never cycle; the fixtures cycle from most starts
+    for name in INSTANCE_NAMES:
+        g, d = _ctx(name)
+        td = walk_distances(g)
+        starts = list(product(g.vertices, repeat=2))
+        for kind, start, budget in product(("vor", "rvor"), starts, (1, 3, 10_000)):
+            got = best_response_dynamics(g, d, kind, start, budget)
+            expected = brute_dynamics(td, kind, g.n, start, g.vertices, budget)
+            assert _as_brute(got) == expected
+
+
+def test_dynamics_budget_counts_moves_not_turns():
+    # (1, 2) is an equilibrium: no move is due, so one step of budget suffices
+    g = TemporalGraph(2, (((1, 2),),))
+    result = best_response_dynamics(g, all_pairs(g), "vor", (1, 2), max_steps=1)
+    assert (result.status, result.profile, result.trace) == ("nash", (1, 2), ())
+
+
 @pytest.mark.parametrize("steps", [0, -1])
 def test_dynamics_rejects_non_positive_budget(steps):
     g = TemporalGraph(2, (((1, 2),),))
@@ -305,3 +342,38 @@ def test_dynamics_trace_records_movers_and_payoffs():
     for step in result.trace:
         r = payoff(g, d, "vor", step.profile)
         assert (r.u1, r.u2) == step.payoffs
+
+
+# sha256 over one JSON line per dynamics run at the default budget: "vor" then
+# "rvor", each from every start profile in lexicographic order
+_DYNAMICS_SHA256 = {
+    "grow_cycle_7": "5988141485a5a7a03d9c22ad758c62e72b17d35773e9a51dd30277c89db67f55",
+    "grow_grid_6": "b62ad7ff553b4d9dfd3fe7f9d4348d62a7290561a7e570f1103860b8dfda5d14",
+    "shrink_path_9": "28e41d18bd72ca0b983452bcde1c93afb7201266f927b7704de30f31a0d60848",
+    "shrink_cycle_10": "4cbb62c59cebe9709e7d022f3b13f029e0f76d7e70b471d52dcaeebb0281522e",
+    "shrink_split_8": "f6e726d209d1c48f9caa64675814f4ae8630788533cd6b599d39894a44adfb2e",
+    "vor_grow_grid_12": "e87fc3c3ec1fbdcfeeaa6c10d6b9e5b98b5e8a5b38bbb131231c989faa002bb3",
+}
+
+# the same digest for shrink_split_8 with both players kept inside its clique
+_CLIQUE_DYNAMICS_SHA256 = "42e3e8cc87e92963e6835a529c181db80f30f52fb295f465cd79e738d6accb58"
+
+
+def _dynamics_digest(g, d, allowed=None) -> str:
+    h = hashlib.sha256()
+    for kind in ("vor", "rvor"):
+        for start in product(sorted(allowed or g.vertices), repeat=2):
+            result = best_response_dynamics(g, d, kind, start, allowed=allowed)
+            h.update(json.dumps(result.to_json_obj()).encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_dynamics_from_every_start_is_pinned(name):
+    assert _dynamics_digest(*_ctx(name)) == _DYNAMICS_SHA256[name]
+
+
+def test_clique_dynamics_on_split_instance_is_pinned():
+    g, d = _ctx("shrink_split_8")
+    clique, _ = split_clique_partition(underlying(g))
+    assert _dynamics_digest(g, d, clique) == _CLIQUE_DYNAMICS_SHA256
