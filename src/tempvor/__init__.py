@@ -47,6 +47,7 @@ from .games import (
     payoff,
 )
 from .graph import (
+    GraphValidationError,
     StaticGraph,
     TemporalGraph,
     from_json,
@@ -81,6 +82,7 @@ __all__ = [
     "FamilySpecError",
     "Fixture",
     "GameKind",
+    "GraphValidationError",
     "INF",
     "INSTANCE_NAMES",
     "NashCheck",

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 The six single-instance commands (analyze, distances, payoff, best-response,
-nash, dynamics) share one request path: read the input file, validate it, hash
-it, compute all-pairs distances once, and open the report with the command,
-the input's sha256 and, for the four game commands, the game. Each command's
-handler adds only its own fields.
+nash, dynamics) share one request path: read and parse the input file (the
+graph constructor checks it), hash it, compute all-pairs distances once, and
+open the report with the command, the input's sha256 and, for the four game
+commands, the game. Each command's handler adds only its own fields.
 
 Exit codes are a stable contract: 0 success, 1 claim failure, 2 parse error,
 3 validation error, 4 bad profile, 5 bad request argument (family spec,
@@ -39,7 +39,7 @@ from .games import (
     is_nash,
     payoff,
 )
-from .graph import TemporalGraph, from_json, to_canonical_json, to_json_obj, validate
+from .graph import GraphValidationError, TemporalGraph, from_json, to_canonical_json, to_json_obj
 from .instances import INSTANCE_NAMES, build_instance
 from .reach import DistanceMatrix, all_pairs
 from .reproduce import DEFAULT_SEED, run_claims
@@ -98,11 +98,10 @@ def _request(args) -> int:
         raise _CliError(EXIT_PARSE, f"cannot read {args.input}: {exc}") from exc
     try:
         g = from_json(raw.decode("utf-8"))
+    except GraphValidationError as exc:
+        raise _CliError(EXIT_VALIDATION, f"{args.input}: {exc}") from exc
     except (ValueError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_PARSE, f"{args.input}: {exc}") from exc
-    problems = validate(g)
-    if problems:
-        raise _CliError(EXIT_VALIDATION, f"{args.input}: " + "; ".join(problems))
     d = all_pairs(g)
     out = {"command": args.command, "input_sha256": hashlib.sha256(raw).hexdigest()}
     if "game" in args:
@@ -157,7 +156,8 @@ def _dynamics(args, g: TemporalGraph, d: DistanceMatrix) -> dict:
 
 def _cmd_reproduce(args) -> int:
     try:
-        results = run_claims(args.claim or args.instance or "all", seed=args.seed)
+        target = args.claim if args.claim is not None else args.instance
+        results = run_claims("all" if target is None else target, seed=args.seed)
     except ValueError as exc:
         raise FamilySpecError(str(exc)) from exc
     for res in results:

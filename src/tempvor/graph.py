@@ -11,9 +11,14 @@ from typing import Iterable, Sequence
 Edge = tuple[int, int]
 
 
+class GraphValidationError(ValueError):
+    """A graph that breaks a construction rule; the message lists every problem."""
+
+
 def _norm_edge(edge: Sequence[int]) -> Edge:
     u, v = edge
-    u, v = int(u), int(v)
+    if type(u) is not int or type(v) is not int:  # exact type: bool is rejected too
+        raise GraphValidationError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
     return (u, v) if u <= v else (v, u)
 
 
@@ -24,20 +29,22 @@ class TemporalGraph:
     Layer t (1-indexed) is ``layers[t-1]`` for t <= tau; every later step
     repeats the last stored layer, so the graph is defined for all times.
     Construction normalises each edge to (small, large) order and sorts the
-    edges of each layer, but it does not reject bad input; use
-    :func:`validate` to check the invariants. Instances are immutable and
-    hashable.
+    edges of each layer, then raises :class:`GraphValidationError` with the
+    problems :func:`validate` reports, so every instance has tau >= 1 and
+    endpoints in 1..n. Instances are immutable and hashable.
     """
 
     n: int
     layers: tuple[tuple[Edge, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
         norm = tuple(
             tuple(sorted(_norm_edge(e) for e in layer)) for layer in self.layers
         )
         object.__setattr__(self, "layers", norm)
+        problems = validate(self)
+        if problems:
+            raise GraphValidationError("; ".join(problems))
 
     @property
     def tau(self) -> int:
@@ -52,8 +59,6 @@ class TemporalGraph:
         """Edges active at time step t >= 1; repeats the last layer past tau."""
         if t < 1:
             raise ValueError(f"time step must be >= 1, got {t}")
-        if not self.layers:
-            raise ValueError("graph has no layers")
         return self.layers[min(t, self.tau) - 1]
 
     def layer_set(self, t: int) -> frozenset[Edge]:
@@ -64,22 +69,21 @@ class TemporalGraph:
 class StaticGraph:
     """Simple undirected graph; the time-collapsed view of a temporal graph.
 
-    Construction raises ValueError on a self-loop or on an endpoint outside
-    1..n, so ``m`` always counts edges of the adjacency.
+    Construction raises GraphValidationError on a self-loop or on an endpoint
+    that is not an int in 1..n, so ``m`` always counts edges of the adjacency.
     """
 
     n: int
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "edges", frozenset(_norm_edge(e) for e in self.edges))
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise GraphValidationError(f"self-loop at vertex {u}")
             if u not in adj or v not in adj:
-                raise ValueError(f"edge ({u},{v}) has an endpoint outside 1..{self.n}")
+                raise GraphValidationError(f"edge ({u},{v}) has an endpoint outside 1..{self.n}")
             adj[u].add(v)
             adj[v].add(u)
         object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
@@ -103,14 +107,18 @@ class StaticGraph:
 
 
 def validate(g: TemporalGraph) -> list[str]:
-    """Return all invariant violations of g; the empty list means g is valid.
+    """The rules of a temporal graph: every one g breaks, in one pass.
 
-    Checks: at least one layer, endpoints in 1..n, no self-loops, no duplicate
-    edges within a layer. Total function: never raises on bad data.
+    Rules: n is a non-negative int, at least one layer, endpoints in 1..n, no
+    self-loops, no duplicate edges within a layer. Construction raises on any
+    violation, so every constructed graph gives []. Never raises itself.
     """
+    n = g.n
+    if type(n) is not int:
+        return [f"vertex count {n!r} is not an integer"]
     problems: list[str] = []
-    if g.n < 0:
-        problems.append(f"vertex count {g.n} is negative")
+    if n < 0:
+        problems.append(f"vertex count {n} is negative")
     if not g.layers:
         problems.append("layer sequence is empty")
     for t, layer in enumerate(g.layers, start=1):
@@ -118,8 +126,8 @@ def validate(g: TemporalGraph) -> list[str]:
         for u, v in layer:
             if u == v:
                 problems.append(f"layer {t}: self-loop at vertex {u}")
-            if not (1 <= u <= g.n and 1 <= v <= g.n):
-                problems.append(f"layer {t}: edge ({u},{v}) has endpoint outside 1..{g.n}")
+            if u < 1 or v > n:  # edges are normalised: u <= v
+                problems.append(f"layer {t}: edge ({u},{v}) has endpoint outside 1..{n}")
             if (u, v) == prev:
                 problems.append(f"layer {t}: duplicate edge ({u},{v})")
             prev = (u, v)
@@ -266,7 +274,7 @@ def _as_int(x, what: str) -> int:
 
 
 def graph_from_obj(obj) -> TemporalGraph:
-    """Build a TemporalGraph from parsed JSON; raises ValueError on bad shape."""
+    """Build a TemporalGraph from parsed JSON; raises ValueError on bad shape or rules."""
     if not isinstance(obj, dict):
         raise ValueError("temporal graph JSON must be an object")
     if set(obj) != {"n", "layers"}:
@@ -291,6 +299,6 @@ def graph_from_obj(obj) -> TemporalGraph:
 def from_json(text: str) -> TemporalGraph:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"invalid JSON: {exc}") from exc
     return graph_from_obj(obj)

@@ -57,15 +57,19 @@ def _horizon(g: TemporalGraph) -> int:
     return g.tau + g.n
 
 
-def _check(g: TemporalGraph, source: int | None = None) -> None:
-    if source is not None and not 1 <= source <= g.n:
+def earliest_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
+    """Foremost arrival time from ``source`` to every vertex.
+
+    Layer sweep: at step t a vertex w becomes reachable at time t when some
+    edge {x, w} is active at t and x arrived strictly before t (one edge per
+    step, strictly increasing labels). Arrivals found at step t never feed
+    other step-t updates: a new arrival carries the value t, which fails the
+    strict a[x] < t test. Iterates past tau on the repeated last layer until
+    no entry improves, hard-bounded at tau + n steps. Graphs are checked when
+    constructed, so only a source outside 1..n raises ``ValueError``.
+    """
+    if not 1 <= source <= g.n:
         raise ValueError(f"source {source} out of range 1..{g.n}")
-    bad = [e for layer in g.layers for e in layer if e[0] < 1 or e[1] > g.n]  # normalised: u <= v
-    if bad:
-        raise ValueError(f"edge {bad[0]} has an endpoint outside 1..{g.n}")
-
-
-def _arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
     a = [INF] * g.n
     a[source - 1] = 0
     for t in range(1, _horizon(g) + 1):
@@ -82,30 +86,13 @@ def _arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
     return tuple(a)
 
 
-def earliest_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
-    """Foremost arrival time from ``source`` to every vertex.
-
-    Layer sweep: at step t a vertex w becomes reachable at time t when some
-    edge {x, w} is active at t and x arrived strictly before t (one edge per
-    step, strictly increasing labels). Arrivals found at step t never feed
-    other step-t updates: a new arrival carries the value t, which fails the
-    strict a[x] < t test. Iterates past tau on the repeated last layer until
-    no entry improves, hard-bounded at tau + n steps. Raises ``ValueError``
-    on a source or an edge endpoint outside 1..n.
-    """
-    _check(g, source)
-    return _arrivals(g, source)
-
-
 def all_pairs(g: TemporalGraph) -> DistanceMatrix:
     """All-pairs temporal distances as n independent single-source sweeps.
 
     Temporal reachability is not transitive, so there is no closure shortcut;
-    every row is computed from scratch. An endpoint outside 1..n raises
-    ``ValueError``.
+    every row is computed from scratch. Never raises on a constructed graph.
     """
-    _check(g)
-    return DistanceMatrix(tuple(_arrivals(g, u) for u in g.vertices))
+    return DistanceMatrix(tuple(earliest_arrivals(g, u) for u in g.vertices))
 
 
 def oracle_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
@@ -116,9 +103,10 @@ def oracle_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
     (u, t) -> (w, t+1) for every edge {u, w} active at step t+1, then runs a
     plain BFS from (source, 0). The arrival time of v is the smallest t with
     (v, t) reachable. An independent cross-check for :func:`earliest_arrivals`
-    on small instances; raises ``ValueError`` on the same inputs.
+    on small instances; raises ``ValueError`` on the same sources.
     """
-    _check(g, source)
+    if not 1 <= source <= g.n:
+        raise ValueError(f"source {source} out of range 1..{g.n}")
     horizon = _horizon(g)
     succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for t in range(horizon):

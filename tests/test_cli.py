@@ -83,6 +83,32 @@ def test_validation_error_exit_code(tmp_path):
     assert main(["analyze", str(loop)]) == 3
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"n": 3, "layers": [[[1, 4]]]}', "layer 1: edge (1,4) has endpoint outside 1..3"),
+        ('{"n": 3, "layers": [[[1, 2], [2, 1]]]}', "layer 1: duplicate edge (1,2)"),
+        ('{"n": 3, "layers": []}', "layer sequence is empty"),
+        ('{"n": -1, "layers": [[]]}', "vertex count -1 is negative"),
+    ],
+)
+def test_each_rule_is_a_validation_error(capsys, tmp_path, text, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {problem}\n"
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_nash_enumeration_empty_for_reverse_game(capsys, cycle7_path):
     code, out = _run(capsys, ["nash", cycle7_path, "--game", "rvor"])
     assert code == 0
@@ -145,6 +171,14 @@ def test_reproduce_single_claim(capsys):
 
 def test_reproduce_unknown_target_is_a_spec_error():
     assert main(["reproduce", "--instance", "nonexistent"]) == 5
+
+
+@pytest.mark.parametrize("option", ["--claim", "--instance"])
+def test_reproduce_empty_target_is_a_spec_error(capsys, option):
+    assert main(["reproduce", option, ""]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no claims match ''\n"
 
 
 def _assert_claim_fails(capsys, claim_id: str) -> None:

@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tempvor import (
+    GraphValidationError,
     StaticGraph,
     TemporalGraph,
+    all_pairs,
     build_instance,
     from_json,
     is_monotone,
     normalize_lifetime,
+    oracle_arrivals,
     to_canonical_json,
     underlying,
     validate,
@@ -45,14 +48,81 @@ def test_validate_accepts_single_vertex_no_edges():
 
 
 def test_validate_rejects_self_loop():
-    problems = validate(TemporalGraph(2, (((1, 1),),)))
-    assert any("self-loop" in p for p in problems)
+    with pytest.raises(GraphValidationError, match="self-loop"):
+        TemporalGraph(2, (((1, 1),),))
 
 
 def test_validate_rejects_out_of_range_duplicates_and_empty():
-    assert any("out" in p for p in validate(TemporalGraph(2, (((1, 3),),))))
-    assert any("duplicate" in p for p in validate(TemporalGraph(3, (((1, 2), (2, 1)),))))
-    assert any("empty" in p for p in validate(TemporalGraph(3, ())))
+    with pytest.raises(GraphValidationError, match="out"):
+        TemporalGraph(2, (((1, 3),),))
+    with pytest.raises(GraphValidationError, match="duplicate"):
+        TemporalGraph(3, (((1, 2), (2, 1)),))
+    with pytest.raises(GraphValidationError, match="empty"):
+        TemporalGraph(3, ())
+
+
+@pytest.mark.parametrize(
+    "n, layers, message",
+    [
+        (2, (((1, 1),),), "layer 1: self-loop at vertex 1"),
+        (3, (((0, 2),),), "layer 1: edge (0,2) has endpoint outside 1..3"),
+        (3, (((4, 1),),), "layer 1: edge (1,4) has endpoint outside 1..3"),
+        (3, ((), ((1, 2), (1, 2))), "layer 2: duplicate edge (1,2)"),
+        (3, (((2, 1), (1, 2)),), "layer 1: duplicate edge (1,2)"),
+        (3, (), "layer sequence is empty"),
+        (-1, ((),), "vertex count -1 is negative"),
+        (True, ((),), "vertex count True is not an integer"),
+        (2.0, ((),), "vertex count 2.0 is not an integer"),
+        ("2", ((),), "vertex count '2' is not an integer"),
+        (2, (((True, 2),),), "edge (True,2) has an endpoint that is not an int"),
+        (2, (((1, 2.0),),), "edge (1,2.0) has an endpoint that is not an int"),
+        (2, ((("1", 2),),), "edge ('1',2) has an endpoint that is not an int"),
+    ],
+)
+def test_construction_raises_on_each_rule(n, layers, message):
+    with pytest.raises(GraphValidationError) as excinfo:
+        TemporalGraph(n, layers)
+    assert str(excinfo.value) == message
+
+
+def test_static_graph_rejects_bool_endpoint():
+    with pytest.raises(GraphValidationError, match="not an int"):
+        StaticGraph(3, frozenset({(True, 2)}))
+
+
+@st.composite
+def raw_graph_inputs(draw):
+    n = draw(st.integers(-1, 5) | st.booleans())
+    endpoint = st.integers(-1, n + 1)
+    layers = draw(st.lists(st.lists(st.tuples(endpoint, endpoint), max_size=4), max_size=3))
+    return n, tuple(tuple(layer) for layer in layers)
+
+
+def _breaks_a_rule(n, layers) -> bool:
+    if type(n) is not int or n < 0 or not layers:
+        return True
+    for layer in layers:
+        edges = [tuple(sorted(e)) for e in layer]
+        if len(set(edges)) < len(edges):
+            return True
+        if any(u == v or u < 1 or v > n for u, v in edges):
+            return True
+    return False
+
+
+@given(raw_graph_inputs())
+def test_construction_either_raises_or_gives_a_working_graph(raw):
+    n, layers = raw
+    try:
+        g = TemporalGraph(n, layers)
+    except GraphValidationError:
+        assert _breaks_a_rule(n, layers)
+        return
+    assert not _breaks_a_rule(n, layers)
+    assert validate(g) == []
+    d = all_pairs(g)
+    for u in g.vertices:
+        assert d.row(u) == oracle_arrivals(g, u)
 
 
 def test_edge_normalisation_is_order_insensitive():
