@@ -195,7 +195,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
-    names = [args.instance] if args.instance else list(INSTANCE_NAMES)
+    names = [args.instance] if args.instance is not None else list(INSTANCE_NAMES)
     try:
         fixtures = [build_instance(name) for name in names]
     except ValueError as exc:

@@ -5,12 +5,19 @@ strictly increase, so arrival times can exceed the number of stored layers
 (walks keep moving through the repeated last layer). Unreachable pairs get
 the ``INF`` sentinel, which compares strictly greater than every finite
 time and never beats itself.
+
+One kernel computes every distance: a multi-source layer sweep in the style
+of MS-BFS (Then et al., PVLDB 8(4), 2014) applied to foremost journeys (Wu
+et al., PVLDB 7(9), 2014). Each vertex carries an int bitset of the sources
+that have reached it, so one pass over the layers advances all sources at
+once; ``all_pairs`` sweeps from every vertex, ``earliest_arrivals`` from one.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph import TemporalGraph
@@ -52,47 +59,69 @@ class DistanceMatrix:
 
 def _horizon(g: TemporalGraph) -> int:
     # Past tau the layer sequence is constant, so each further round of
-    # propagation settles at least one new vertex or nothing at all; tau + n
-    # steps therefore suffice to reach the fixpoint.
+    # propagation settles, for each source, at least one new vertex or nothing
+    # at all; tau + n steps therefore suffice to reach the fixpoint.
     return g.tau + g.n
+
+
+def _sweep(g: TemporalGraph, sources: Sequence[int]) -> list[list[float]]:
+    """Arrival times from each of ``sources``, one list per source, in order.
+
+    reached[v] has bit i set once sources[i] has reached v. At step t each
+    edge of layer t whose endpoints hold different sets offers each endpoint
+    the other's pre-step set; the gains of the whole layer are applied after
+    it, so a step-t arrival never spreads within step t (one edge per step,
+    strictly increasing labels). Every newly set bit records arrival time t.
+    Endpoints that differ give at least one of them a new bit, so a step
+    with offers always gains. Past tau the last layer repeats, so the sweep
+    stops at the first step >= tau without offers, hard-bounded at tau + n.
+    """
+    arrival = [[INF] * g.n for _ in sources]
+    reached = [0] * (g.n + 1)
+    for i, s in enumerate(sources):
+        reached[s] |= 1 << i
+        arrival[i][s - 1] = 0
+    for t in range(1, _horizon(g) + 1):
+        gains = []
+        for u, v in g.layer(t):
+            ru, rv = reached[u], reached[v]
+            if ru != rv:
+                gains.append((v, ru))
+                gains.append((u, rv))
+        for w, bits in gains:
+            new = bits & ~reached[w]
+            reached[w] |= new
+            while new:
+                low = new & -new
+                arrival[low.bit_length() - 1][w - 1] = t
+                new ^= low
+        if t >= g.tau and not gains:
+            break
+    return arrival
 
 
 def earliest_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
     """Foremost arrival time from ``source`` to every vertex.
 
-    Layer sweep: at step t a vertex w becomes reachable at time t when some
-    edge {x, w} is active at t and x arrived strictly before t (one edge per
-    step, strictly increasing labels). Arrivals found at step t never feed
-    other step-t updates: a new arrival carries the value t, which fails the
-    strict a[x] < t test. Iterates past tau on the repeated last layer until
-    no entry improves, hard-bounded at tau + n steps. Graphs are checked when
-    constructed, so only a source outside 1..n raises ``ValueError``.
+    The multi-source sweep run from one source: at step t a vertex w becomes
+    reachable at time t when some edge {x, w} is active at t and x arrived
+    strictly before t. Graphs are checked when constructed, so only a source
+    outside 1..n raises ``ValueError``.
     """
     if not 1 <= source <= g.n:
         raise ValueError(f"source {source} out of range 1..{g.n}")
-    a = [INF] * g.n
-    a[source - 1] = 0
-    for t in range(1, _horizon(g) + 1):
-        improved = False
-        for u, v in g.layer(t):
-            if a[u - 1] < t and t < a[v - 1]:
-                a[v - 1] = t
-                improved = True
-            elif a[v - 1] < t and t < a[u - 1]:
-                a[u - 1] = t
-                improved = True
-        if t >= g.tau and not improved:
-            break
-    return tuple(a)
+    return tuple(_sweep(g, (source,))[0])
 
 
 def all_pairs(g: TemporalGraph) -> DistanceMatrix:
-    """All-pairs temporal distances as n independent single-source sweeps.
+    """All-pairs temporal distances from one multi-source sweep.
 
     Temporal reachability is not transitive, so there is no closure shortcut;
-    every row is computed from scratch. Never raises on a constructed graph.
+    instead every vertex is a source of the same sweep, and row u holds the
+    arrival times of the journeys that start at u. Never raises on a
+    constructed graph.
     """
-    return DistanceMatrix(tuple(earliest_arrivals(g, u) for u in g.vertices))
+    return DistanceMatrix(tuple(map(tuple, _sweep(g, g.vertices))))
 
 
 def oracle_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:

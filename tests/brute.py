@@ -2,9 +2,10 @@
 
 Everything here is deliberately written against the definitions rather than
 reusing library algorithms: temporal distances come from literal enumeration
-of temporal walks, equilibria from a double loop over profiles and
-deviations, and class recognition from exhaustive search over partitions,
-subsets and vertex bijections. Only usable on small instances.
+of temporal walks or from a layer sweep run one source at a time, equilibria
+from a double loop over profiles and deviations, and class recognition from
+exhaustive search over partitions, subsets and vertex bijections. Apart from
+the sweep, only usable on small instances.
 """
 
 from __future__ import annotations
@@ -44,6 +45,35 @@ def enumerate_walk_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
 
     extend(source, 0, frozenset({source}))
     return tuple(best[v] for v in g.vertices)
+
+
+def sweep_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
+    """Foremost arrivals by a single-source layer sweep, one source at a time.
+
+    At step t a vertex w becomes reachable at time t when some edge {x, w} is
+    active at t and x arrived strictly before t (one edge per step, strictly
+    increasing labels). Arrivals found at step t never feed other step-t
+    updates: a new arrival carries the value t, which fails the strict
+    a[x] < t test. Iterates past tau on the repeated last layer until no
+    entry improves, hard-bounded at tau + n steps. The reference for
+    ``tempvor.reach``, which applies the same rule to all sources in one pass.
+    """
+    if not 1 <= source <= g.n:
+        raise ValueError(f"source {source} out of range 1..{g.n}")
+    a = [INF] * g.n
+    a[source - 1] = 0
+    for t in range(1, g.tau + g.n + 1):
+        improved = False
+        for u, v in g.layer(t):
+            if a[u - 1] < t and t < a[v - 1]:
+                a[v - 1] = t
+                improved = True
+            elif a[v - 1] < t and t < a[u - 1]:
+                a[u - 1] = t
+                improved = True
+        if t >= g.tau and not improved:
+            break
+    return tuple(a)
 
 
 def walk_distances(g: TemporalGraph) -> list[tuple[float, ...]]:

@@ -321,6 +321,14 @@ def test_fixtures_listing_and_dump(capsys, tmp_path):
     assert text == to_canonical_json(build_instance("grow_cycle_7").graph)
 
 
+@pytest.mark.parametrize("name", ["", "nonexistent"])
+def test_fixtures_unknown_instance_is_a_spec_error(capsys, name):
+    assert main(["fixtures", "--instance", name]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown instance {name!r}; known: grow_cycle_7, ")
+
+
 def test_distances_command(capsys, cycle7_path):
     code, out = _run(capsys, ["distances", cycle7_path])
     assert code == 0

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from brute import enumerate_walk_arrivals
+from brute import enumerate_walk_arrivals, sweep_arrivals
 
 from tempvor import (
     INF,
@@ -90,12 +90,69 @@ def test_out_of_range_endpoints_raise(layer):
         TemporalGraph(3, (layer,))
 
 
+def _assert_kernel_matches(g, oracle_sources):
+    """Every all_pairs row and every single-source call against the per-source
+    sweep of tests/brute.py, and the rows of ``oracle_sources`` against the
+    time-expanded search; finite entries must be ints."""
+    d = all_pairs(g)
+    assert d.n == g.n
+    for source in g.vertices:
+        expected = sweep_arrivals(g, source)
+        assert d.row(source) == expected, source
+        assert earliest_arrivals(g, source) == expected, source
+        assert all(type(x) is int or x == INF for x in d.row(source))
+    for source in oracle_sources:
+        assert d.row(source) == oracle_arrivals(g, source), source
+
+
+def _random_sparse_graph(rng, n, tau):
+    """tau layers of at most n // 4 random edges each; about one in five is empty."""
+    layers = []
+    for _ in range(tau):
+        size = 0 if rng.random() < 0.2 else rng.randint(1, n // 4)
+        layers.append({tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(size)})
+    return TemporalGraph(n, tuple(tuple(layer) for layer in layers))
+
+
 def test_sweep_matches_time_expanded_oracle_on_randoms():
     rng = random.Random(2024)
     for _ in range(300):
         g = random_temporal_graph(rng)
-        for source in g.vertices:
-            assert earliest_arrivals(g, source) == oracle_arrivals(g, source)
+        _assert_kernel_matches(g, g.vertices)
+
+
+@pytest.mark.parametrize(
+    "n, layers",
+    [
+        (0, ((),)),
+        (0, ((), (), ())),
+        (1, ((),)),
+        (1, ((), ())),
+        (2, ((), (), ((1, 2),))),  # tau > n, gain only after empty layers
+        (3, ((), ((1, 2),), (), ((2, 3),), ())),  # gain-free steps before tau
+        (3, (((1, 2), (2, 3)),)),  # a step-t arrival must not spread within step t
+        (4, (((1, 2), (2, 3), (3, 4)), ((1, 2),), (), ((1, 4),))),
+        (5, ((), (), (), (), (), (), ((4, 5),), ((3, 4),), ((2, 3), (1, 2)))),
+    ],
+)
+def test_kernel_on_edge_shapes(n, layers):
+    g = TemporalGraph(n, layers)
+    _assert_kernel_matches(g, g.vertices)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 140])
+def test_kernel_past_machine_word_width(n):
+    # the source bitsets are wider than 64 bits, so bits 63, 64 and above
+    # carry sources; a static path as the last layer keeps arrivals coming
+    # until about tau + n. oracle_arrivals is slow at this size and checks
+    # only the row of the highest bit.
+    rng = random.Random(f"wide:{n}")
+    path = tuple((v, v + 1) for v in range(1, n))
+    graphs = [_random_sparse_graph(rng, n, tau) for tau in (1, rng.randint(2, n), 2 * n)]
+    tail = _random_sparse_graph(rng, n, rng.randint(1, n))
+    graphs.append(TemporalGraph(n, tail.layers + (path,)))
+    for g in graphs:
+        _assert_kernel_matches(g, (n,))
 
 
 def test_sweep_matches_walk_enumeration_on_small_randoms():

@@ -6,6 +6,8 @@ the underlying edge sets a family enumerates, could pass both. These tests
 hash the canonical JSON of seeded draws from every public `randgen`
 generator and of `_underlying_edge_sets(base, n)` for every base class at
 n <= 7, order included, against digests recorded when the test was written.
+The `all_pairs` matrices of seeded random graphs are pinned the same way, so
+a distance kernel must reproduce every entry, not only the game verdicts.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import random
 
 import pytest
 
-from tempvor import TemporalGraph, randgen, to_canonical_json
+from tempvor import TemporalGraph, all_pairs, randgen, to_canonical_json
 from tempvor.explorer import BASE_CLASSES, _underlying_edge_sets
 
 SEEDS = range(300)
@@ -71,3 +73,38 @@ def test_underlying_edge_sets_are_pinned(base):
     for n in range(1, 8):
         h.update(json.dumps(list(_underlying_edge_sets(base, n))).encode("utf-8") + b"\n")
     assert h.hexdigest() == EDGE_SET_SHA256[base]
+
+
+def _long_sparse_graph(rng: random.Random) -> TemporalGraph:
+    """About 100 vertices, a lifetime of n to 3n steps and at most n // 8
+    random edges per layer, so distances reach past 100."""
+    n = rng.randint(90, 110)
+    layers = []
+    for _ in range(rng.randint(n, 3 * n)):
+        size = rng.randint(0, n // 8)
+        layers.append(tuple({tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(size)}))
+    return TemporalGraph(n, tuple(layers))
+
+
+DISTANCE_GRAPHS = {
+    "random_temporal_graph": lambda: (
+        randgen.random_temporal_graph(random.Random(seed)) for seed in SEEDS
+    ),
+    "long_sparse": lambda: (
+        _long_sparse_graph(random.Random(f"long_sparse:{seed}")) for seed in range(4)
+    ),
+}
+
+# sha256 over json.dumps of all_pairs(g).to_json_obj(), one line per graph
+DISTANCE_SHA256 = {
+    "long_sparse": "a422b15946255906f186f8a5b6af3c94941fd47c5b955dfc49538893c3f3f1ae",
+    "random_temporal_graph": "11bb04bdf17efcb314e69ee2e6d267abaa7c15c027c8e7c4d3c4dd5d4f0b00a1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_GRAPHS))
+def test_all_pairs_matrices_are_pinned(name):
+    h = hashlib.sha256()
+    for g in DISTANCE_GRAPHS[name]():
+        h.update(json.dumps(all_pairs(g).to_json_obj()).encode("utf-8") + b"\n")
+    assert h.hexdigest() == DISTANCE_SHA256[name]
