@@ -12,7 +12,7 @@ foremost).
 from __future__ import annotations
 
 from .classify import is_threshold, is_tree, kpartite_parts, split_partition
-from .games import Profile, best_response_dynamics, enumerate_nash, is_nash
+from .games import DynamicsResult, Profile, best_response_dynamics, enumerate_nash, is_nash
 from .graph import StaticGraph, TemporalGraph, _clique_edges, is_monotone, underlying
 from .instances import build_instance
 from .reach import DistanceMatrix, all_pairs
@@ -26,6 +26,11 @@ def _verified(g: TemporalGraph, d: DistanceMatrix, kind: str, profile: Profile) 
             f"{check.deviation}"
         )
     return profile
+
+
+def _require_shrinking(g: TemporalGraph) -> None:
+    if not is_monotone(g)[1]:
+        raise ValueError("graph is not monotonically shrinking")
 
 
 def _component_sizes_without(s: StaticGraph, v: int) -> dict[int, int]:
@@ -86,9 +91,7 @@ def kpartite_shrink_ne(g: TemporalGraph) -> Profile:
     parts = kpartite_parts(underlying(g))
     if parts is None or len(parts) < 2:
         raise ValueError("underlying graph is not complete k-partite with k >= 2")
-    _, shrinking = is_monotone(g)
-    if not shrinking:
-        raise ValueError("graph is not monotonically shrinking")
+    _require_shrinking(g)
     d = all_pairs(g)
     return _verified(g, d, "rvor", (min(parts[0]), min(parts[1])))
 
@@ -104,9 +107,7 @@ def threshold_shrink_ne(g: TemporalGraph) -> Profile:
     s = underlying(g)
     if not is_threshold(s):
         raise ValueError("underlying graph is not a threshold graph")
-    _, shrinking = is_monotone(g)
-    if not shrinking:
-        raise ValueError("graph is not monotonically shrinking")
+    _require_shrinking(g)
     d = all_pairs(g)
     if g.n == 1:
         return _verified(g, d, "rvor", (1, 1))
@@ -152,6 +153,13 @@ def split_clique_partition(s: StaticGraph) -> tuple[frozenset[int], frozenset[in
     return clique | {v}, indep - {v}
 
 
+def clique_dynamics(
+    g: TemporalGraph, d: DistanceMatrix, clique: frozenset[int], start: Profile
+) -> DynamicsResult:
+    """Classic-game best-response dynamics from ``start`` with both players in ``clique``."""
+    return best_response_dynamics(g, d, "vor", start, max_steps=8 * (g.n + 2) ** 2, allowed=clique)
+
+
 def vor_split_shrink_ne(g: TemporalGraph) -> Profile:
     """Equilibrium for the classic game on a shrinking split graph.
 
@@ -160,40 +168,35 @@ def vor_split_shrink_ne(g: TemporalGraph) -> Profile:
     :func:`split_potential`, so the dynamics terminate; deviations into the
     independent set pay exactly 1 and never beat a clique position.
     """
-    s = underlying(g)
-    _, shrinking = is_monotone(g)
-    if not shrinking:
-        raise ValueError("graph is not monotonically shrinking")
-    clique, _ = split_clique_partition(s)
+    _require_shrinking(g)
+    clique, _ = split_clique_partition(underlying(g))
     if len(clique) < 2:
         raise ValueError("split graph has no two clique vertices to place players on")
     d = all_pairs(g)
-    ordered = sorted(clique)
-    start = (ordered[0], ordered[1])
-    result = best_response_dynamics(
-        g, d, "vor", start, max_steps=8 * (g.n + 2) ** 2, allowed=frozenset(clique)
-    )
+    result = clique_dynamics(g, d, clique, tuple(sorted(clique)[:2]))
     if result.status != "nash":
         raise RuntimeError(f"clique-restricted dynamics did not settle: {result.status}")
     return _verified(g, d, "vor", result.profile)
 
 
-def _extended_layers(g: TemporalGraph, until: int) -> list[tuple]:
-    """Stored layers padded with copies of the last layer up to time ``until``."""
-    layers = list(g.layers)
-    while len(layers) < until:
-        layers.append(layers[-1])
-    return layers
+def changed_distance(d: DistanceMatrix, d_new: DistanceMatrix) -> tuple[int, int] | None:
+    """The first pair (u, v) of d's vertices whose distance differs in ``d_new``, or None."""
+    pairs = ((u, v) for u in range(1, d.n + 1) for v in range(1, d.n + 1))
+    return next(((u, v) for u, v in pairs if d_new.td(u, v) != d.td(u, v)), None)
 
 
-def _check_preserved(g: TemporalGraph, completed: TemporalGraph, d: DistanceMatrix) -> None:
+def _complete(
+    g: TemporalGraph, d: DistanceMatrix, n: int, final: tuple
+) -> tuple[TemporalGraph, DistanceMatrix]:
+    """g on ``n`` vertices, its last layer repeated up to the saturation time, then
+    ``final``; returns it with its distances and raises if one of g's changed."""
+    layers = g.layers + (g.layers[-1],) * (max(d.max_finite(), g.tau) - g.tau) + (final,)
+    completed = TemporalGraph(n, layers)
     d_new = all_pairs(completed)
-    for u in g.vertices:
-        for v in g.vertices:
-            if d_new.td(u, v) != d.td(u, v):
-                raise RuntimeError(
-                    f"completion changed td({u},{v}): {d.td(u, v)} -> {d_new.td(u, v)}"
-                )
+    if changed := changed_distance(d, d_new):
+        u, v = changed
+        raise RuntimeError(f"completion changed td({u},{v}): {d.td(u, v)} -> {d_new.td(u, v)}")
+    return completed, d_new
 
 
 def clique_completion(g: TemporalGraph) -> TemporalGraph:
@@ -208,12 +211,7 @@ def clique_completion(g: TemporalGraph) -> TemporalGraph:
     d = all_pairs(g)
     if not d.all_finite():
         raise ValueError("graph is not temporally connected")
-    cut = max(d.max_finite(), g.tau)
-    layers = _extended_layers(g, cut)
-    layers.append(_clique_edges(g.vertices))
-    completed = TemporalGraph(g.n, tuple(layers))
-    _check_preserved(g, completed, d)
-    return completed
+    return _complete(g, d, g.n, _clique_edges(g.vertices))[0]
 
 
 def kpartite_completion(g: TemporalGraph, k: int) -> TemporalGraph:
@@ -231,18 +229,12 @@ def kpartite_completion(g: TemporalGraph, k: int) -> TemporalGraph:
         raise ValueError("only the bundled grow_grid_6 instance can be completed")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    d = all_pairs(g)
-    cut = max(d.max_finite(), g.tau)
     n_new = 4 + k
-    layers = _extended_layers(g, cut)
-    final = set(layers[-1])
+    final = set(g.layers[-1])
     final.update([(1, 6), (3, 4)])
     for j in range(7, n_new + 1):
         final.update((i, j) for i in range(1, j))
-    layers.append(tuple(sorted(final)))
-    completed = TemporalGraph(n_new, tuple(layers))
-    _check_preserved(g, completed, d)
-    d_new = all_pairs(completed)
+    completed, d_new = _complete(g, all_pairs(g), n_new, tuple(sorted(final)))
     if enumerate_nash(completed, d_new, "rvor"):
         raise RuntimeError("k-partite completion unexpectedly gained an equilibrium")
     return completed

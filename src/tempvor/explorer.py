@@ -194,18 +194,24 @@ def _layer_chains(
             for extra in combinations(free, r):
                 yield required.union(extra)
 
-    def extend(chain: tuple[frozenset[Edge], ...], unseen: frozenset[Edge], left: float):
-        if len(chain) == tau:
-            yield chain
-            return
+    def children(chain: tuple[frozenset[Edge], ...], unseen: frozenset[Edge], left: float):
         prev, last = chain[-1], len(chain) == tau - 1
         pool = ordered if monotonicity == "any" else [e for e in ordered if (e in prev) == shrinking]
         for toggle in toggles(pool, unseen if last else frozenset(), left, int(last and not unseen)):
-            yield from extend(chain + (prev ^ toggle,), unseen - toggle, left - len(toggle))
+            yield chain + (prev ^ toggle,), unseen - toggle, left - len(toggle)
 
+    # depth-first with an explicit stack: lifetimes may exceed the recursion limit
     left = float("inf") if budget is None else budget
-    for dropped in toggles(() if shrinking or tau == 1 else ordered, frozenset(), left):
-        yield from extend((universe - dropped,), dropped, left)
+    first = toggles(() if shrinking or tau == 1 else ordered, frozenset(), left)
+    stack = [(((universe - dropped,), dropped, left) for dropped in first)]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif len(node[0]) == tau:
+            yield node[0]
+        else:
+            stack.append(children(*node))
 
 
 def _is_cycle_canonical(g: TemporalGraph) -> bool:

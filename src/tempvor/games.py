@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from operator import lt
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Sequence
 
 from .graph import TemporalGraph
 from .reach import DistanceMatrix
@@ -111,6 +111,14 @@ def _column(rows: tuple[tuple[float, ...], ...], fixed: int) -> list[int]:
     return [sum(map(lt, mine, theirs)) for mine in rows]
 
 
+def _replies(col: list[int], choices: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The maximisers of ``col`` among the ascending ``choices``, and the maximum.
+
+    Every tie-break in this module takes the first reply: the smallest maximiser."""
+    best = max(col[c - 1] for c in choices)
+    return tuple(c for c in choices if col[c - 1] == best), best
+
+
 def best_responses(
     g: TemporalGraph, d: DistanceMatrix, kind: GameKind, role: int, fixed: int
 ) -> tuple[tuple[int, ...], int]:
@@ -123,9 +131,7 @@ def best_responses(
     if role not in (1, 2):
         raise ValueError(f"role must be 1 or 2, got {role}")
     _check_vertex(g, fixed, "fixed vertex")
-    col = _column(_rows(d, kind), fixed)
-    best = max(col)
-    return tuple(v for v, val in zip(g.vertices, col) if val == best), best
+    return _replies(_column(_rows(d, kind), fixed), g.vertices)
 
 
 @dataclass(frozen=True)
@@ -168,10 +174,9 @@ def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> 
     rows = _rows(d, kind)
     for player, mine, theirs in ((1, p1, p2), (2, p2, p1)):
         col = _column(rows, theirs)
-        current, best = col[mine - 1], max(col)
-        if best > current:
-            # the certificate is the smallest strictly better vertex
-            return NashCheck(False, Deviation(player, col.index(best) + 1, current, best))
+        replies, best = _replies(col, g.vertices)
+        if best > col[mine - 1]:
+            return NashCheck(False, Deviation(player, replies[0], col[mine - 1], best))
     return NashCheck(True, None)
 
 
@@ -222,10 +227,7 @@ def best_response_graph(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> 
     responses: dict[int, tuple[int, ...]] = {}
     values: dict[int, int] = {}
     for fixed in g.vertices:
-        col = _column(rows, fixed)
-        best = max(col)
-        responses[fixed] = tuple(a for a, val in zip(g.vertices, col) if val == best)
-        values[fixed] = best
+        responses[fixed], values[fixed] = _replies(_column(rows, fixed), g.vertices)
     return BestResponseGraph(responses, values)
 
 
@@ -311,11 +313,11 @@ def best_response_dynamics(
             return DynamicsResult("cycle", (profile[0], profile[1]), tuple(trace), block)
         seen[state] = len(trace)
         col = column(profile[2 - mover])
-        best = max(col[c - 1] for c in choices)
+        replies, best = _replies(col, choices)
         if best > col[profile[mover - 1] - 1]:
             if len(trace) == max_steps:
                 return DynamicsResult("max_steps", (profile[0], profile[1]), tuple(trace), ())
-            profile[mover - 1] = min(c for c in choices if col[c - 1] == best)
+            profile[mover - 1] = replies[0]
             a, b = profile
             trace.append(DynamicsStep(mover, (a, b), (column(b)[a - 1], column(a)[b - 1])))
             passes = 0

@@ -10,6 +10,7 @@ import pytest
 from brute import brute_nash_profiles, walk_distances
 
 from tempvor import (
+    DistanceMatrix,
     TemporalGraph,
     all_pairs,
     build_instance,
@@ -36,6 +37,7 @@ from tempvor.randgen import (
 )
 
 STAR = TemporalGraph(5, (((1, 2), (1, 3), (1, 4), (1, 5)),))
+GROWING_C4 = TemporalGraph(4, (((1, 3),), ((1, 3), (1, 4), (2, 3), (2, 4))))
 PATH3 = TemporalGraph(3, (((1, 2), (2, 3)),))
 
 
@@ -100,9 +102,20 @@ def test_kpartite_builder_rejects_bad_inputs():
     edgeless = TemporalGraph(3, ((),))
     with pytest.raises(ValueError):
         kpartite_shrink_ne(edgeless)  # k = 1
-    growing = TemporalGraph(4, (((1, 3),), ((1, 3), (1, 4), (2, 3), (2, 4))))
-    with pytest.raises(ValueError):
-        kpartite_shrink_ne(growing)  # not shrinking
+
+
+@pytest.mark.parametrize(
+    "build, growing",
+    [
+        (kpartite_shrink_ne, GROWING_C4),
+        (threshold_shrink_ne, TemporalGraph(3, (((1, 2),), ((1, 2), (1, 3))))),
+        (vor_split_shrink_ne, TemporalGraph(3, (((1, 2),), ((1, 2), (1, 3), (2, 3))))),
+    ],
+    ids=["kpartite", "threshold", "split"],
+)
+def test_shrinking_builders_reject_growing_instances(build, growing):
+    with pytest.raises(ValueError, match="not monotonically shrinking"):
+        build(growing)
 
 
 def test_kpartite_builder_randomized():
@@ -208,6 +221,13 @@ def test_clique_completion_of_growing_grid_preserves_distances():
     dq = all_pairs(q)
     assert [dq.row(u)[: g.n] for u in g.vertices] == [d.row(u) for u in g.vertices]
     assert "clique" in classify_underlying(underlying(q))
+
+
+def test_clique_completion_rejects_a_layer_before_saturation(monkeypatch):
+    # with the saturation time misread as 0 the clique layer comes too early
+    monkeypatch.setattr(DistanceMatrix, "max_finite", lambda self: 0)
+    with pytest.raises(RuntimeError, match=r"completion changed td\(1,5\): 4 -> 3"):
+        clique_completion(build_instance("grow_cycle_7").graph)
 
 
 def test_clique_completion_requires_temporal_connectivity():

@@ -184,6 +184,13 @@ def test_sweep_budget_guard_fires_before_any_distance(monkeypatch):
     assert len(calls) == 1
 
 
+def test_lifetimes_past_the_recursion_limit():
+    # one vertex has no edge to change, so no lifetime past 1 is minimal
+    assert list(generate_family(FamilySpec("path", (1, 1), (1200, 1200)))) == []
+    with pytest.raises(FamilyBudgetError):
+        sweep(FamilySpec("path", (2, 2), (1200, 1200)), "vor", limit=5)
+
+
 def test_one_change_cycles_all_have_reverse_equilibria():
     outcome = sweep(FamilySpec("cycle", (3, 9), (1, 3), "any", 1), "rvor")
     assert outcome.total == 35
