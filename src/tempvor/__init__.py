@@ -53,13 +53,12 @@ from .graph import (
     from_json,
     graph_from_obj,
     is_monotone,
-    normalize_lifetime,
     to_canonical_json,
     to_json_obj,
     underlying,
     validate,
 )
-from .instances import INSTANCE_NAMES, Fixture, all_instances, build_instance
+from .instances import INSTANCE_NAMES, Fixture, build_instance
 from .reach import (
     INF,
     DistanceMatrix,
@@ -91,7 +90,6 @@ __all__ = [
     "SearchOutcome",
     "StaticGraph",
     "TemporalGraph",
-    "all_instances",
     "all_pairs",
     "best_response_dynamics",
     "best_response_graph",
@@ -110,7 +108,6 @@ __all__ = [
     "is_nash",
     "kpartite_completion",
     "kpartite_shrink_ne",
-    "normalize_lifetime",
     "oracle_arrivals",
     "payoff",
     "split_potential",

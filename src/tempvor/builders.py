@@ -11,7 +11,7 @@ foremost).
 
 from __future__ import annotations
 
-from .classify import is_threshold, is_tree, kpartite_parts, split_partition
+from .classify import _distances, is_threshold, is_tree, kpartite_parts, split_partition
 from .games import DynamicsResult, Profile, best_response_dynamics, enumerate_nash, is_nash
 from .graph import StaticGraph, TemporalGraph, _clique_edges, is_monotone, underlying
 from .instances import build_instance
@@ -33,22 +33,6 @@ def _require_shrinking(g: TemporalGraph) -> None:
         raise ValueError("graph is not monotonically shrinking")
 
 
-def _component_sizes_without(s: StaticGraph, v: int) -> dict[int, int]:
-    """For each neighbor of v, the size of its component in s - v (s a tree)."""
-    sizes = {}
-    for start in s.neighbors(v):
-        seen = {v, start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in s.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        sizes[start] = len(seen) - 1
-    return sizes
-
-
 def tree_ne(g: TemporalGraph) -> Profile:
     """Equilibrium for the reverse game on a temporally connected tree.
 
@@ -66,17 +50,21 @@ def tree_ne(g: TemporalGraph) -> Profile:
         raise ValueError("graph is not temporally connected")
     if g.n == 1:
         return _verified(g, d, "rvor", (1, 1))
-    best_vertex, best_load = None, None
-    comp_sizes: dict[int, dict[int, int]] = {}
-    for v in g.vertices:
-        sizes = _component_sizes_without(s, v)
-        comp_sizes[v] = sizes
-        load = max(sizes.values())
-        if best_load is None or load < best_load:
-            best_vertex, best_load = v, load
-    p1 = best_vertex
-    sizes = comp_sizes[p1]
-    p2 = min(w for w, size in sizes.items() if size == best_load)
+    # subtree sizes below vertex 1, children before parents (reverse BFS order)
+    depth = _distances(s, 1)
+    size = dict.fromkeys(depth, 1)
+    for v in reversed(depth):
+        for w in s.neighbors(v):
+            if depth[w] < depth[v]:
+                size[w] += size[v]
+
+    def branch(v: int, w: int) -> int:
+        """Size of the component of neighbor w in the tree minus v."""
+        return size[w] if depth[w] > depth[v] else g.n - size[v]
+
+    p1 = min(g.vertices, key=lambda v: max(branch(v, w) for w in s.neighbors(v)))
+    load = max(branch(p1, w) for w in s.neighbors(p1))
+    p2 = min(w for w in s.neighbors(p1) if branch(p1, w) == load)
     return _verified(g, d, "rvor", (p1, p2))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 from .graph import StaticGraph, TemporalGraph, is_monotone, underlying
-from .reach import DistanceMatrix, all_pairs
+from .reach import DistanceMatrix
 
 
 def _distances(s: StaticGraph, source: int) -> dict[int, int]:
@@ -181,9 +181,7 @@ class ClassReport:
         }
 
 
-def build_class_report(g: TemporalGraph, d: DistanceMatrix | None = None) -> ClassReport:
-    if d is None:
-        d = all_pairs(g)
+def build_class_report(g: TemporalGraph, d: DistanceMatrix) -> ClassReport:
     if d.n != g.n:
         raise ValueError("distance matrix does not match graph size")
     growing, shrinking = is_monotone(g)

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .classify import build_class_report
 from .explorer import (
+    BASE_CLASSES,
     DEFAULT_INSTANCE_LIMIT,
     FamilyBudgetError,
     FamilySpec,
@@ -32,6 +33,7 @@ from .explorer import (
     write_outcome,
 )
 from .games import (
+    GAME_KINDS,
     best_response_dynamics,
     best_response_graph,
     best_responses,
@@ -241,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_game(p):
-        p.add_argument("--game", choices=("vor", "rvor"), required=True,
+        p.add_argument("--game", choices=GAME_KINDS, required=True,
                        help="classic (vor) or reverse (rvor) game")
 
     def add_request(name, handler, summary, game=True):
@@ -279,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="exhaustive equilibrium sweep over a family")
     p.add_argument("--class", dest="family", required=True,
-                   help="base class (path, cycle, tree, grid, clique, complete_k_partite, split, threshold)")
+                   help=f"base class ({', '.join(BASE_CLASSES)})")
     p.add_argument("--n", required=True, metavar="A..B", help="vertex count or range")
     p.add_argument("--tau", default="1..3", metavar="A..B", help="lifetime or range (default 1..3)")
     p.add_argument("--growing", action="store_true")

@@ -35,6 +35,7 @@ from typing import Iterator
 from .classify import ClassReport, build_class_report
 from .games import GameKind, Profile, first_nash
 from .graph import (
+    _MAX_VERTICES,
     Edge,
     TemporalGraph,
     _clique_edges,
@@ -101,8 +102,8 @@ def _check_spec(spec: FamilySpec) -> None:
             f"unknown base class {spec.base_class!r}; known: {', '.join(BASE_CLASSES)}"
         )
     lo, hi = spec.n_range
-    if lo < 1 or lo > hi:
-        raise FamilySpecError(f"bad vertex range {spec.n_range}")
+    if lo < 1 or lo > hi or hi > _MAX_VERTICES:
+        raise FamilySpecError(f"bad vertex range {spec.n_range}; n is 1..{_MAX_VERTICES}")
     tlo, thi = spec.tau_range
     if tlo < 1 or tlo > thi:
         raise FamilySpecError(f"bad lifetime range {spec.tau_range}")

@@ -15,6 +15,23 @@ class GraphValidationError(ValueError):
     """A graph that breaks a construction rule; the message lists every problem."""
 
 
+# Largest accepted vertex count. Every request builds the n x n distance matrix:
+# on a one-layer path (Python 3.11, 2-vCPU Xeon VM) 1.4 s and +16 MB at n = 1,024,
+# 7.8 s and +65 MB at n = 2,048, about 5.5x the time and 4x the memory per doubling.
+_MAX_VERTICES = 2048
+
+
+def _vertex_count_problem(n) -> str | None:
+    """What is wrong with ``n`` as a vertex count (an int in 0.._MAX_VERTICES), or None."""
+    if type(n) is not int:  # exact type: bool is rejected too
+        return f"vertex count {n!r} is not an integer"
+    if n < 0:
+        return f"vertex count {n} is negative"
+    if n > _MAX_VERTICES:
+        return f"vertex count {n} exceeds the limit of {_MAX_VERTICES}"
+    return None
+
+
 def _norm_edge(edge: Sequence[int]) -> Edge:
     u, v = edge
     if type(u) is not int or type(v) is not int:  # exact type: bool is rejected too
@@ -61,22 +78,22 @@ class TemporalGraph:
             raise ValueError(f"time step must be >= 1, got {t}")
         return self.layers[min(t, self.tau) - 1]
 
-    def layer_set(self, t: int) -> frozenset[Edge]:
-        return frozenset(self.layer(t))
-
 
 @dataclass(frozen=True)
 class StaticGraph:
     """Simple undirected graph; the time-collapsed view of a temporal graph.
 
-    Construction raises GraphValidationError on a self-loop or on an endpoint
-    that is not an int in 1..n, so ``m`` always counts edges of the adjacency.
+    Construction raises GraphValidationError on a vertex count :func:`validate`
+    rejects, a self-loop or an endpoint that is not an int in 1..n, so ``m``
+    always counts edges of the adjacency.
     """
 
     n: int
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
+        if problem := _vertex_count_problem(self.n):
+            raise GraphValidationError(problem)
         object.__setattr__(self, "edges", frozenset(_norm_edge(e) for e in self.edges))
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
         for u, v in self.edges:
@@ -109,16 +126,15 @@ class StaticGraph:
 def validate(g: TemporalGraph) -> list[str]:
     """The rules of a temporal graph: every one g breaks, in one pass.
 
-    Rules: n is a non-negative int, at least one layer, endpoints in 1..n, no
-    self-loops, no duplicate edges within a layer. Construction raises on any
-    violation, so every constructed graph gives []. Never raises itself.
+    Rules: n is an int in 0.._MAX_VERTICES (2048), at least one layer,
+    endpoints in 1..n, no self-loops, no duplicate edges within a layer.
+    Construction raises on any violation, so every constructed graph gives [].
+    Never raises itself.
     """
     n = g.n
+    problems = [p] if (p := _vertex_count_problem(n)) else []
     if type(n) is not int:
-        return [f"vertex count {n!r} is not an integer"]
-    problems: list[str] = []
-    if n < 0:
-        problems.append(f"vertex count {n} is negative")
+        return problems
     if not g.layers:
         problems.append("layer sequence is empty")
     for t, layer in enumerate(g.layers, start=1):
@@ -134,25 +150,9 @@ def validate(g: TemporalGraph) -> list[str]:
     return problems
 
 
-def normalize_lifetime(g: TemporalGraph) -> TemporalGraph:
-    """Drop trailing layers that repeat their predecessor.
-
-    The result has minimal lifetime while layer(t) is unchanged for every
-    t >= 1 (the dropped layers were redundant under repeat-last semantics).
-    Idempotent.
-    """
-    layers = list(g.layers)
-    while len(layers) > 1 and layers[-1] == layers[-2]:
-        layers.pop()
-    return TemporalGraph(g.n, tuple(layers))
-
-
 def underlying(g: TemporalGraph) -> StaticGraph:
     """The static graph whose edge set is the union of all layers."""
-    edges: set[Edge] = set()
-    for layer in g.layers:
-        edges.update(layer)
-    return StaticGraph(g.n, frozenset(edges))
+    return StaticGraph(g.n, frozenset().union(*g.layers))
 
 
 def is_monotone(g: TemporalGraph) -> tuple[bool, bool]:
@@ -267,33 +267,21 @@ def to_canonical_json(g: TemporalGraph) -> str:
     return json.dumps(to_json_obj(g), separators=(",", ":"))
 
 
-def _as_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def graph_from_obj(obj) -> TemporalGraph:
-    """Build a TemporalGraph from parsed JSON; raises ValueError on bad shape or rules."""
+    """Build a TemporalGraph from parsed JSON; the constructor checks every value."""
     if not isinstance(obj, dict):
         raise ValueError("temporal graph JSON must be an object")
     if set(obj) != {"n", "layers"}:
         raise ValueError('temporal graph JSON must have exactly the keys "n" and "layers"')
-    n = _as_int(obj["n"], '"n"')
     layers = obj["layers"]
     if not isinstance(layers, list):
         raise ValueError('"layers" must be an array')
-    out = []
     for t, layer in enumerate(layers, start=1):
         if not isinstance(layer, list):
             raise ValueError(f"layer {t} must be an array of edges")
-        edges = []
-        for e in layer:
-            if not isinstance(e, list) or len(e) != 2:
-                raise ValueError(f"layer {t}: each edge must be a 2-element array")
-            edges.append((_as_int(e[0], "edge endpoint"), _as_int(e[1], "edge endpoint")))
-        out.append(tuple(edges))
-    return TemporalGraph(n, tuple(out))
+        if not all(isinstance(e, list) and len(e) == 2 for e in layer):
+            raise ValueError(f"layer {t}: each edge must be a 2-element array")
+    return TemporalGraph(obj["n"], layers)
 
 
 def from_json(text: str) -> TemporalGraph:

@@ -117,7 +117,3 @@ def build_instance(name: str) -> Fixture:
             f"unknown instance {name!r}; known: {', '.join(INSTANCE_NAMES)}"
         ) from None
     return builder()
-
-
-def all_instances() -> list[Fixture]:
-    return [build_instance(name) for name in INSTANCE_NAMES]

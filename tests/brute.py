@@ -321,3 +321,35 @@ def oracle_grid_dims(s: StaticGraph) -> tuple[int, int] | None:
             if mapped == set(s.edges):
                 return (a, b)
     return None
+
+
+# --- constructive oracles ----------------------------------------------------
+
+
+def oracle_tree_profile(s: StaticGraph) -> tuple[int, int]:
+    """The profile tree_ne must return on the tree s, by one search per branch.
+
+    For every vertex v and neighbor w, a depth-first search from w that never
+    enters v measures w's component in s - v. Player 1 is the smallest v whose
+    largest component is smallest; player 2 the smallest neighbor of player 1
+    in a largest component.
+    """
+    if s.n == 1:
+        return (1, 1)
+
+    def branch_sizes(v: int) -> dict[int, int]:
+        sizes = {}
+        for start in s.neighbors(v):
+            seen = {v, start}
+            stack = [start]
+            while stack:
+                for y in s.neighbors(stack.pop()):
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            sizes[start] = len(seen) - 1
+        return sizes
+
+    loads = {v: max(branch_sizes(v).values()) for v in s.vertices}
+    p1 = min(s.vertices, key=loads.__getitem__)
+    return p1, min(w for w, size in branch_sizes(p1).items() if size == loads[p1])

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from brute import brute_nash_profiles, walk_distances
+from brute import brute_nash_profiles, oracle_tree_profile, walk_distances
 
 from tempvor import (
     DistanceMatrix,
@@ -29,6 +29,7 @@ from tempvor import (
     vor_split_shrink_ne,
 )
 from tempvor.builders import split_clique_partition
+from tempvor.explorer import FamilySpec, generate_family
 from tempvor.randgen import (
     random_shrinking_kpartite,
     random_shrinking_split,
@@ -75,6 +76,27 @@ def test_tree_ne_randomized():
         r = payoff(g, d, "rvor", profile)
         if g.n >= 2:
             assert 2 * r.u1 >= g.n >= 2 * r.u2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("tree", (1, 6), (1, 1)),
+        FamilySpec("tree", (1, 6), (2, 2), "growing", max_edge_changes=1),
+    ],
+    ids=["tau1", "growing_tau2"],
+)
+def test_tree_ne_matches_oracle_on_every_small_tree(spec):
+    # every labelled tree on n <= 6 vertices, as one layer and with one late edge
+    for g in generate_family(spec):
+        assert tree_ne(g) == oracle_tree_profile(underlying(g)), g
+
+
+def test_tree_ne_matches_oracle_on_random_trees():
+    rng = random.Random(40)
+    for _ in range(200):
+        g = random_temporal_tree(rng, n_max=40)
+        assert tree_ne(g) == oracle_tree_profile(underlying(g)), g
 
 
 def test_kpartite_builder_on_k23():

@@ -218,7 +218,8 @@ def test_growing_connected_implies_temporally_connected():
 
 
 def test_class_report_shape():
-    rep = build_class_report(build_instance("grow_cycle_7").graph)
+    g = build_instance("grow_cycle_7").graph
+    rep = build_class_report(g, all_pairs(g))
     assert rep.temporally_connected and rep.monotone_growing and not rep.monotone_shrinking
     assert rep.underlying_class == ("cycle",)
     obj = rep.to_json_obj()

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import partial
 from itertools import product
 
 import pytest
 
+import tempvor
 from tempvor import all_pairs, build_instance, is_nash, reproduce, to_canonical_json
 from tempvor.cli import main
 from tempvor.instances import INSTANCE_NAMES
@@ -99,6 +103,44 @@ def test_each_rule_is_a_validation_error(capsys, tmp_path, text, problem):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ('{"n": "3", "layers": [[]]}', "vertex count '3' is not an integer"),
+        ('{"n": 3.0, "layers": [[]]}', "vertex count 3.0 is not an integer"),
+        ('{"n": null, "layers": [[]]}', "vertex count None is not an integer"),
+        ('{"n": 3, "layers": [[[1, 2.0]]]}', "edge (1,2.0) has an endpoint that is not an int"),
+        ('{"n": 3, "layers": [[[true, 2]]]}', "edge (True,2) has an endpoint that is not an int"),
+        ('{"n": 3, "layers": [[["1", 2]]]}', "edge ('1',2) has an endpoint that is not an int"),
+        ('{"n": 100000000000000000000, "layers": [[]]}',
+         "vertex count 100000000000000000000 exceeds the limit of 2048"),
+        ('{"n": 2049, "layers": [[]]}', "vertex count 2049 exceeds the limit of 2048"),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "distances"])
+def test_non_int_and_oversized_values_are_validation_errors(capsys, tmp_path, command, text, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {problem}\n"
+
+
+def test_oversized_vertex_count_exits_3_without_traceback(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 100000000000000000000, "layers": [[]]}')
+    src = os.path.dirname(os.path.dirname(tempvor.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tempvor.cli", "distances", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("exceeds the limit of 2048\n")
 
 
 def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
@@ -284,6 +326,8 @@ def test_sweep_spec_and_budget_exit_codes(tmp_path):
     assert main(["sweep", "--class", "blob", "--n", "3", "--game", "rvor",
                  "--out", str(tmp_path / "x")]) == 5
     assert main(["sweep", "--class", "path", "--n", "3..x", "--game", "rvor",
+                 "--out", str(tmp_path / "x")]) == 5
+    assert main(["sweep", "--class", "path", "--n", "2049", "--game", "rvor",
                  "--out", str(tmp_path / "x")]) == 5
     assert main(["sweep", "--class", "cycle", "--n", "6..8", "--tau", "1..2",
                  "--changes", "2", "--game", "rvor", "--out", str(tmp_path / "x"),

@@ -37,7 +37,7 @@ from tempvor.explorer import (
 
 def _changes(g):
     return sum(
-        len(g.layer_set(t) ^ g.layer_set(t + 1)) for t in range(1, g.tau)
+        len(frozenset(g.layer(t)) ^ frozenset(g.layer(t + 1))) for t in range(1, g.tau)
     )
 
 
@@ -103,7 +103,7 @@ def test_emitted_instances_satisfy_the_spec():
         assert _changes(g) <= 2
         # minimal lifetime: the last stored layer differs from its predecessor
         if g.tau >= 2:
-            assert g.layer_set(g.tau) != g.layer_set(g.tau - 1)
+            assert frozenset(g.layer(g.tau)) != frozenset(g.layer(g.tau - 1))
 
 
 def test_every_base_class_generates_valid_members():
@@ -153,6 +153,8 @@ def test_spec_validation():
         list(generate_family(FamilySpec("blob", (3, 3), (1, 1))))
     with pytest.raises(FamilySpecError):
         list(generate_family(FamilySpec("path", (3, 2), (1, 1))))
+    with pytest.raises(FamilySpecError, match=r"n is 1\.\.2048"):
+        list(generate_family(FamilySpec("path", (3, 2049), (1, 1))))
     with pytest.raises(FamilySpecError):
         list(generate_family(FamilySpec("path", (3, 3), (0, 1))))
     with pytest.raises(FamilySpecError):

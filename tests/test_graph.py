@@ -1,4 +1,4 @@
-"""Data model: validation, normalization, underlying graph, JSON round trips."""
+"""Data model: validation, underlying graph, JSON round trips."""
 
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from tempvor import (
     build_instance,
     from_json,
     is_monotone,
-    normalize_lifetime,
     oracle_arrivals,
     to_canonical_json,
     underlying,
@@ -85,6 +84,31 @@ def test_construction_raises_on_each_rule(n, layers, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("n", [10**20, 2049])
+def test_vertex_count_above_the_cap_is_rejected_before_any_work(n):
+    with pytest.raises(GraphValidationError) as excinfo:
+        TemporalGraph(n, ((),))
+    assert str(excinfo.value) == f"vertex count {n} exceeds the limit of 2048"
+    assert TemporalGraph(2048, ((),)).n == 2048
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (-1, "vertex count -1 is negative"),
+        ("3", "vertex count '3' is not an integer"),
+        (3.0, "vertex count 3.0 is not an integer"),
+        (True, "vertex count True is not an integer"),
+        (2049, "vertex count 2049 exceeds the limit of 2048"),
+        (10**20, "vertex count 100000000000000000000 exceeds the limit of 2048"),
+    ],
+)
+def test_static_graph_applies_the_vertex_count_rule(n, message):
+    with pytest.raises(GraphValidationError) as excinfo:
+        StaticGraph(n, frozenset())
+    assert str(excinfo.value) == message
+
+
 def test_static_graph_rejects_bool_endpoint():
     with pytest.raises(GraphValidationError, match="not an int"):
         StaticGraph(3, frozenset({(True, 2)}))
@@ -127,27 +151,6 @@ def test_construction_either_raises_or_gives_a_working_graph(raw):
 
 def test_edge_normalisation_is_order_insensitive():
     assert TemporalGraph(3, (((2, 1), (3, 2)),)) == TemporalGraph(3, (((1, 2), (2, 3)),))
-
-
-def test_normalize_drops_trailing_repeats():
-    a, b = ((1, 2),), ((1, 2), (2, 3))
-    g = TemporalGraph(3, (a, b, b, b))
-    assert normalize_lifetime(g).layers == (a, b)
-    assert normalize_lifetime(TemporalGraph(3, (a,))).layers == (a,)
-
-
-def test_normalize_path_fixture_with_repeated_tail():
-    fx = build_instance("shrink_path_9").graph
-    padded = TemporalGraph(9, fx.layers + (fx.layers[-1],))
-    assert normalize_lifetime(padded) == fx
-
-
-@given(temporal_graphs())
-def test_normalize_idempotent_and_preserves_layers(g):
-    norm = normalize_lifetime(g)
-    assert normalize_lifetime(norm) == norm
-    for t in range(1, g.tau + 3):
-        assert norm.layer(t) == g.layer(t)
 
 
 def test_underlying_of_growing_cycle_is_the_full_cycle():

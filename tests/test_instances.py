@@ -8,7 +8,6 @@ import pytest
 
 from tempvor import (
     INSTANCE_NAMES,
-    all_instances,
     all_pairs,
     build_instance,
     enumerate_nash,
@@ -31,53 +30,53 @@ def test_known_names():
 
 
 def test_every_instance_validates():
-    for fx in all_instances():
+    for fx in map(build_instance, INSTANCE_NAMES):
         assert validate(fx.graph) == [], fx.name
 
 
 def test_grow_cycle_7_layers():
     g = build_instance("grow_cycle_7").graph
     assert g.n == 7 and g.tau == 2
-    assert set(g.layer_set(1)) == {(1, 2), (3, 4), (4, 5), (5, 6), (6, 7)}
-    assert set(g.layer_set(2)) == set(g.layer_set(1)) | {(2, 3), (1, 7)}
+    assert set(g.layer(1)) == {(1, 2), (3, 4), (4, 5), (5, 6), (6, 7)}
+    assert set(g.layer(2)) == set(g.layer(1)) | {(2, 3), (1, 7)}
 
 
 def test_grow_grid_6_layers():
     g = build_instance("grow_grid_6").graph
     assert g.n == 6 and g.tau == 2
-    assert set(g.layer_set(1)) == {(1, 2), (1, 4), (3, 6), (5, 6)}
-    assert set(g.layer_set(2)) - set(g.layer_set(1)) == {(2, 3), (2, 5), (4, 5)}
+    assert set(g.layer(1)) == {(1, 2), (1, 4), (3, 6), (5, 6)}
+    assert set(g.layer(2)) - set(g.layer(1)) == {(2, 3), (2, 5), (4, 5)}
 
 
 def test_shrink_path_9_layers():
     g = build_instance("shrink_path_9").graph
     assert len(g.layer(1)) == 8 and len(g.layer(2)) == 7
-    assert set(g.layer_set(1)) - set(g.layer_set(2)) == {(3, 4)}
+    assert set(g.layer(1)) - set(g.layer(2)) == {(3, 4)}
 
 
 def test_shrink_cycle_10_layers():
     g = build_instance("shrink_cycle_10").graph
     assert len(g.layer(1)) == 10 and len(g.layer(2)) == 8
-    assert set(g.layer_set(1)) - set(g.layer_set(2)) == {(3, 4), (1, 10)}
+    assert set(g.layer(1)) - set(g.layer(2)) == {(3, 4), (1, 10)}
 
 
 def test_shrink_split_8_layers():
     g = build_instance("shrink_split_8").graph
-    assert set(g.layer_set(2)) == {(2, 4), (2, 5), (4, 6), (5, 7)}
+    assert set(g.layer(2)) == {(2, 4), (2, 5), (4, 6), (5, 7)}
     clique = {tuple(sorted(e)) for e in combinations(range(4, 8), 2)}
-    assert clique <= set(g.layer_set(1))
+    assert clique <= set(g.layer(1))
     assert len(g.layer(1)) == 12
 
 
 def test_vor_grow_grid_12_layers():
     g = build_instance("vor_grow_grid_12").graph
     assert g.n == 12
-    assert set(g.layer_set(1)) == {(2, 6), (6, 10)}
+    assert set(g.layer(1)) == {(2, 6), (6, 10)}
     assert len(g.layer(2)) == 17  # full 3x4 grid
 
 
 def test_verdict_matrix_matches_enumeration():
-    for fx in all_instances():
+    for fx in map(build_instance, INSTANCE_NAMES):
         d = all_pairs(fx.graph)
         for kind, expected in fx.ne_exists.items():
             found = enumerate_nash(fx.graph, d, kind)
