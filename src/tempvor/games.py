@@ -11,9 +11,13 @@ The variants differ only in which distances they compare, so every query
 reads the distance matrix through one view, ``_rows(d, kind)``: row p holds
 the times a player at p is compared on -- row p of the matrix for ``"vor"``,
 column p for ``"rvor"``. Nothing else looks at the game kind. Every payoff
-count comes from one helper, ``_column(rows, fixed)``: the payoff of a player
-at each vertex against an opponent at ``fixed``. Queries read only the
-columns they need.
+count comes from one helper, ``_column(view, fixed)``: the payoff of a player
+at each vertex against an opponent at ``fixed``. It reads the packed view of
+``_packed(d, kind)``, which replaces each time by its rank among the view's
+distinct times and packs each row into one int with a spare guard bit atop
+every field, so one subtraction, one AND and one ``bit_count`` compare two
+whole rows (SWAR: Lamport, CACM 18(8), 1975; Fisher & Dietz, LCPC 1998).
+Queries read only the columns they need.
 
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from operator import lt
 from typing import Iterator, Literal, Sequence
 
 from .graph import TemporalGraph
@@ -101,14 +104,39 @@ def payoff(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> P
     return PayoffResult(u1, u2, frozenset(g.vertices) - u1 - u2)
 
 
-def _column(rows: tuple[tuple[float, ...], ...], fixed: int) -> list[int]:
+def _packed(d: DistanceMatrix, kind: str) -> tuple[list[int], int, int]:
+    """The game view packed for ``_column``: (one int per row, G, U).
+
+    Payoffs depend only on the order of the times, so each time becomes its
+    rank among the view's distinct values (``INF`` sorts last and gets the
+    largest). Field v of row p's int holds the rank of ``rows[p][v]`` in
+    ``size`` little-endian bytes, the fewest that leave the top bit of every
+    field spare above the largest rank. G holds that guard bit in every field
+    and U a 1 in every field.
+    """
+    rows = _rows(d, kind)
+    times = sorted(set().union(*rows))
+    size = (len(times) - 1).bit_length() // 8 + 1
+    field = dict(zip(times, [r.to_bytes(size, "little") for r in range(len(times))])).__getitem__
+    ones = int.from_bytes((1).to_bytes(size, "little") * len(rows), "little")
+    packed = [int.from_bytes(b"".join(map(field, row)), "little") for row in rows]
+    return packed, ones << (8 * size - 1), ones
+
+
+def _column(view: tuple[list[int], int, int], fixed: int) -> list[int]:
     """Entry a-1 is the payoff of the player at a against the opponent at ``fixed``.
 
-    Symmetric in roles: player 1 at a vs player 2 at b scores the same as
-    player 2 at a vs player 1 at b.
+    With P_b the packed row of b and g the guard bit's value in one field,
+    each field of ``top = (P_b | G) - U`` holds g + r_b - 1, so the same
+    field of ``top - P_a`` holds g + r_b - 1 - r_a, which lies in [0, 2g): it
+    keeps its guard bit iff r_a < r_b, and no borrow crosses into the next
+    field. Ties, ``INF`` against ``INF`` included, claim nothing. Symmetric in
+    roles: player 1 at a vs player 2 at b scores the same as player 2 at a vs
+    player 1 at b.
     """
-    theirs = rows[fixed - 1]
-    return [sum(map(lt, mine, theirs)) for mine in rows]
+    packed, guard, ones = view
+    top = (packed[fixed - 1] | guard) - ones
+    return [((top - mine) & guard).bit_count() for mine in packed]
 
 
 def _replies(col: list[int], choices: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -131,7 +159,7 @@ def best_responses(
     if role not in (1, 2):
         raise ValueError(f"role must be 1 or 2, got {role}")
     _check_vertex(g, fixed, "fixed vertex")
-    return _replies(_column(_rows(d, kind), fixed), g.vertices)
+    return _replies(_column(_packed(d, kind), fixed), g.vertices)
 
 
 @dataclass(frozen=True)
@@ -171,9 +199,9 @@ def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> 
     p1, p2 = s
     _check_vertex(g, p1, "p1")
     _check_vertex(g, p2, "p2")
-    rows = _rows(d, kind)
+    view = _packed(d, kind)
     for player, mine, theirs in ((1, p1, p2), (2, p2, p1)):
-        col = _column(rows, theirs)
+        col = _column(view, theirs)
         replies, best = _replies(col, g.vertices)
         if best > col[mine - 1]:
             return NashCheck(False, Deviation(player, replies[0], col[mine - 1], best))
@@ -183,8 +211,8 @@ def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> 
 def _equilibria(g: TemporalGraph, d: DistanceMatrix, kind: str) -> Iterator[Profile]:
     """Nash profiles in lexicographic order: both players earn their column maximum."""
     _check_inputs(g, d, kind)
-    rows = _rows(d, kind)
-    cols = [_column(rows, v) for v in g.vertices]
+    view = _packed(d, kind)
+    cols = [_column(view, v) for v in g.vertices]
     col_max = [max(col) for col in cols]
     for p1 in g.vertices:
         for p2 in g.vertices:
@@ -223,11 +251,11 @@ class BestResponseGraph:
 
 def best_response_graph(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> BestResponseGraph:
     _check_inputs(g, d, kind)
-    rows = _rows(d, kind)
+    view = _packed(d, kind)
     responses: dict[int, tuple[int, ...]] = {}
     values: dict[int, int] = {}
     for fixed in g.vertices:
-        responses[fixed], values[fixed] = _replies(_column(rows, fixed), g.vertices)
+        responses[fixed], values[fixed] = _replies(_column(view, fixed), g.vertices)
     return BestResponseGraph(responses, values)
 
 
@@ -300,7 +328,7 @@ def best_response_dynamics(
         if p1 not in allowed or p2 not in allowed:
             raise ValueError("start profile must lie inside the allowed set")
 
-    column = cache(partial(_column, _rows(d, kind)))
+    column = cache(partial(_column, _packed(d, kind)))
     profile = [p1, p2]
     mover = 1
     trace: list[DynamicsStep] = []

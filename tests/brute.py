@@ -3,14 +3,16 @@
 Everything here is deliberately written against the definitions rather than
 reusing library algorithms: temporal distances come from literal enumeration
 of temporal walks or from a layer sweep run one source at a time, equilibria
-from a double loop over profiles and deviations, and class recognition from
-exhaustive search over partitions, subsets and vertex bijections. Apart from
-the sweep, only usable on small instances.
+from a double loop over profiles and deviations, payoff columns from one
+comparison per entry, and class recognition from exhaustive search over
+partitions, subsets and vertex bijections. Apart from the sweep and the
+columns, only usable on small instances.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from operator import lt
 
 from tempvor import INF, StaticGraph, TemporalGraph
 
@@ -94,6 +96,16 @@ def brute_payoff_sets(
         elif b < a:
             u2.add(v)
     return u1, u2
+
+
+def oracle_column(rows, fixed: int) -> list[int]:
+    """Entry a-1 is the payoff of a player at a against an opponent at ``fixed``
+    in a game view whose row p holds the times a player at p is compared on:
+    the count of entries where row a is strictly below row ``fixed``, compared
+    one pair at a time. The reference for the packed ``tempvor.games._column``.
+    """
+    theirs = rows[fixed - 1]
+    return [sum(map(lt, mine, theirs)) for mine in rows]
 
 
 def brute_nash_profiles(td: list[tuple[float, ...]], kind: str, n: int) -> list[tuple[int, int]]:

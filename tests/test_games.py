@@ -8,11 +8,19 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from brute import brute_dynamics, brute_nash_profiles, brute_payoff_sets, walk_distances
+from brute import (
+    brute_dynamics,
+    brute_nash_profiles,
+    brute_payoff_sets,
+    oracle_column,
+    walk_distances,
+)
 
 from tempvor import (
+    INF,
+    DistanceMatrix,
     TemporalGraph,
     all_pairs,
     best_response_dynamics,
@@ -26,6 +34,7 @@ from tempvor import (
     underlying,
 )
 from tempvor.builders import split_clique_partition
+from tempvor.games import GAME_KINDS, _column, _packed
 from tempvor.instances import INSTANCE_NAMES
 from tempvor.randgen import random_temporal_graph
 
@@ -190,11 +199,116 @@ def test_best_responses_on_large_grid_rows():
     assert best_responses(g, d, "vor", 1, 6) == ((8,), 3)
 
 
-def test_best_responses_single_vertex():
-    g = TemporalGraph(1, ((),))
+@pytest.mark.parametrize("kind", GAME_KINDS)
+def test_every_query_on_zero_and_one_vertex_graphs(kind):
+    g0 = TemporalGraph(0, ((),))
+    d0 = all_pairs(g0)
+    assert enumerate_nash(g0, d0, kind) == []
+    assert first_nash(g0, d0, kind) is None
+    assert best_response_graph(g0, d0, kind).to_json_obj() == {"responses": {}, "values": {}}
+    for query in (payoff, is_nash, best_response_dynamics):
+        with pytest.raises(ValueError):
+            query(g0, d0, kind, (1, 1))
+    with pytest.raises(ValueError):
+        best_responses(g0, d0, kind, 1, 1)
+
+    g1 = TemporalGraph(1, ((),))
+    d1 = all_pairs(g1)
+    assert payoff(g1, d1, kind, (1, 1)).to_json_obj() == {
+        "u1_set": [], "u2_set": [], "unclaimed": [1], "u1": 0, "u2": 0
+    }
+    assert best_responses(g1, d1, kind, 1, 1) == best_responses(g1, d1, kind, 2, 1) == ((1,), 0)
+    assert is_nash(g1, d1, kind, (1, 1)).to_json_obj() == {"is_nash": True, "deviation": None}
+    assert enumerate_nash(g1, d1, kind) == [(1, 1)]
+    assert first_nash(g1, d1, kind) == (1, 1)
+    brg = best_response_graph(g1, d1, kind)
+    assert brg.to_json_obj() == {"responses": {"1": [1]}, "values": {"1": 0}}
+    assert best_response_dynamics(g1, d1, kind, (1, 1)).to_json_obj() == {
+        "status": "nash", "profile": [1, 1], "trace": [], "cycle": []
+    }
+
+
+def _views(d: DistanceMatrix) -> dict:
+    """Both game views of ``d``, built here rather than by ``games._rows``."""
+    return {"vor": d.rows, "rvor": tuple(zip(*d.rows))}
+
+
+def _assert_columns_match_oracle(d: DistanceMatrix, fixed=None) -> None:
+    for kind, rows in _views(d).items():
+        view = _packed(d, kind)
+        for b in fixed or range(1, d.n + 1):
+            assert _column(view, b) == oracle_column(rows, b)
+
+
+def _field_bytes(d: DistanceMatrix) -> int:
+    """The field width ``_packed`` chose, read off its guard mask."""
+    return _packed(d, "vor")[1].bit_length() // (8 * d.n)
+
+
+@st.composite
+def tied_matrix(draw):
+    """Zero diagonal; off it, entries from a small pool that is often INF alone
+    or two values, and some rows INF everywhere off the diagonal."""
+    n = draw(st.integers(0, 9))
+    pool = draw(st.sampled_from([(INF,), (0, 1), (1, INF), (2, INF, INF, INF), (0, 1, 2, INF)]))
+    dead = draw(st.frozensets(st.integers(0, max(n - 1, 0))))
+    entry = st.sampled_from(pool)
+    return DistanceMatrix(tuple(
+        tuple(0 if u == v else INF if u in dead else draw(entry) for v in range(n))
+        for u in range(n)
+    ))
+
+
+@given(tied_matrix())
+def test_packed_columns_match_oracle_on_inf_heavy_and_tied_matrices(d):
+    _assert_columns_match_oracle(d)
+
+
+def _shuffled_matrix(n: int, distinct: int, rnd: random.Random) -> DistanceMatrix:
+    """An n x n matrix holding exactly ``distinct`` values, INF among them."""
+    times = [*range(distinct - 1), INF]
+    cells = times + [rnd.choice(times) for _ in range(n * n - distinct)]
+    rnd.shuffle(cells)
+    return DistanceMatrix(tuple(tuple(cells[u * n : (u + 1) * n]) for u in range(n)))
+
+
+@pytest.mark.parametrize("distinct", [127, 128, 129, 130])
+@settings(max_examples=25)
+@given(st.randoms(use_true_random=False))
+def test_packed_columns_match_oracle_across_the_one_byte_boundary(distinct, rnd):
+    d = _shuffled_matrix(12, distinct, rnd)
+    # ranks 0..127 leave the top bit of a byte spare; rank 128 needs a second byte
+    assert _field_bytes(d) == (1 if distinct <= 128 else 2)
+    _assert_columns_match_oracle(d)
+
+
+def test_packed_columns_match_oracle_with_three_byte_fields():
+    n = 182  # 33,124 distinct times: rank 2**15 needs a third byte
+    rnd = random.Random(12)
+    d = _shuffled_matrix(n, n * n, rnd)
+    assert _field_bytes(d) == 3
+    _assert_columns_match_oracle(d, [1, n, *rnd.sample(range(2, n), 6)])
+
+
+def test_two_byte_fields_through_the_public_api():
+    n = 140  # one-layer path: td(u, v) = |u - v|, 140 distinct times
+    g = TemporalGraph(n, (tuple((v, v + 1) for v in range(1, n)),))
     d = all_pairs(g)
-    for kind in ("vor", "rvor"):
-        assert best_responses(g, d, kind, 1, 1) == ((1,), 0)
+    assert _field_bytes(d) == 2
+    for kind, rows in _views(d).items():
+        cols = [oracle_column(rows, b) for b in g.vertices]
+        best = [max(col) for col in cols]
+        assert enumerate_nash(g, d, kind) == [
+            (a, b)
+            for a in g.vertices
+            for b in g.vertices
+            if cols[b - 1][a - 1] == best[b - 1] and cols[a - 1][b - 1] == best[a - 1]
+        ]
+        brg = best_response_graph(g, d, kind)
+        assert brg.values == dict(zip(g.vertices, best))
+        assert brg.responses == {
+            b: tuple(a for a in g.vertices if cols[b - 1][a - 1] == best[b - 1]) for b in g.vertices
+        }
 
 
 def test_is_nash_verdicts_and_certificates():
