@@ -181,7 +181,8 @@ class ClassReport:
         }
 
 
-def build_class_report(g: TemporalGraph, d: DistanceMatrix) -> ClassReport:
+def _report(g: TemporalGraph, d: DistanceMatrix, labels: tuple[str, ...]) -> ClassReport:
+    """The report of g from its distances and the sorted labels of its union."""
     if d.n != g.n:
         raise ValueError("distance matrix does not match graph size")
     growing, shrinking = is_monotone(g)
@@ -189,5 +190,9 @@ def build_class_report(g: TemporalGraph, d: DistanceMatrix) -> ClassReport:
         temporally_connected=d.all_finite(),
         monotone_growing=growing,
         monotone_shrinking=shrinking,
-        underlying_class=tuple(sorted(classify_underlying(underlying(g)))),
+        underlying_class=labels,
     )
+
+
+def build_class_report(g: TemporalGraph, d: DistanceMatrix) -> ClassReport:
+    return _report(g, d, tuple(sorted(classify_underlying(underlying(g)))))

@@ -21,7 +21,9 @@ that does. Other classes get no isomorphism reduction. Streams are lazy and
 deterministic: two sweeps of one spec produce identical output bytes.
 
 :func:`sweep` takes at most ``limit + 1`` instances from the stream and raises
-the budget error before it computes any distance.
+the budget error before it computes any distance or class label. It decides
+the class labels once per underlying graph (vertex count and edge set), not
+once per instance: the stream emits all instances over one edge set in a row.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from itertools import combinations, islice, product
 from pathlib import Path
 from typing import Iterator
 
-from .classify import ClassReport, build_class_report
+from .classify import ClassReport, _report, classify_underlying
 from .games import GameKind, Profile, first_nash
 from .graph import (
     _MAX_VERTICES,
     Edge,
+    StaticGraph,
     TemporalGraph,
     _clique_edges,
     _cycle_edges,
@@ -215,19 +218,20 @@ def _layer_chains(
             stack.append(children(*node))
 
 
-def _is_cycle_canonical(g: TemporalGraph) -> bool:
+def _is_cycle_canonical(n: int, chain: tuple[frozenset[Edge], ...]) -> bool:
     """Whether no rotation or reflection of the labels gives smaller layers.
 
-    Each image is compared with g layer by layer and dropped at the first
-    layer that differs, so most images cost one sorted layer.
+    Each image is compared with the chain's sorted layers one by one and
+    dropped at the first layer that differs, so most images cost one sorted
+    layer.
     """
-    n = g.n
+    layers = [tuple(sorted(layer)) for layer in chain]
     for k in range(n):
         for perm in (
             [0] + [(v - 1 + k) % n + 1 for v in range(1, n + 1)],
             [0] + [(k - (v - 1)) % n + 1 for v in range(1, n + 1)],
         ):
-            for layer in g.layers:
+            for layer in layers:
                 image = tuple(
                     sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in layer)
                 )
@@ -249,9 +253,8 @@ def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
                 for chain in _layer_chains(
                     edge_set, tau, spec.monotonicity, spec.max_edge_changes
                 ):
-                    g = TemporalGraph(n, chain)
-                    if spec.base_class != "cycle" or _is_cycle_canonical(g):
-                        yield g
+                    if spec.base_class != "cycle" or _is_cycle_canonical(n, chain):
+                        yield TemporalGraph(n, chain)
 
 
 # --- sweeping -----------------------------------------------------------------
@@ -326,17 +329,23 @@ def sweep(
     Raises :class:`FamilyBudgetError` when the family has more than ``limit``
     instances, before any instance is decided; a partial sweep is never
     returned. Every stored verdict is reproducible by re-running the
-    equilibrium enumeration on the stored graph.
+    equilibrium enumeration on the stored graph, and every report equals
+    :func:`~tempvor.classify.build_class_report` on it; the class labels in
+    the reports are decided once per underlying graph.
     """
     bound = max(limit, 0)
     graphs = list(islice(generate_family(spec), bound + 1))
     if len(graphs) > bound:
         raise FamilyBudgetError(limit)
-    outcomes = []
+    # the stream emits each (n, edge set) as one run, so one entry suffices
+    outcomes, key, labels = [], None, ()
     for g in graphs:
+        union = (g.n, frozenset().union(*g.layers))
+        if union != key:
+            key, labels = union, tuple(sorted(classify_underlying(StaticGraph(*union))))
         d = all_pairs(g)
         witness = first_nash(g, d, kind)
-        outcomes.append(InstanceOutcome(g, build_class_report(g, d), witness))
+        outcomes.append(InstanceOutcome(g, _report(g, d, labels), witness))
     return SearchOutcome(spec, kind, tuple(outcomes))
 
 

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from brute import _cycle_canonical_key, oracle_layer_chains
+from test_sweep_pins import FAMILIES
 
 import tempvor.explorer
 from tempvor import (
@@ -16,6 +17,7 @@ from tempvor import (
     FamilySpecError,
     TemporalGraph,
     all_pairs,
+    build_class_report,
     build_instance,
     classify_underlying,
     enumerate_nash,
@@ -169,21 +171,58 @@ def test_sweep_budget_guard_raises():
         sweep(spec, "rvor", limit=3)
 
 
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call ``explorer`` makes to ``name``."""
+    calls, fn = [], getattr(tempvor.explorer, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(tempvor.explorer, name, counting)
+    return calls
+
+
 def test_sweep_budget_guard_fires_before_any_distance(monkeypatch):
-    calls = []
-
-    def counting_all_pairs(g):
-        calls.append(g)
-        return all_pairs(g)
-
-    monkeypatch.setattr(tempvor.explorer, "all_pairs", counting_all_pairs)
+    distances = _count_calls(monkeypatch, "all_pairs")
+    labels = _count_calls(monkeypatch, "classify_underlying")
     spec = FamilySpec("cycle", (6, 8), (1, 2), "any", 2)
     for limit in (3, -2):
         with pytest.raises(FamilyBudgetError):
             sweep(spec, "rvor", limit=limit)
-    assert calls == []
+    assert distances == labels == []
     sweep(FamilySpec("path", (3, 3), (1, 1)), "rvor", limit=1)
-    assert len(calls) == 1
+    assert len(distances) == len(labels) == 1
+
+
+@pytest.mark.parametrize(
+    "spec,edge_sets",
+    [
+        (FamilySpec("tree", (2, 5), (1, 2)), 145),
+        # the empty edge set at n = 1 and again at n = 2, with other labels
+        (FamilySpec("threshold", (1, 4), (1, 2)), 15),
+    ],
+    ids=["tree", "threshold"],
+)
+def test_sweep_classifies_each_underlying_graph_once(monkeypatch, spec, edge_sets):
+    calls = _count_calls(monkeypatch, "classify_underlying")
+    outcome = sweep(spec, "vor")
+    keys = [(o.graph.n, frozenset().union(*o.graph.layers)) for o in outcome.outcomes]
+    assert len(calls) == len(set(keys)) == edge_sets
+    assert [(s.n, s.edges) for (s,) in calls] == list(dict.fromkeys(keys))
+
+
+@pytest.mark.parametrize("game", ["vor", "rvor"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_sweep_reports_match_the_per_instance_report(family, game):
+    for o in sweep(FAMILIES[family], game).outcomes:
+        assert o.report == build_class_report(o.graph, all_pairs(o.graph))
+
+
+def test_cycle_family_builds_only_the_graphs_it_keeps(monkeypatch):
+    built = _count_calls(monkeypatch, "TemporalGraph")
+    fam = list(generate_family(FamilySpec("cycle", (3, 7), (1, 2))))
+    assert len(built) == len(fam) == 360
 
 
 def test_lifetimes_past_the_recursion_limit():
