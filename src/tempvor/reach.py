@@ -11,12 +11,15 @@ of MS-BFS (Then et al., PVLDB 8(4), 2014) applied to foremost journeys (Wu
 et al., PVLDB 7(9), 2014). Each vertex carries an int bitset of the sources
 that have reached it, so one pass over the layers advances all sources at
 once; ``all_pairs`` sweeps from every vertex, ``earliest_arrivals`` from one.
+
+The independent check, ``oracle_arrivals``, searches the time-expanded graph
+instead: one state graph per instance on integer ids for (vertex, time)
+pairs, searched by plain BFS from each source, with no bitsets.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -42,7 +45,7 @@ class DistanceMatrix:
         return self.rows[u - 1]
 
     def all_finite(self) -> bool:
-        return all(x != INF for row in self.rows for x in row)
+        return all(INF not in row for row in self.rows)
 
     def max_finite(self) -> int:
         """Largest finite entry; 0 for the empty matrix."""
@@ -124,36 +127,51 @@ def all_pairs(g: TemporalGraph) -> DistanceMatrix:
     return DistanceMatrix(tuple(map(tuple, _sweep(g, g.vertices))))
 
 
+def _expanded_search(g: TemporalGraph, sources: Sequence[int]) -> list[tuple[float, ...]]:
+    """Arrival times from each of ``sources`` by BFS of the time-expanded graph.
+
+    The state graph on (vertex, time) pairs for time 0..tau+n is built once;
+    state (v, t) has the id (v-1)*(tau+n+1) + t, so each vertex owns a
+    contiguous run of ids. Its successor list holds the wait move
+    (v, t) -> (v, t+1) and a traversal (u, t) -> (w, t+1) for every edge
+    {u, w} active at step t+1. Each source gets a plain BFS from
+    (source, 0); the arrival time of v is the smallest t with (v, t)
+    reached. Shares only the tau+n horizon with the layer sweep it checks.
+    """
+    width = _horizon(g) + 1
+    succ = [[i + 1] if (i + 1) % width else [] for i in range(g.n * width)]
+    for t in range(width - 1):
+        for u, w in g.layer(t + 1):
+            succ[(u - 1) * width + t].append((w - 1) * width + t + 1)
+            succ[(w - 1) * width + t].append((u - 1) * width + t + 1)
+    result = []
+    for source in sources:
+        start = (source - 1) * width
+        seen = bytearray(len(succ))
+        seen[start] = 1
+        queue = [start]
+        for state in queue:
+            for nxt in succ[state]:
+                if not seen[nxt]:
+                    seen[nxt] = 1
+                    queue.append(nxt)
+        arrival = [INF] * g.n
+        for v in range(g.n):
+            first = seen.find(1, v * width, (v + 1) * width)
+            if first >= 0:
+                arrival[v] = first - v * width
+        result.append(tuple(arrival))
+    return result
+
+
 def oracle_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
     """Arrival times by explicit search of the time-expanded graph.
 
-    Builds the state graph on (vertex, time) pairs for time 0..tau+n, with a
-    wait transition (v, t) -> (v, t+1) and a traversal transition
-    (u, t) -> (w, t+1) for every edge {u, w} active at step t+1, then runs a
-    plain BFS from (source, 0). The arrival time of v is the smallest t with
-    (v, t) reachable. An independent cross-check for :func:`earliest_arrivals`
+    One source's row of :func:`_expanded_search`, which builds the state
+    graph on (vertex, time) pairs once per call and runs a plain BFS from
+    (source, 0). An independent cross-check for :func:`earliest_arrivals`
     on small instances; raises ``ValueError`` on the same sources.
     """
     if not 1 <= source <= g.n:
         raise ValueError(f"source {source} out of range 1..{g.n}")
-    horizon = _horizon(g)
-    succ: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for t in range(horizon):
-        for v in g.vertices:
-            succ[(v, t)] = [(v, t + 1)]
-        for u, w in g.layer(t + 1):
-            succ[(u, t)].append((w, t + 1))
-            succ[(w, t)].append((u, t + 1))
-    arrival = [INF] * g.n
-    start = (source, 0)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v, t = queue.popleft()
-        if t < arrival[v - 1]:
-            arrival[v - 1] = t
-        for nxt in succ.get((v, t), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return tuple(arrival)
+    return _expanded_search(g, (source,))[0]

@@ -16,11 +16,11 @@ from tempvor import (
     build_instance,
     from_json,
     is_monotone,
-    oracle_arrivals,
     to_canonical_json,
     underlying,
     validate,
 )
+from tempvor.reach import _expanded_search
 
 
 @st.composite
@@ -144,9 +144,7 @@ def test_construction_either_raises_or_gives_a_working_graph(raw):
         return
     assert not _breaks_a_rule(n, layers)
     assert validate(g) == []
-    d = all_pairs(g)
-    for u in g.vertices:
-        assert d.row(u) == oracle_arrivals(g, u)
+    assert _expanded_search(g, g.vertices) == list(all_pairs(g).rows)
 
 
 def test_edge_normalisation_is_order_insensitive():

@@ -10,6 +10,7 @@ from brute import enumerate_walk_arrivals, sweep_arrivals
 
 from tempvor import (
     INF,
+    DistanceMatrix,
     GraphValidationError,
     TemporalGraph,
     all_pairs,
@@ -19,7 +20,9 @@ from tempvor import (
     oracle_arrivals,
     to_canonical_json,
 )
+from tempvor import reproduce
 from tempvor.randgen import random_temporal_graph
+from tempvor.reach import _expanded_search
 
 
 def test_growing_cycle_arrivals_from_vertex_5():
@@ -92,8 +95,8 @@ def test_out_of_range_endpoints_raise(layer):
 
 def _assert_kernel_matches(g, oracle_sources):
     """Every all_pairs row and every single-source call against the per-source
-    sweep of tests/brute.py, and the rows of ``oracle_sources`` against the
-    time-expanded search; finite entries must be ints."""
+    sweep of tests/brute.py, and the rows of ``oracle_sources`` against one
+    time-expanded search of the graph; finite entries must be ints."""
     d = all_pairs(g)
     assert d.n == g.n
     for source in g.vertices:
@@ -101,8 +104,8 @@ def _assert_kernel_matches(g, oracle_sources):
         assert d.row(source) == expected, source
         assert earliest_arrivals(g, source) == expected, source
         assert all(type(x) is int or x == INF for x in d.row(source))
-    for source in oracle_sources:
-        assert d.row(source) == oracle_arrivals(g, source), source
+    for source, slow in zip(oracle_sources, _expanded_search(g, oracle_sources)):
+        assert d.row(source) == slow, source
 
 
 def _random_sparse_graph(rng, n, tau):
@@ -138,14 +141,17 @@ def test_sweep_matches_time_expanded_oracle_on_randoms():
 def test_kernel_on_edge_shapes(n, layers):
     g = TemporalGraph(n, layers)
     _assert_kernel_matches(g, g.vertices)
+    rows = _expanded_search(g, g.vertices)
+    assert rows == [enumerate_walk_arrivals(g, s) for s in g.vertices]
+    assert [oracle_arrivals(g, s) for s in g.vertices] == rows
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 129, 140])
 def test_kernel_past_machine_word_width(n):
     # the source bitsets are wider than 64 bits, so bits 63, 64 and above
     # carry sources; a static path as the last layer keeps arrivals coming
-    # until about tau + n. oracle_arrivals is slow at this size and checks
-    # only the row of the highest bit.
+    # until about tau + n. The time-expanded search is slow at this size and
+    # checks only the row of the highest bit.
     rng = random.Random(f"wide:{n}")
     path = tuple((v, v + 1) for v in range(1, n))
     graphs = [_random_sparse_graph(rng, n, tau) for tau in (1, rng.randint(2, n), 2 * n)]
@@ -163,16 +169,15 @@ def test_sweep_matches_walk_enumeration_on_small_randoms():
         if sum(len(l) for l in g.layers) > 10:
             continue
         checked += 1
-        for source in g.vertices:
-            assert earliest_arrivals(g, source) == enumerate_walk_arrivals(g, source)
+        walks = [enumerate_walk_arrivals(g, source) for source in g.vertices]
+        assert [earliest_arrivals(g, source) for source in g.vertices] == walks
+        assert _expanded_search(g, g.vertices) == walks
 
 
 def test_all_fixture_rows_match_oracle():
     for name in ("grow_cycle_7", "grow_grid_6", "shrink_path_9", "shrink_cycle_10", "shrink_split_8", "vor_grow_grid_12"):
         g = build_instance(name).graph
-        d = all_pairs(g)
-        for u in g.vertices:
-            assert d.row(u) == oracle_arrivals(g, u)
+        assert _expanded_search(g, g.vertices) == list(all_pairs(g).rows), name
 
 
 def test_superset_tail_layer_never_increases_distances():
@@ -216,3 +221,56 @@ def test_distance_matrix_json_uses_inf_string():
     obj = d.to_json_obj()
     assert obj[8][0] == "inf"
     assert obj[0][0] == 0
+
+
+# Claim 13 must still name a kernel that disagrees with the time-expanded
+# search: each test shifts the last row of one instance by one step.
+_FAULTY_INSTANCE = 17
+
+
+def _shifted(row):
+    """``row`` with its last finite entry one step later."""
+    j = max(i for i, x in enumerate(row) if x != INF)
+    return row[:j] + (row[j] + 1,) + row[j + 1 :]
+
+
+def _run_oracle_claim():
+    [result] = reproduce.run_claims("reachability.oracle_equivalence", reproduce.DEFAULT_SEED)
+    return result
+
+
+def test_oracle_claim_catches_a_faulty_all_pairs_row(monkeypatch):
+    graphs = []
+
+    def faulty(g):
+        graphs.append(g)
+        d = all_pairs(g)
+        if len(graphs) - 1 != _FAULTY_INSTANCE:
+            return d
+        return DistanceMatrix(d.rows[:-1] + (_shifted(d.rows[-1]),))
+
+    monkeypatch.setattr(reproduce, "all_pairs", faulty)
+    result = _run_oracle_claim()
+    source = graphs[_FAULTY_INSTANCE].n
+    assert not result.ok
+    assert result.detail.startswith(f"instance {_FAULTY_INSTANCE}, source {source}, all_pairs: ")
+
+
+def test_oracle_claim_catches_a_faulty_single_source_row(monkeypatch):
+    graphs = []
+
+    def faulty(g, source):
+        if not graphs or graphs[-1] is not g:
+            graphs.append(g)
+        row = earliest_arrivals(g, source)
+        if len(graphs) - 1 != _FAULTY_INSTANCE or source != g.n:
+            return row
+        return _shifted(row)
+
+    monkeypatch.setattr(reproduce, "earliest_arrivals", faulty)
+    result = _run_oracle_claim()
+    source = graphs[_FAULTY_INSTANCE].n
+    assert not result.ok
+    assert result.detail.startswith(
+        f"instance {_FAULTY_INSTANCE}, source {source}, earliest_arrivals: "
+    )
