@@ -17,7 +17,16 @@ at each vertex against an opponent at ``fixed``. It reads the packed view of
 distinct times and packs each row into one int with a spare guard bit atop
 every field, so one subtraction, one AND and one ``bit_count`` compare two
 whole rows (SWAR: Lamport, CACM 18(8), 1975; Fisher & Dietz, LCPC 1998).
-Queries read only the columns they need.
+
+Every query reads the matrix's payoff table for its game, kept in the
+matrix's private ``_tables`` field and made on the first query of that kind.
+It holds the packed view and, for each column computed so far, the column,
+its maximum and, once a query asks for them, its maximisers
+(``_table_entry``, ``_table_replies``). Columns are stored as 16-bit unsigned
+ints (a payoff is at most n <= 2048), so all n columns take 2n^2 bytes rather
+than n^2 int objects. A matrix therefore packs each view once and computes
+each column at most once, however many queries read it, and a query computes
+only the columns it reads.
 
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
@@ -27,8 +36,8 @@ are desk-scale by design.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cache, partial
 from typing import Iterator, Literal, Sequence
 
 from .graph import TemporalGraph
@@ -139,12 +148,37 @@ def _column(view: tuple[list[int], int, int], fixed: int) -> list[int]:
     return [((top - mine) & guard).bit_count() for mine in packed]
 
 
-def _replies(col: list[int], choices: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """The maximisers of ``col`` among the ascending ``choices``, and the maximum.
+def _replies(values: Sequence[int], choices: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The maximisers among the ascending ``choices``, ``values[i]`` being the
+    payoff of ``choices[i]``, and the maximum.
 
     Every tie-break in this module takes the first reply: the smallest maximiser."""
-    best = max(col[c - 1] for c in choices)
-    return tuple(c for c in choices if col[c - 1] == best), best
+    best = max(values)
+    return tuple([c for c, value in zip(choices, values) if value == best]), best
+
+
+def _table_entry(d: DistanceMatrix, kind: str, fixed: int) -> list:
+    """[column, best, replies] against an opponent at ``fixed`` from ``d``'s table
+    of the game. The table and the column are made on first read; replies stay
+    None until ``_table_replies`` first asks for them."""
+    table = d._tables.get(kind)
+    if table is None:
+        table = d._tables[kind] = (_packed(d, kind), [None] * d.n)
+    view, entries = table
+    entry = entries[fixed - 1]
+    if entry is None:
+        col = array("H")
+        col.fromlist(_column(view, fixed))
+        entry = entries[fixed - 1] = [col, max(col), None]
+    return entry
+
+
+def _table_replies(d: DistanceMatrix, kind: str, fixed: int) -> tuple[tuple[int, ...], int]:
+    """``_replies`` over every vertex for the column against ``fixed``, made once."""
+    entry = _table_entry(d, kind, fixed)
+    if entry[2] is None:
+        entry[2] = _replies(entry[0], range(1, d.n + 1))[0]
+    return entry[2], entry[1]
 
 
 def best_responses(
@@ -159,7 +193,7 @@ def best_responses(
     if role not in (1, 2):
         raise ValueError(f"role must be 1 or 2, got {role}")
     _check_vertex(g, fixed, "fixed vertex")
-    return _replies(_column(_packed(d, kind), fixed), g.vertices)
+    return _table_replies(d, kind, fixed)
 
 
 @dataclass(frozen=True)
@@ -199,24 +233,25 @@ def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> 
     p1, p2 = s
     _check_vertex(g, p1, "p1")
     _check_vertex(g, p2, "p2")
-    view = _packed(d, kind)
     for player, mine, theirs in ((1, p1, p2), (2, p2, p1)):
-        col = _column(view, theirs)
-        replies, best = _replies(col, g.vertices)
+        col, best, _ = _table_entry(d, kind, theirs)
         if best > col[mine - 1]:
-            return NashCheck(False, Deviation(player, replies[0], col[mine - 1], best))
+            reply = _table_replies(d, kind, theirs)[0][0]
+            return NashCheck(False, Deviation(player, reply, col[mine - 1], best))
     return NashCheck(True, None)
 
 
 def _equilibria(g: TemporalGraph, d: DistanceMatrix, kind: str) -> Iterator[Profile]:
-    """Nash profiles in lexicographic order: both players earn their column maximum."""
+    """Nash profiles in lexicographic order: p2 is a best reply to p1 and p1 to p2.
+
+    Walks p1 in order and p2 through p1's ascending replies, so only the
+    columns of the p1 reached and of their replies are computed.
+    """
     _check_inputs(g, d, kind)
-    view = _packed(d, kind)
-    cols = [_column(view, v) for v in g.vertices]
-    col_max = [max(col) for col in cols]
     for p1 in g.vertices:
-        for p2 in g.vertices:
-            if cols[p2 - 1][p1 - 1] == col_max[p2 - 1] and cols[p1 - 1][p2 - 1] == col_max[p1 - 1]:
+        for p2 in _table_replies(d, kind, p1)[0]:
+            col, best, _ = _table_entry(d, kind, p2)
+            if col[p1 - 1] == best:
                 yield (p1, p2)
 
 
@@ -251,11 +286,10 @@ class BestResponseGraph:
 
 def best_response_graph(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> BestResponseGraph:
     _check_inputs(g, d, kind)
-    view = _packed(d, kind)
     responses: dict[int, tuple[int, ...]] = {}
     values: dict[int, int] = {}
     for fixed in g.vertices:
-        responses[fixed], values[fixed] = _replies(_column(view, fixed), g.vertices)
+        responses[fixed], values[fixed] = _table_replies(d, kind, fixed)
     return BestResponseGraph(responses, values)
 
 
@@ -311,7 +345,7 @@ def best_response_dynamics(
     ends within 2n^2 turns. ``allowed`` restricts both players' choices to a
     vertex subset. ``max_steps`` bounds the number of moves and must be
     positive; a turn without a move costs nothing. Only the payoff columns of
-    the opponents met are computed, each once.
+    the opponents met are read.
     """
     _check_inputs(g, d, kind)
     if max_steps < 1:
@@ -328,7 +362,9 @@ def best_response_dynamics(
         if p1 not in allowed or p2 not in allowed:
             raise ValueError("start profile must lie inside the allowed set")
 
-    column = cache(partial(_column, _packed(d, kind)))
+    def column(fixed: int) -> array:
+        return _table_entry(d, kind, fixed)[0]
+
     profile = [p1, p2]
     mover = 1
     trace: list[DynamicsStep] = []
@@ -341,7 +377,7 @@ def best_response_dynamics(
             return DynamicsResult("cycle", (profile[0], profile[1]), tuple(trace), block)
         seen[state] = len(trace)
         col = column(profile[2 - mover])
-        replies, best = _replies(col, choices)
+        replies, best = _replies([col[c - 1] for c in choices], choices)
         if best > col[profile[mover - 1] - 1]:
             if len(trace) == max_steps:
                 return DynamicsResult("max_steps", (profile[0], profile[1]), tuple(trace), ())

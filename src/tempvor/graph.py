@@ -161,9 +161,11 @@ def is_monotone(g: TemporalGraph) -> tuple[bool, bool]:
     A single-layer graph is vacuously both. Empty layers count: an all-empty
     graph is monotonically growing and shrinking.
     """
-    sets = [frozenset(layer) for layer in g.layers]
-    pairs = list(zip(sets, sets[1:]))
-    return all(a <= b for a, b in pairs), all(b <= a for a, b in pairs)
+    # Layers hold no duplicate edges, so a <= b iff they share len(a) edges.
+    sizes = [
+        (len(a), len(set(a).intersection(b)), len(b)) for a, b in zip(g.layers, g.layers[1:])
+    ]
+    return all(a == common for a, common, _ in sizes), all(b == common for _, common, b in sizes)
 
 
 # --- standard edge sets on 1..n ----------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import TemporalGraph
 
@@ -30,9 +30,16 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs foremost arrival times; rows[u-1][v-1] = td(u, v)."""
+    """All-pairs foremost arrival times; rows[u-1][v-1] = td(u, v).
+
+    The private ``_tables`` holds the game module's payoff tables for this
+    matrix, one per game kind, filled as queries read them. It is excluded
+    from equality, hashing and ``repr``: two matrices with equal rows are
+    equal whatever has been asked of either.
+    """
 
     rows: tuple[tuple[float, ...], ...]
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

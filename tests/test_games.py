@@ -366,6 +366,129 @@ def test_enumeration_is_consistent_with_is_nash():
             assert ((p1, p2) in hits) == is_nash(g, d, "vor", (p1, p2)).ok
 
 
+def _count_table_work(monkeypatch) -> tuple[list[str], list[int]]:
+    """Record every ``_packed`` call (by kind) and ``_column`` call (by fixed vertex)."""
+    packed, columns = [], []
+    real_packed, real_column = _packed, _column
+
+    def counting_packed(d, kind):
+        packed.append(kind)
+        return real_packed(d, kind)
+
+    def counting_column(view, fixed):
+        columns.append(fixed)
+        return real_column(view, fixed)
+
+    monkeypatch.setattr("tempvor.games._packed", counting_packed)
+    monkeypatch.setattr("tempvor.games._column", counting_column)
+    return packed, columns
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_each_matrix_packs_each_view_once_and_computes_each_column_once(monkeypatch, name):
+    g, d = _ctx(name)
+    packed, columns = _count_table_work(monkeypatch)
+    for kind in GAME_KINDS:
+        packed.clear()
+        columns.clear()
+        enumerate_nash(g, d, kind)
+        best_response_graph(g, d, kind)
+        best_response_dynamics(g, d, kind, (1, g.n))
+        is_nash(g, d, kind, (2, 1))
+        best_responses(g, d, kind, 2, 3)
+        first_nash(g, d, kind)
+        assert packed == [kind]
+        assert sorted(columns) == list(g.vertices)
+
+
+@pytest.mark.parametrize("name", INSTANCE_NAMES)
+def test_first_nash_computes_only_the_columns_it_reaches(monkeypatch, name):
+    g, d = _ctx(name)
+    packed, columns = _count_table_work(monkeypatch)
+    for kind, rows in _views(d).items():
+        packed.clear()
+        columns.clear()
+        first = first_nash(g, d, kind)
+        reached = set()
+        for p1 in g.vertices[: first[0] if first else g.n]:
+            col = oracle_column(rows, p1)
+            reached |= {p1, *(v for v in g.vertices if col[v - 1] == max(col))}
+        assert packed == [kind]
+        assert len(columns) == len(set(columns))
+        assert set(columns) <= reached
+
+
+def _queries(g, d, kind, start, allowed):
+    """Every public game query on ``d``, point queries first."""
+    return [
+        ("payoff", lambda: payoff(g, d, kind, start)),
+        ("best_responses", lambda: best_responses(g, d, kind, 1, start[1])),
+        ("is_nash", lambda: is_nash(g, d, kind, start)),
+        ("dynamics", lambda: best_response_dynamics(g, d, kind, start, 6, allowed)),
+        ("unrestricted dynamics", lambda: best_response_dynamics(g, d, kind, start, 6)),
+        ("first_nash", lambda: first_nash(g, d, kind)),
+        ("enumerate_nash", lambda: enumerate_nash(g, d, kind)),
+        ("best_response_graph", lambda: best_response_graph(g, d, kind)),
+    ]
+
+
+def _brute_answer(query, g, td, kind, start, allowed, result):
+    """Check one query's ``result`` against ``tests/brute.py``."""
+    n = g.n
+    rows = td if kind == "vor" else tuple(zip(*td))
+    equilibria = brute_nash_profiles(td, kind, n)
+
+    def replies(fixed):
+        col = oracle_column(rows, fixed)
+        return tuple(v for v in g.vertices if col[v - 1] == max(col)), max(col)
+
+    if query == "payoff":
+        assert (result.u1_set, result.u2_set) == brute_payoff_sets(td, kind, *start, n)
+    elif query == "best_responses":
+        assert result == replies(start[1])
+    elif query == "is_nash":
+        assert result.ok == (start in equilibria)
+        if not result.ok:
+            dev = result.deviation
+            mine, theirs = start if dev.player == 1 else start[::-1]
+            assert (dev.vertex, dev.new_payoff) == (replies(theirs)[0][0], replies(theirs)[1])
+            assert dev.old_payoff == oracle_column(rows, theirs)[mine - 1]
+    elif query == "dynamics":
+        assert _as_brute(result) == brute_dynamics(td, kind, n, start, sorted(allowed), 6)
+    elif query == "unrestricted dynamics":
+        assert _as_brute(result) == brute_dynamics(td, kind, n, start, list(g.vertices), 6)
+    elif query == "first_nash":
+        assert result == (equilibria or [None])[0]
+    elif query == "enumerate_nash":
+        assert result == equilibria
+    else:
+        assert result.responses == {v: replies(v)[0] for v in g.vertices}
+        assert result.values == {v: replies(v)[1] for v in g.vertices}
+
+
+@pytest.mark.parametrize("kinds", [("vor", "rvor"), ("rvor", "vor")])
+@pytest.mark.parametrize("point_first", [True, False])
+def test_game_queries_in_any_order_on_one_matrix_match_brute_force(kinds, point_first):
+    rng = random.Random(15)
+    graphs = [build_instance("grow_grid_6").graph, build_instance("shrink_split_8").graph]
+    while len(graphs) < 6:
+        g = random_temporal_graph(rng, n_max=6, tau_max=2)
+        if sum(len(l) for l in g.layers) <= 9:
+            graphs.append(g)
+    for g in graphs:
+        td = walk_distances(g)
+        d = all_pairs(g)
+        fresh = DistanceMatrix(d.rows)
+        start = (rng.randint(1, g.n), rng.randint(1, g.n))
+        allowed = frozenset(rng.sample(g.vertices, rng.randint(1, g.n))) | set(start)
+        for kind in kinds:
+            queries = _queries(g, d, kind, start, allowed)
+            for query, run in queries if point_first else queries[::-1]:
+                _brute_answer(query, g, td, kind, start, allowed, run())
+        assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+        assert d.rows == fresh.rows
+
+
 def test_best_response_graph_on_large_grid():
     g, d = _ctx("vor_grow_grid_12")
     brg = best_response_graph(g, d, "vor")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -186,6 +186,19 @@ def test_is_monotone_on_fixtures():
     assert is_monotone(build_instance("shrink_path_9").graph) == (False, True)
     assert is_monotone(TemporalGraph(3, (((1, 2),),))) == (True, True)
     assert is_monotone(TemporalGraph(3, ((), ()))) == (True, True)
+
+
+def test_is_monotone_matches_the_subset_definition():
+    """Every sequence of one to three layers over the triangle's edges,
+    empty layers included, against layer-by-layer edge containment."""
+    edges = [(1, 2), (1, 3), (2, 3)]
+    layers = [tuple(e for i, e in enumerate(edges) if mask >> i & 1) for mask in range(8)]
+    for tau in (1, 2, 3):
+        for seq in product(layers, repeat=tau):
+            pairs = list(zip(seq, seq[1:]))
+            growing = all(all(e in b for e in a) for a, b in pairs)
+            shrinking = all(all(e in a for e in b) for a, b in pairs)
+            assert is_monotone(TemporalGraph(3, seq)) == (growing, shrinking), seq
 
 
 def test_layer_repeats_past_tau():
