@@ -8,25 +8,28 @@ Two variants share one payoff machinery:
   v goes to player i when td(v, p_i) < td(v, p_j).
 
 The variants differ only in which distances they compare, so every query
-reads the distance matrix through one view, ``_rows(d, kind)``: row p holds
-the times a player at p is compared on -- row p of the matrix for ``"vor"``,
-column p for ``"rvor"``. Nothing else looks at the game kind. Every payoff
-count comes from one helper, ``_column(view, fixed)``: the payoff of a player
-at each vertex against an opponent at ``fixed``. It reads the packed view of
-``_packed(d, kind)``, which replaces each time by its rank among the view's
-distinct times and packs each row into one int with a spare guard bit atop
-every field, so one subtraction, one AND and one ``bit_count`` compare two
-whole rows (SWAR: Lamport, CACM 18(8), 1975; Fisher & Dietz, LCPC 1998).
+reads the matrix's flat row-major array (with its int sentinel for ``INF``)
+through one view, ``_lines(data, n, kind, ps)``: row p holds the times a
+player at p is compared on -- row p of the matrix for ``"vor"``, the strided
+slice ``flat[p::n]`` (column p) for ``"rvor"``. Nothing else looks at the game
+kind. Every payoff count comes from one helper, ``_column(view, fixed)``: the
+payoff of a player at each vertex against an opponent at ``fixed``. It reads
+the packed view of ``_packed(d, kind)``, which packs each view row into one
+int with a spare guard bit atop every field, so one subtraction, one AND and
+one ``bit_count`` compare two whole rows (SWAR: Lamport, CACM 18(8), 1975;
+Fisher & Dietz, LCPC 1998). One-byte storage whose sentinel is below 128 is
+packed as it stands, one ``int.from_bytes`` per row; otherwise each time is
+replaced by its rank among the matrix's distinct times.
 
-Every query reads the matrix's payoff table for its game, kept in the
-matrix's private ``_tables`` field and made on the first query of that kind.
-It holds the packed view and, for each column computed so far, the column,
-its maximum and, once a query asks for them, its maximisers
-(``_table_entry``, ``_table_replies``). Columns are stored as 16-bit unsigned
-ints (a payoff is at most n <= 2048), so all n columns take 2n^2 bytes rather
-than n^2 int objects. A matrix therefore packs each view once and computes
-each column at most once, however many queries read it, and a query computes
-only the columns it reads.
+Every query reads the matrix's payoff table for its game. The tables live in
+the matrix's private ``_tables`` dict, which the first game query creates,
+and each is made on the first query of its kind. A table holds the packed
+view and, for each column computed so far, the column, its maximum and, once
+a query asks for them, its maximisers (``_table_entry``, ``_table_replies``).
+Columns are stored as 16-bit unsigned ints (a payoff is at most n <= 2048),
+so all n columns take 2n^2 bytes rather than n^2 int objects. A matrix
+therefore packs each view once and computes each column at most once, however
+many queries read it, and a query computes only the columns it reads.
 
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
@@ -65,9 +68,14 @@ def _check_inputs(g: TemporalGraph, d: DistanceMatrix, kind: str) -> None:
         raise ValueError("distance matrix does not match graph size")
 
 
-def _rows(d: DistanceMatrix, kind: str) -> tuple[tuple[float, ...], ...]:
-    """The game's view of ``d``: row p holds the times a player at p is compared on."""
-    return d.rows if kind == "vor" else tuple(zip(*d.rows))
+def _lines(data, n: int, kind: str, ps) -> list:
+    """Rows ``ps`` (from 0) of the game's view of the row-major n x n ``data``:
+    row p holds the times a player at vertex p+1 is compared on, row p of the
+    matrix for ``"vor"`` and column p, the strided slice ``data[p::n]``, for
+    ``"rvor"``."""
+    if kind == "vor":
+        return [data[p * n : (p + 1) * n] for p in ps]
+    return [data[p::n] for p in ps]
 
 
 @dataclass(frozen=True)
@@ -106,8 +114,9 @@ def payoff(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> P
     p1, p2 = s
     _check_vertex(g, p1, "p1")
     _check_vertex(g, p2, "p2")
-    rows = _rows(d, kind)
-    pairs = tuple(zip(g.vertices, rows[p1 - 1], rows[p2 - 1]))
+    # The sentinel sorts above every finite time and ties with itself, as INF does.
+    mine, theirs = _lines(d._flat, g.n, kind, (p1 - 1, p2 - 1))
+    pairs = tuple(zip(g.vertices, mine, theirs))
     u1 = frozenset(v for v, a, b in pairs if a < b)
     u2 = frozenset(v for v, a, b in pairs if b < a)
     return PayoffResult(u1, u2, frozenset(g.vertices) - u1 - u2)
@@ -116,19 +125,35 @@ def payoff(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> P
 def _packed(d: DistanceMatrix, kind: str) -> tuple[list[int], int, int]:
     """The game view packed for ``_column``: (one int per row, G, U).
 
-    Payoffs depend only on the order of the times, so each time becomes its
-    rank among the view's distinct values (``INF`` sorts last and gets the
-    largest). Field v of row p's int holds the rank of ``rows[p][v]`` in
-    ``size`` little-endian bytes, the fewest that leave the top bit of every
-    field spare above the largest rank. G holds that guard bit in every field
-    and U a 1 in every field.
+    Payoffs depend only on the order of the times, and the sentinel sorts
+    last as ``INF`` does. Field v of row p's int holds entry v of view row p
+    (see ``_lines``), as a time or as its rank among the matrix's distinct
+    times, in ``size`` little-endian bytes, the fewest that leave the top bit
+    of every field spare above the largest value. G holds that guard bit in
+    every field and U a 1 in every field.
+
+    One-byte storage with a sentinel below 128 already is that packing, so
+    each row is one ``int.from_bytes`` of a slice of the array's bytes. Other
+    one-byte storage with at most 128 distinct times turns into ranks by one
+    ``bytes.translate``. Otherwise each row's times map through a dict to
+    their rank fields.
     """
-    rows = _rows(d, kind)
-    times = sorted(set().union(*rows))
-    size = (len(times) - 1).bit_length() // 8 + 1
-    field = dict(zip(times, [r.to_bytes(size, "little") for r in range(len(times))])).__getitem__
-    ones = int.from_bytes((1).to_bytes(size, "little") * len(rows), "little")
-    packed = [int.from_bytes(b"".join(map(field, row)), "little") for row in rows]
+    n, flat = d.n, d._flat
+    if flat.itemsize == 1 and d._sentinel < 128:
+        size, lines = 1, _lines(flat.tobytes(), n, kind, range(n))
+    else:
+        times = sorted(set(flat))
+        size = (len(times) - 1).bit_length() // 8 + 1
+        if flat.itemsize == 1 and size == 1:
+            ranks = bytearray(256)
+            for r, t in enumerate(times):
+                ranks[t] = r
+            lines = _lines(flat.tobytes().translate(ranks), n, kind, range(n))
+        else:
+            field = dict(zip(times, [r.to_bytes(size, "little") for r in range(len(times))])).__getitem__
+            lines = (b"".join(map(field, line)) for line in _lines(flat, n, kind, range(n)))
+    ones = int.from_bytes((1).to_bytes(size, "little") * n, "little")
+    packed = [int.from_bytes(line, "little") for line in lines]
     return packed, ones << (8 * size - 1), ones
 
 
@@ -161,9 +186,12 @@ def _table_entry(d: DistanceMatrix, kind: str, fixed: int) -> list:
     """[column, best, replies] against an opponent at ``fixed`` from ``d``'s table
     of the game. The table and the column are made on first read; replies stay
     None until ``_table_replies`` first asks for them."""
-    table = d._tables.get(kind)
+    tables = d._tables
+    if tables is None:
+        tables = d._tables = {}
+    table = tables.get(kind)
     if table is None:
-        table = d._tables[kind] = (_packed(d, kind), [None] * d.n)
+        table = tables[kind] = (_packed(d, kind), [None] * d.n)
     view, entries = table
     entry = entries[fixed - 1]
     if entry is None:

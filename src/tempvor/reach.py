@@ -11,6 +11,11 @@ of MS-BFS (Then et al., PVLDB 8(4), 2014) applied to foremost journeys (Wu
 et al., PVLDB 7(9), 2014). Each vertex carries an int bitset of the sources
 that have reached it, so one pass over the layers advances all sources at
 once; ``all_pairs`` sweeps from every vertex, ``earliest_arrivals`` from one.
+The sweep writes into one Python list per source; ``all_pairs`` marks
+unreached vertices with the int sentinel tau+n+1 and copies the lists once
+into the ``DistanceMatrix``'s flat array of unsigned ints, which the game
+module packs straight from its bytes. ``earliest_arrivals`` returns ``INF``
+itself.
 
 The independent check, ``oracle_arrivals``, searches the time-expanded graph
 instead: one state graph per instance on integer ids for (vertex, time)
@@ -20,51 +25,107 @@ pairs, searched by plain BFS from each source, with no bitsets.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .graph import TemporalGraph
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
+# Unsigned array typecodes with their exclusive upper bounds, smallest first.
+_STORAGE = [(code, 1 << 8 * array(code).itemsize) for code in "BHILQ"]
+
+
+def _storage(sentinel: int) -> array:
+    """An empty array of the smallest unsigned typecode that holds ``sentinel``."""
+    for code, bound in _STORAGE:
+        if sentinel < bound:
+            return array(code)
+    raise ValueError(f"distance {sentinel - 1} does not fit in 64 bits")
+
+
 class DistanceMatrix:
-    """All-pairs foremost arrival times; rows[u-1][v-1] = td(u, v).
+    """All-pairs foremost arrival times; ``td(u, v)`` = ``rows[u-1][v-1]``.
+
+    The times live in one row-major ``array`` of unsigned ints, td(u, v) at
+    index (u-1)*n + v-1, in the smallest typecode that holds the sentinel: an
+    int above every finite time that stands for ``INF``. ``all_pairs`` uses
+    tau+n+1, one past the sweep's horizon; ``DistanceMatrix(rows)`` accepts
+    any square rows of non-negative ints and ``INF`` and uses one past their
+    largest finite time. ``rows``, the tuples of ints and ``INF``, is derived
+    on request, and equality, hashing and ``repr`` read it, so two matrices
+    with equal rows are equal whatever their sentinels. Treat a matrix as
+    immutable.
 
     The private ``_tables`` holds the game module's payoff tables for this
-    matrix, one per game kind, filled as queries read them. It is excluded
-    from equality, hashing and ``repr``: two matrices with equal rows are
-    equal whatever has been asked of either.
+    matrix, one per game kind; it stays None until the first game query.
     """
 
-    rows: tuple[tuple[float, ...], ...]
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("n", "_flat", "_sentinel", "_tables")
+
+    def __init__(self, rows: Sequence[Sequence[float]]) -> None:
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"distance rows do not form a {n} x {n} matrix")
+        sentinel = max((x for row in rows for x in row if x != INF), default=-1) + 1
+        flat = _storage(sentinel)
+        for row in rows:
+            flat.fromlist([sentinel if x == INF else x for x in row])
+        self._set(n, flat, sentinel)
+
+    def _set(self, n: int, flat: array, sentinel: int) -> None:
+        self.n, self._flat, self._sentinel, self._tables = n, flat, sentinel, None
+
+    @classmethod
+    def _of(cls, n: int, flat: array, sentinel: int) -> DistanceMatrix:
+        """The matrix stored in ``flat``, taken as is."""
+        d = cls.__new__(cls)
+        d._set(n, flat, sentinel)
+        return d
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(self.row(u) for u in range(1, self.n + 1))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(rows={self.rows!r})"
 
     def td(self, u: int, v: int) -> float:
-        return self.rows[u - 1][v - 1]
+        n = self.n
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise IndexError(f"pair ({u}, {v}) out of range 1..{n}")
+        x = self._flat[(u - 1) * n + v - 1]
+        return INF if x == self._sentinel else x
 
     def row(self, u: int) -> tuple[float, ...]:
-        return self.rows[u - 1]
+        n, sentinel = self.n, self._sentinel
+        if not 1 <= u <= n:
+            raise IndexError(f"vertex {u} out of range 1..{n}")
+        return tuple([INF if x == sentinel else x for x in self._flat[(u - 1) * n : u * n]])
 
     def all_finite(self) -> bool:
-        return all(INF not in row for row in self.rows)
+        return self._sentinel not in self._flat
 
     def max_finite(self) -> int:
         """Largest finite entry; 0 for the empty matrix."""
-        best = 0
-        for row in self.rows:
-            for x in row:
-                if x != INF and x > best:
-                    best = int(x)
-        return best
+        return max(set(self._flat) - {self._sentinel}, default=0)
 
     def to_json_obj(self) -> list[list]:
-        return [["inf" if x == INF else int(x) for x in row] for row in self.rows]
+        # Each entry refers to the one object of its distinct time, as the
+        # sweep's rows do, rather than to a fresh int read from the array.
+        names = {x: x for x in set(self._flat)}
+        names[self._sentinel] = "inf"
+        name, flat, n = names.__getitem__, self._flat, self.n
+        return [list(map(name, flat[i : i + n])) for i in range(0, n * n, n)]
 
 
 def _horizon(g: TemporalGraph) -> int:
@@ -74,8 +135,9 @@ def _horizon(g: TemporalGraph) -> int:
     return g.tau + g.n
 
 
-def _sweep(g: TemporalGraph, sources: Sequence[int]) -> list[list[float]]:
-    """Arrival times from each of ``sources``, one list per source, in order.
+def _sweep(g: TemporalGraph, sources: Sequence[int], unreached: float) -> list[list[float]]:
+    """Arrival times from each of ``sources``, one list per source, in order;
+    ``unreached`` marks the vertices a source never reaches.
 
     reached[v] has bit i set once sources[i] has reached v. At step t each
     edge of layer t whose endpoints hold different sets offers each endpoint
@@ -86,7 +148,7 @@ def _sweep(g: TemporalGraph, sources: Sequence[int]) -> list[list[float]]:
     with offers always gains. Past tau the last layer repeats, so the sweep
     stops at the first step >= tau without offers, hard-bounded at tau + n.
     """
-    arrival = [[INF] * g.n for _ in sources]
+    arrival = [[unreached] * g.n for _ in sources]
     reached = [0] * (g.n + 1)
     for i, s in enumerate(sources):
         reached[s] |= 1 << i
@@ -120,7 +182,7 @@ def earliest_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
     """
     if not 1 <= source <= g.n:
         raise ValueError(f"source {source} out of range 1..{g.n}")
-    return tuple(_sweep(g, (source,))[0])
+    return tuple(_sweep(g, (source,), INF)[0])
 
 
 def all_pairs(g: TemporalGraph) -> DistanceMatrix:
@@ -128,10 +190,16 @@ def all_pairs(g: TemporalGraph) -> DistanceMatrix:
 
     Temporal reachability is not transitive, so there is no closure shortcut;
     instead every vertex is a source of the same sweep, and row u holds the
-    arrival times of the journeys that start at u. Never raises on a
+    arrival times of the journeys that start at u. The sweep fills one list
+    per source with the sentinel tau+n+1 for unreached vertices, and the
+    lists are copied once into the matrix's flat array. Never raises on a
     constructed graph.
     """
-    return DistanceMatrix(tuple(map(tuple, _sweep(g, g.vertices))))
+    sentinel = _horizon(g) + 1
+    flat = _storage(sentinel)
+    for row in _sweep(g, g.vertices, sentinel):
+        flat.fromlist(row)
+    return DistanceMatrix._of(g.n, flat, sentinel)
 
 
 def _expanded_search(g: TemporalGraph, sources: Sequence[int]) -> list[tuple[float, ...]]:

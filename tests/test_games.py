@@ -37,6 +37,7 @@ from tempvor.builders import split_clique_partition
 from tempvor.games import GAME_KINDS, _column, _packed
 from tempvor.instances import INSTANCE_NAMES
 from tempvor.randgen import random_temporal_graph
+from tempvor.reach import _expanded_search
 
 
 @st.composite
@@ -288,6 +289,46 @@ def test_packed_columns_match_oracle_with_three_byte_fields():
     d = _shuffled_matrix(n, n * n, rnd)
     assert _field_bytes(d) == 3
     _assert_columns_match_oracle(d, [1, n, *rnd.sample(range(2, n), 6)])
+
+
+def _graph_with_sentinel(sentinel: int) -> TemporalGraph:
+    """Sparse random layers on vertices 1..10 plus the isolated vertex 11, with
+    tau = sentinel - 12 layers, so ``all_pairs`` marks INF with ``sentinel``."""
+    rng = random.Random(f"sentinel:{sentinel}")
+    layers = []
+    for _ in range(sentinel - 12):
+        size = 0 if rng.random() < 0.2 else rng.randint(1, 2)
+        layers.append({tuple(sorted(rng.sample(range(1, 11), 2))) for _ in range(size)})
+    return TemporalGraph(11, tuple(tuple(layer) for layer in layers))
+
+
+@pytest.mark.parametrize(
+    "sentinel, typecode",
+    [(127, "B"), (128, "B"), (255, "B"), (256, "H")],
+    ids=["raw-bytes", "translated-128", "translated-255", "ranked-dict"],
+)
+def test_every_packing_path_matches_the_oracles(sentinel, typecode):
+    g = _graph_with_sentinel(sentinel)
+    d = all_pairs(g)
+    # storage, sentinel and at most 128 distinct times select _packed's path
+    assert (d._sentinel, d._flat.typecode) == (sentinel, typecode)
+    assert len(set(d._flat)) <= 128 and not d.all_finite()
+    assert list(d.rows) == _expanded_search(g, g.vertices)
+    for u in g.vertices:
+        assert all(type(x) is int or x is INF for x in d.row(u))
+        assert all(type(x) is int or x is INF for x in map(d.td, [u] * g.n, g.vertices))
+    assert _field_bytes(d) == 1
+    _assert_columns_match_oracle(d)
+
+
+def test_translated_ranks_fill_all_seven_value_bits():
+    # 128 distinct times, the largest finite one 200: one-byte storage packed
+    # through the translate table, where INF takes rank 127, the top value
+    # below the guard bit
+    d = _shuffled_matrix(12, 128, random.Random(3))
+    d = DistanceMatrix(tuple(tuple(200 if x == 126 else x for x in row) for row in d.rows))
+    assert (d._sentinel, d._flat.typecode, _field_bytes(d)) == (201, "B", 1)
+    _assert_columns_match_oracle(d)
 
 
 def test_two_byte_fields_through_the_public_api():

@@ -16,6 +16,7 @@ from tempvor import (
     all_pairs,
     build_instance,
     earliest_arrivals,
+    first_nash,
     from_json,
     oracle_arrivals,
     to_canonical_json,
@@ -214,6 +215,51 @@ def test_distances_stable_under_serialization_round_trip():
     g = build_instance("grow_grid_6").graph
     g2 = from_json(to_canonical_json(g))
     assert all_pairs(g2).rows == all_pairs(g).rows
+
+
+def test_matrices_built_from_rows_compare_by_their_rows():
+    g = build_instance("shrink_split_8").graph
+    d = all_pairs(g)
+    e = DistanceMatrix(d.rows)
+    # rows mark INF with one past their largest finite time, the kernel with tau+n+1
+    assert e._sentinel == d.max_finite() + 1 < d._sentinel == g.tau + g.n + 1
+    assert e == d and hash(e) == hash(d) == hash((d.rows,))
+    assert repr(e) == repr(d) == f"DistanceMatrix(rows={d.rows!r})"
+    assert e.to_json_obj() == d.to_json_obj()
+    shifted = DistanceMatrix(tuple(tuple(x + 1 for x in row) for row in d.rows))
+    assert shifted != d and shifted == DistanceMatrix(shifted.rows)
+    assert hash(shifted) == hash((shifted.rows,))
+    assert shifted.to_json_obj() == [[x if x == "inf" else x + 1 for x in row] for row in d.to_json_obj()]
+    for u in g.vertices:
+        assert shifted.row(u) == tuple(x + 1 for x in d.row(u))
+        assert [shifted.td(u, v) for v in g.vertices] == [d.td(u, v) + 1 for v in g.vertices]
+    assert repr(all_pairs(TemporalGraph(2, ((),)))) == "DistanceMatrix(rows=((0, inf), (inf, 0)))"
+
+
+def test_matrix_rejects_ragged_rows_and_out_of_range_pairs():
+    with pytest.raises(ValueError, match="2 x 2"):
+        DistanceMatrix(((0, 1), (1,)))
+    with pytest.raises(IndexError):
+        all_pairs(TemporalGraph(2, ((),))).td(1, 3)
+
+
+def test_payoff_tables_are_made_on_the_first_game_query():
+    g = build_instance("grow_cycle_7").graph
+    d = all_pairs(g)
+    assert d._tables is None
+    first_nash(g, d, "rvor")
+    assert list(d._tables) == ["rvor"]
+
+
+def test_distance_json_shares_one_object_per_distinct_time():
+    # arrivals past 256 are not interned by the interpreter
+    path = tuple((v, v + 1) for v in range(1, 5))
+    d = all_pairs(TemporalGraph(6, ((),) * 300 + (path,)))
+    obj = d.to_json_obj()
+    entries = [x for row in obj for x in row]
+    assert {301, 304, "inf"} <= set(entries)
+    assert len({id(x) for x in entries}) == len(set(entries))
+    assert d.max_finite() == 304
 
 
 def test_distance_matrix_json_uses_inf_string():
