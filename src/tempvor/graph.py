@@ -16,8 +16,8 @@ class GraphValidationError(ValueError):
 
 
 # Largest accepted vertex count. Every request builds the n x n distance matrix:
-# on a one-layer path (Python 3.11, 2-vCPU Xeon VM) about 1.0 s and a peak of
-# +10 MB at n = 1,024, 5-7 s and +41 MB at n = 2,048, about 5.5x the time and 4x
+# on a one-layer path (Python 3.11, 2-vCPU Xeon VM) 1.0-1.4 s and a peak of
+# +10 MB at n = 1,024, 5-8 s and +41 MB at n = 2,048, about 5.5x the time and 4x
 # the memory per doubling. The peak is the sweep's per-source lists; the matrix
 # keeps 2 bytes per entry (2 MB and 8 MB).
 _MAX_VERTICES = 2048

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
+from itertools import starmap
+from struct import Struct
 
 from .graph import TemporalGraph
 
@@ -197,8 +199,16 @@ def all_pairs(g: TemporalGraph) -> DistanceMatrix:
     """
     sentinel = _horizon(g) + 1
     flat = _storage(sentinel)
-    for row in _sweep(g, g.vertices, sentinel):
-        flat.fromlist(row)
+    rows = _sweep(g, g.vertices, sentinel)
+    # bytes() and Struct.pack convert a row in C about twice as fast as
+    # array.fromlist, which parses every item on its own. Appending row by
+    # row keeps one converted row alive at a time.
+    if flat.itemsize == 1:
+        converted = map(bytes, rows)
+    else:
+        converted = starmap(Struct(f"{g.n}{flat.typecode}").pack, rows)
+    for row in converted:
+        flat.frombytes(row)
     return DistanceMatrix._of(g.n, flat, sentinel)
 
 

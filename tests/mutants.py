@@ -2,8 +2,7 @@
 
 Usage, from any directory::
 
-    python3 tests/mutants.py            # every mutant
-    python3 tests/mutants.py NAME ...   # the named mutants only
+    python3 tests/mutants.py
 
 Each mutant is one exact text replacement in one file under ``src/``. For
 each, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
@@ -121,6 +120,13 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_reach.py",),
     ),
     Mutant(
+        "all-pairs-packs-two-byte-rows",
+        "src/tempvor/reach.py",
+        'Struct(f"{g.n}{flat.typecode}")',
+        'Struct(f"{g.n}H")',
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
         "sweep-spreads-within-a-layer",
         "src/tempvor/reach.py",
         _SWEEP_OFFERS,
@@ -220,18 +226,14 @@ def run_mutant(m: Mutant, root: Path = ROOT) -> str:
     return f"pytest exit code {proc.returncode}"
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     problems = match_problems()
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    problems += [f"unknown mutant {name}" for name in sorted(unknown)]
     if problems:
         print("\n".join(problems))
         return 1
     failed = False
     start = time.perf_counter()
     for m in MUTANTS:
-        if argv and m.name not in argv:
-            continue
         t = time.perf_counter()
         outcome = run_mutant(m)
         failed |= outcome != "killed"
@@ -241,4 +243,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -262,6 +262,15 @@ def test_distance_json_shares_one_object_per_distinct_time():
     assert d.max_finite() == 304
 
 
+def test_all_pairs_stores_four_byte_times_as_the_sweep_rows():
+    # one- and two-byte storage are checked against the oracle in test_games
+    path = tuple((v, v + 1) for v in range(1, 5))
+    g = TemporalGraph(6, ((),) * 65_530 + (path,))
+    d = all_pairs(g)
+    assert (d._sentinel, d._flat.typecode) == (65_538, "I")
+    assert d.rows == tuple(earliest_arrivals(g, u) for u in g.vertices)
+
+
 def test_distance_matrix_json_uses_inf_string():
     d = all_pairs(build_instance("shrink_path_9").graph)
     obj = d.to_json_obj()
