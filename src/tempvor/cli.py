@@ -17,9 +17,12 @@ appear in any output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
+from collections.abc import Callable
+from itertools import repeat
 from pathlib import Path
 
 from .classify import build_class_report
@@ -88,8 +91,40 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise FamilySpecError(f"bad range {text!r}; expected N or A..B") from exc
 
 
+@functools.cache
+def _encoder(pad: str) -> Callable[[object], str]:
+    """The C JSON encoder, with a newline and ``pad`` after each item separator."""
+    return json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(obj, pad: str = "") -> str:
+    """The text ``json.dumps`` gives with ``indent=2``, for a JSON tree whose keys are all str.
+
+    CPython's encoder drops to pure Python whenever ``indent`` is set. Here
+    Python frames only the dicts and the lists of containers; each list of
+    scalars (a distance row, a response list) is one call to the C encoder,
+    whose item separator already holds the line break and the indent.
+    """
+    if not isinstance(obj, _CONTAINERS):
+        return _encoder(pad)(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{_encoder(inner)(k)}: {_indented(v, inner)}" for k, v in obj.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if any(map(isinstance, obj, repeat(_CONTAINERS))):
+        body = (",\n" + inner).join([_indented(x, inner) for x in obj])
+    else:
+        body = _encoder(inner)(obj)[1:-1]
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_indented(obj))
 
 
 def _request(args) -> int:
@@ -235,7 +270,9 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="tempvor",
         description="Two-player Voronoi games on temporal graphs.",

@@ -34,10 +34,14 @@ def _vertex_count_problem(n) -> str | None:
     return None
 
 
+def _reject(u, v) -> None:
+    raise GraphValidationError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
+
+
 def _norm_edge(edge: Sequence[int]) -> Edge:
     u, v = edge
     if type(u) is not int or type(v) is not int:  # exact type: bool is rejected too
-        raise GraphValidationError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
+        _reject(u, v)
     return (u, v) if u <= v else (v, u)
 
 
@@ -57,8 +61,15 @@ class TemporalGraph:
     layers: tuple[tuple[Edge, ...], ...]
 
     def __post_init__(self) -> None:
+        # _norm_edge inlined, one comprehension per layer: the exact type test
+        # rejects bool too, and _reject names the first bad edge in layer order.
         norm = tuple(
-            tuple(sorted(_norm_edge(e) for e in layer)) for layer in self.layers
+            tuple(sorted([
+                (u, v) if u <= v else (v, u)
+                for u, v in layer
+                if type(u) is int is type(v) or _reject(u, v)
+            ]))
+            for layer in self.layers
         )
         object.__setattr__(self, "layers", norm)
         problems = validate(self)

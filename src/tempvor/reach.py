@@ -155,9 +155,10 @@ def _sweep(g: TemporalGraph, sources: Sequence[int], unreached: float) -> list[l
     for i, s in enumerate(sources):
         reached[s] |= 1 << i
         arrival[i][s - 1] = 0
+    layers, tau = g.layers, g.tau
     for t in range(1, _horizon(g) + 1):
         gains = []
-        for u, v in g.layer(t):
+        for u, v in layers[min(t, tau) - 1]:
             ru, rv = reached[u], reached[v]
             if ru != rv:
                 gains.append((v, ru))
@@ -169,7 +170,7 @@ def _sweep(g: TemporalGraph, sources: Sequence[int], unreached: float) -> list[l
                 low = new & -new
                 arrival[low.bit_length() - 1][w - 1] = t
                 new ^= low
-        if t >= g.tau and not gains:
+        if t >= tau and not gains:
             break
     return arrival
 

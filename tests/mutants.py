@@ -136,7 +136,7 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "sweep-stops-before-tau",
         "src/tempvor/reach.py",
-        "if t >= g.tau and not gains:",
+        "if t >= tau and not gains:",
         "if not gains:",
         ("tests/test_reach.py",),
     ),
@@ -153,6 +153,34 @@ MUTANTS: tuple[Mutant, ...] = (
         "succ = [[i + 1] if (i + 1) % width else [] for i in range(g.n * width)]",
         "succ = [[] for i in range(g.n * width)]",
         ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "layer-normalisation-accepts-any-endpoint",
+        "src/tempvor/graph.py",
+        "if type(u) is int is type(v) or _reject(u, v)",
+        "if True or _reject(u, v)",
+        ("tests/test_graph.py",),
+    ),
+    Mutant(
+        "indented-empty-list-framed",
+        "src/tempvor/cli.py",
+        'return "{}" if isinstance(obj, dict) else "[]"',
+        'return "{}" if isinstance(obj, dict) else "[\\n" + pad + "]"',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "indented-scalar-list-at-outer-pad",
+        "src/tempvor/cli.py",
+        "body = _encoder(inner)(obj)[1:-1]",
+        "body = _encoder(pad)(obj)[1:-1]",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "indented-dict-items-share-a-line",
+        "src/tempvor/cli.py",
+        'return "{\\n" + inner + (",\\n" + inner).join(items) + "\\n" + pad + "}"',
+        'return "{\\n" + inner + ", ".join(items) + "\\n" + pad + "}"',
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "monotone-by-union",

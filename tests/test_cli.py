@@ -12,9 +12,10 @@ from functools import partial
 from itertools import product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import tempvor
-from tempvor import all_pairs, build_instance, is_nash, reproduce, to_canonical_json
+from tempvor import all_pairs, build_instance, cli, is_nash, reproduce, to_canonical_json
 from tempvor.cli import main
 from tempvor.instances import INSTANCE_NAMES
 from tempvor.reproduce import CLAIM_IDS, run_claim
@@ -436,3 +437,105 @@ def test_reproduce_stdout_is_pinned(capsys):
 
 def test_fixtures_stdout_is_pinned(capsys):
     assert _stdout_digest(capsys, [["fixtures"]]) == _FIXTURES_STDOUT_SHA256
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just("inf") | st.text()
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+    ),
+    max_leaves=40,
+)
+
+
+@given(_JSON_TREES)
+@example([])
+@example({"a": [], "b": {}})
+@example([[], [1], [{}]])
+@example([1, [2, "inf"], {"é": ["\u2603"]}])
+def test_indented_output_equals_the_stdlib_indent(obj):
+    assert cli._indented(obj) == json.dumps(obj, indent=2)
+
+
+def _every_command(tmp_path) -> list[list[str]]:
+    """One argv per command and option shape, on graphs with and without
+    unreachable pairs, with empty and one-vertex matrices and empty lists."""
+    graphs = {
+        "grid12": build_instance("vor_grow_grid_12").graph,
+        "path9": build_instance("shrink_path_9").graph,
+    }
+    paths = []
+    for name, g in graphs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(to_canonical_json(g))
+        paths.append(str(path))
+    for name, text in (("edgeless3", '{"n":3,"layers":[[]]}'), ("one", '{"n":1,"layers":[[]]}')):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    argvs = []
+    for path in paths:
+        argvs += [["analyze", path], ["distances", path]]
+        for game in ("vor", "rvor"):
+            base = ["--game", game]
+            argvs += [
+                ["payoff", path, *base, "--profile", "1,1"],
+                ["best-response", path, *base],
+                ["best-response", path, *base, "--fixed", "1"],
+                ["best-response", path, *base, "--fixed", "1", "--role", "1"],
+                ["nash", path, *base, "--profile", "1,1"],
+                ["nash", path, *base],
+                ["dynamics", path, *base, "--profile", "1,1"],
+            ]
+    argvs += [
+        ["sweep", "--class", "path", "--n", "3", "--tau", "1", "--game", "rvor",
+         "--out", str(tmp_path / "sweep")],
+        ["fixtures"],
+        ["fixtures", "--instance", "grow_cycle_7"],
+        ["fixtures", "--out", str(tmp_path / "fx")],
+    ]
+    return argvs
+
+
+def test_every_command_prints_its_payload_as_the_stdlib_indent(monkeypatch, capsys, tmp_path):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda obj: (payloads.append(obj), emit(obj)))
+    for argv in _every_command(tmp_path):
+        code, out = _run(capsys, argv)
+        assert code == 0, argv
+        assert out == json.dumps(payloads.pop(), indent=2) + "\n", argv
+    assert payloads == []
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(capsys, grid12_path):
+    game = [grid12_path, "--game", "vor"]
+    pairs = [
+        (["best-response", *game, "--fixed", "1", "--role", "1"],
+         ["best-response", *game, "--fixed", "1"]),
+        (["nash", *game, "--profile", "1,2"], ["nash", *game]),
+        (["dynamics", *game, "--profile", "1,1", "--max-steps", "3"],
+         ["dynamics", *game, "--profile", "1,1"]),
+        (["nash", grid12_path, "--game", "chess"], ["nash", *game]),
+    ]
+
+    def call(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def fresh(argv):
+        cli._build_parser.cache_clear()
+        return call(argv)
+
+    for first, second in pairs:
+        parser = cli._build_parser()
+        in_one_process = [call(first), call(second)]
+        assert cli._build_parser() is parser
+        assert in_one_process == [fresh(first), fresh(second)]
+    assert [code for code, _, _ in in_one_process] == [2, 0]

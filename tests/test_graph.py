@@ -151,6 +151,40 @@ def test_edge_normalisation_is_order_insensitive():
     assert TemporalGraph(3, (((2, 1), (3, 2)),)) == TemporalGraph(3, (((1, 2), (2, 3)),))
 
 
+def test_reversed_tuples_and_lists_normalise_to_sorted_pairs():
+    for layer in ([(3, 1), (2, 1)], [[3, 1], [2, 1]], [[3, 1], (1, 2)]):
+        g = TemporalGraph(3, [layer, [[3, 2]]])
+        assert g.layers == (((1, 2), (1, 3)), ((2, 3),))
+        assert all(type(e) is tuple for layer in g.layers for e in layer)
+
+
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        # several bad edges in one layer: the first one in layer order is named
+        ((((1, 2), (True, 2), (1, 2.0), ("3", 1)),), "edge (True,2)"),
+        ((((2, 1), (2, False), (1.5, 2)),), "edge (2,False)"),
+        ((((3, "1"), (None, 2)),), "edge (3,'1')"),
+        # across layers: an earlier layer's bad edge comes first, wherever it sits
+        ((((1, 2),), ((2, 3), (3, 1.0)), ((True, 1),)), "edge (3,1.0)"),
+        ((((1, 3), (2.0, 1)), (("2", 3),)), "edge (2.0,1)"),
+        # a bad endpoint is reported even when the edge also breaks a later rule
+        ((((1, 1),), ((9, 9.0),)), "edge (9,9.0)"),
+    ],
+)
+def test_construction_names_the_first_non_int_edge(layers, message):
+    with pytest.raises(GraphValidationError) as excinfo:
+        TemporalGraph(3, layers)
+    assert str(excinfo.value) == f"{message} has an endpoint that is not an int"
+
+
+@pytest.mark.parametrize("edge", [(1, 2, 3), (1,), [1, 2, 3], ()])
+def test_an_edge_without_two_endpoints_is_a_plain_value_error(edge):
+    with pytest.raises(ValueError) as excinfo:
+        TemporalGraph(3, (((1, 2), edge),))
+    assert type(excinfo.value) is ValueError
+
+
 def test_underlying_of_growing_cycle_is_the_full_cycle():
     s = underlying(build_instance("grow_cycle_7").graph)
     assert s.edges == {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 7)}
