@@ -114,9 +114,9 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "json-one-int-per-entry",
         "src/tempvor/reach.py",
-        "return [list(map(name, flat[i : i + n])) for i in range(0, n * n, n)]",
-        'return [["inf" if x == self._sentinel else x for x in flat[i : i + n]]'
-        " for i in range(0, n * n, n)]",
+        "return [list(map(name, flat[u * n : u * n + n])) for u in range(n)]",
+        'return [["inf" if x == self._sentinel else x for x in flat[u * n : u * n + n]]'
+        " for u in range(n)]",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -136,8 +136,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "sweep-stops-before-tau",
         "src/tempvor/reach.py",
-        "if t >= tau and not gains:",
-        "if not gains:",
+        "                new ^= low\n        if t >= tau and not gains:",
+        "                new ^= low\n        if not gains:",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -146,6 +146,48 @@ MUTANTS: tuple[Mutant, ...] = (
         "reached[s] |= 1 << i",
         "reached[s] |= 1 << (i % 64)",
         ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "batch-drops-the-instance-mask",
+        "src/tempvor/reach.py",
+        "diff = ru ^ rv if mask is None else (ru ^ rv) & mask",
+        "diff = ru ^ rv",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "batch-last-change-starts-at-one",
+        "src/tempvor/reach.py",
+        "cnt, last = [0] * (n + 1), [0] * (n + 1)",
+        "cnt, last = [0] * (n + 1), [1] * (n + 1)",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "batch-unreached-one-below-sentinel",
+        "src/tempvor/reach.py",
+        "cnt[w] += (sentinel - last[w]) * (lanes ^ reached[w])",
+        "cnt[w] += (sentinel - 1 - last[w]) * (lanes ^ reached[w])",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "batch-one-byte-lanes",
+        "src/tempvor/reach.py",
+        'low = b"\\1".ljust(size, b"\\0")',
+        'low = b"\\1"',
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "batch-stops-before-tau",
+        "src/tempvor/reach.py",
+        "                reached[w] = merged\n        if t >= tau and not gains:",
+        "                reached[w] = merged\n        if not gains:",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "sweep-chunk-boundary-off-by-one",
+        "src/tempvor/explorer.py",
+        "chunk = run[i : i + _CHUNK]",
+        "chunk = run[i : i + _CHUNK - 1]",
+        ("tests/test_explorer.py",),
     ),
     Mutant(
         "expanded-search-without-waiting",

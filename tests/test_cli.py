@@ -374,6 +374,34 @@ def test_fixtures_unknown_instance_is_a_spec_error(capsys, name):
     assert captured.err.startswith(f"error: unknown instance {name!r}; known: grow_cycle_7, ")
 
 
+@pytest.mark.parametrize(
+    "args, code, expected",
+    [
+        (["analyze"], 0, {"n": 0, "tau": 1, "distances": []}),
+        (["distances"], 0, {"distances": []}),
+        (["payoff", "--game", "vor", "--profile", "1,1"], 4, "profile vertex 1"),
+        (["best-response", "--game", "rvor"], 0, {"best_response_graph": {"responses": {}, "values": {}}}),
+        (["best-response", "--game", "vor", "--fixed", "1"], 4, "fixed vertex 1"),
+        (["nash", "--game", "vor"], 0, {"equilibria": [], "count": 0}),
+        (["nash", "--game", "rvor", "--profile", "1,1"], 4, "profile vertex 1"),
+        (["dynamics", "--game", "vor", "--profile", "1,1"], 4, "profile vertex 1"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_every_request_on_the_empty_graph(capsys, tmp_path, args, code, expected):
+    # n = 0 is a valid graph: its distances are an empty list, and no vertex
+    # can be named in a profile
+    path = tmp_path / "n0.json"
+    path.write_text('{"n":0,"layers":[[]]}')
+    assert main([args[0], str(path), *args[1:]]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert (captured.out, captured.err) == ("", f"error: {expected} out of range 1..0\n")
+    else:
+        payload = json.loads(captured.out)
+        assert {key: payload[key] for key in expected} == expected
+
+
 def test_distances_command(capsys, cycle7_path):
     code, out = _run(capsys, ["distances", cycle7_path])
     assert code == 0

@@ -35,6 +35,7 @@ from tempvor.explorer import (
     _layer_chains,
     _underlying_edge_sets,
 )
+from tempvor.reach import _expanded_search
 
 
 def _changes(g):
@@ -184,15 +185,35 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sweep_budget_guard_fires_before_any_distance(monkeypatch):
-    distances = _count_calls(monkeypatch, "all_pairs")
+    batches = _count_calls(monkeypatch, "_all_pairs_batch")
     labels = _count_calls(monkeypatch, "classify_underlying")
     spec = FamilySpec("cycle", (6, 8), (1, 2), "any", 2)
     for limit in (3, -2):
         with pytest.raises(FamilyBudgetError):
             sweep(spec, "rvor", limit=limit)
-    assert distances == labels == []
+    assert batches == labels == []
     sweep(FamilySpec("path", (3, 3), (1, 1)), "rvor", limit=1)
-    assert len(distances) == len(labels) == 1
+    assert sum(len(chunk) for (chunk,) in batches) == len(labels) == 1
+
+
+def test_sweep_passes_long_runs_in_chunks(monkeypatch):
+    # 4,095 growing 3 x 3 grids share one edge set and tau: one run, 16 chunks
+    spec = FamilySpec("grid", (9, 9), (2, 2), "growing")
+    batch, chunks = tempvor.explorer._all_pairs_batch, []
+
+    def recording(chunk):
+        chunks.append((chunk, list(batch(chunk))))
+        return iter(chunks[-1][1])
+
+    monkeypatch.setattr(tempvor.explorer, "_all_pairs_batch", recording)
+    outcome = sweep(spec, "vor")
+    assert [len(chunk) for chunk, _ in chunks] == [256] * 15 + [255]
+    graphs = [g for chunk, _ in chunks for g in chunk]
+    assert graphs == [o.graph for o in outcome.outcomes] == list(generate_family(spec))
+    for chunk, ds in chunks:
+        for g, d in zip(chunk, ds, strict=True):
+            assert d._flat == all_pairs(g)._flat
+            assert list(d.rows) == _expanded_search(g, g.vertices)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import groupby
 
 import pytest
 
@@ -21,9 +22,10 @@ from tempvor import (
     oracle_arrivals,
     to_canonical_json,
 )
-from tempvor import reproduce
+from tempvor import FamilySpec, generate_family, reproduce
+from tempvor.explorer import MONOTONICITY, _underlying_key
 from tempvor.randgen import random_temporal_graph
-from tempvor.reach import _expanded_search
+from tempvor.reach import _all_pairs_batch, _expanded_search
 
 
 def test_growing_cycle_arrivals_from_vertex_5():
@@ -276,6 +278,86 @@ def test_distance_matrix_json_uses_inf_string():
     obj = d.to_json_obj()
     assert obj[8][0] == "inf"
     assert obj[0][0] == 0
+
+
+def test_empty_distance_matrix_json_is_an_empty_list():
+    assert all_pairs(TemporalGraph(0, ((),))).to_json_obj() == []
+    assert DistanceMatrix(()).to_json_obj() == []
+
+
+def _assert_batch_matches(graphs):
+    """The batch kernel on ``graphs`` against all_pairs of each instance, byte
+    for byte, and against one time-expanded search of each instance."""
+    batch = list(_all_pairs_batch(graphs))
+    assert len(batch) == len(graphs)
+    for g, d in zip(graphs, batch):
+        single = all_pairs(g)
+        assert (d.n, d._sentinel) == (g.n, single._sentinel)
+        assert (d._flat.typecode, d._flat) == (single._flat.typecode, single._flat)
+        assert list(d.rows) == _expanded_search(g, g.vertices)
+    return batch
+
+
+# Vertex ranges that keep every base class x monotonicity family with
+# tau <= 3 small enough to check each instance against the oracle.
+_ORACLE_N = {
+    "path": (1, 4),
+    "cycle": (3, 4),
+    "tree": (1, 3),
+    "grid": (4, 4),
+    "clique": (1, 3),
+    "complete_k_partite": (1, 3),
+    "split": (1, 3),
+    "threshold": (1, 3),
+}
+
+
+@pytest.mark.parametrize("base", sorted(_ORACLE_N))
+def test_batch_kernel_matches_all_pairs_on_every_run(base):
+    for mono in MONOTONICITY:
+        spec = FamilySpec(base, _ORACLE_N[base], (1, 3), mono)
+        for _, run in groupby(generate_family(spec), lambda g: (_underlying_key(g), g.tau)):
+            _assert_batch_matches(list(run))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_batch_kernel_on_empty_edge_sets(n):
+    # the stream emits an empty edge set only with tau = 1, as a run of one
+    for tau in (1, 3):
+        _assert_batch_matches([TemporalGraph(n, ((),) * tau)] * 3)
+
+
+def test_batch_kernel_runs_past_gain_free_steps_before_tau():
+    # no instance gains at steps 1 and 2, yet both gain at step 3
+    a, b = (1, 2), (2, 3)
+    _assert_batch_matches(
+        [TemporalGraph(3, ((), (), (a,), (a, b))), TemporalGraph(3, ((), (), (a, b), (b,)))]
+    )
+
+
+def test_batch_kernel_with_two_byte_lanes():
+    # tau + n + 1 >= 256 widens every lane to two bytes, and arrivals after
+    # the sparse first 259 layers fill the high byte
+    rng = random.Random("two-byte lanes")
+    edges = ((1, 2), (1, 4), (2, 3), (2, 4), (3, 4))
+    sparse = lambda: tuple(e for e in edges if rng.random() < 0.005)  # noqa: E731
+    graphs = [TemporalGraph(4, tuple(sparse() for _ in range(259)) + (edges,)) for _ in range(5)]
+    batch = _assert_batch_matches(graphs)
+    assert {d._flat.itemsize for d in batch} == {2}
+    assert max(d.max_finite() for d in batch) > 255
+    assert len({d._flat.tobytes() for d in batch}) == 5
+
+
+def test_batch_kernel_with_four_byte_lanes():
+    path = tuple((v, v + 1) for v in range(1, 5))
+    graphs = [
+        TemporalGraph(6, ((),) * 65_530 + (path,)),
+        TemporalGraph(6, (path,) + ((),) * 65_529 + (path,)),
+    ]
+    batch = list(_all_pairs_batch(graphs))
+    assert [(d._sentinel, d._flat.typecode) for d in batch] == [(65_538, "I")] * 2
+    for g, d in zip(graphs, batch):
+        assert d.rows == tuple(earliest_arrivals(g, u) for u in g.vertices)
 
 
 # Claim 13 must still name a kernel that disagrees with the time-expanded
