@@ -25,10 +25,11 @@ the budget error before it computes any distance or class label. The stream
 emits all instances over one edge set in a row, and within that run all of
 one lifetime in a row. So :func:`sweep` decides the class labels once per
 underlying graph (vertex count and edge set), not once per instance, and
-computes the distances of each (vertex count, edge set, lifetime) run in
-chunks of at most ``_CHUNK`` instances, one batch layer sweep per chunk. Each
-instance's matrix is made when that instance is decided, so it and its
-payoff tables are freed before the next one.
+passes each (vertex count, edge set, lifetime) run to the distance module,
+which computes it in batch layer sweeps of bounded size where they pay and
+with ``all_pairs`` where they do not. Each instance's matrix is made when
+that instance is decided, so it and its payoff tables are freed before the
+next one.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .graph import (
     _threshold_edges,
     to_json_obj,
 )
-from .reach import _all_pairs_batch
+from .reach import _all_pairs_run
 
 BASE_CLASSES = (
     "path",
@@ -73,11 +74,6 @@ BASE_CLASSES = (
 MONOTONICITY = ("growing", "shrinking", "any")
 
 DEFAULT_INSTANCE_LIMIT = 1_000_000
-
-# Instances per batch distance sweep. On the sweep benchmark's families 256,
-# 1,024 and 4,096 took the same time within 7%, 64 took 25% longer, 16 twice
-# as long; the chunk also bounds the size of the sweep's lane ints.
-_CHUNK = 256
 
 
 class FamilySpecError(ValueError):
@@ -359,11 +355,9 @@ def sweep(
         labels = tuple(sorted(classify_underlying(StaticGraph(n, edges))))
         for _, run in groupby(same_edges, attrgetter("tau")):
             run = list(run)
-            for i in range(0, len(run), _CHUNK):
-                chunk = run[i : i + _CHUNK]
-                for g, d in zip(chunk, _all_pairs_batch(chunk), strict=True):
-                    witness = first_nash(g, d, kind)
-                    outcomes.append(InstanceOutcome(g, _report(g, d, labels), witness))
+            for g, d in zip(run, _all_pairs_run(run), strict=True):
+                witness = first_nash(g, d, kind)
+                outcomes.append(InstanceOutcome(g, _report(g, d, labels), witness))
     return SearchOutcome(spec, kind, tuple(outcomes))
 
 

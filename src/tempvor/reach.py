@@ -23,9 +23,11 @@ The private ``_all_pairs_batch`` runs the same sweep once for a batch of such
 instances: each vertex holds one int with a lane per (instance, source) as
 wide as the flat array's item, edges are masked by the instances that hold
 them, and arrival times are lane counters whose bytes become the columns of
-every matrix. On single graphs the wide lanes cost more than they save (about
-four times the time of ``all_pairs`` on a one-layer path with n = 1,024), so
-a batch of one runs ``all_pairs``.
+every matrix. It saves the interpreter's per-instance work but spends 8 or
+more bits per source where ``all_pairs`` spends 1; measured, that pays for
+runs of two or more instances whose lanes fit in one byte (tau + n + 1 <
+256). ``_all_pairs_run`` makes that choice for a run and cuts it into
+chunks whose lane ints fit a fixed byte budget.
 
 The independent check, ``oracle_arrivals``, searches the time-expanded graph
 instead: one state graph per instance on integer ids for (vertex, time)
@@ -224,6 +226,42 @@ def all_pairs(g: TemporalGraph) -> DistanceMatrix:
     return DistanceMatrix._of(g.n, flat, sentinel)
 
 
+# Instances per batch sweep: 256, 1,024 and 4,096 took the same time within
+# 7% on the sweep benchmark's families, 64 took 25% longer, 16 twice as long.
+_CHUNK = 256
+# Bytes of lane ints one batch sweep may hold. Traced peaks of full chunks at
+# n = 64..250 were 7-9 MiB, with Python's int and tuple overheads; one
+# ``all_pairs`` of a graph with n = 1,024 peaks at 10 MiB.
+_BATCH_BYTES = 8 << 20
+
+
+def _all_pairs_run(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix]:
+    """``all_pairs`` of each of ``graphs``, which share n, tau and edge set,
+    in order; each matrix is made on request.
+
+    The run goes to ``_all_pairs_batch`` in chunks of at most ``_CHUNK``
+    instances whose lane ints fit in ``_BATCH_BYTES``. With one-byte lanes an
+    instance adds n bytes to each of the n reached sets, the n counters, the
+    n matrix columns and at most tau*|E| edge masks. A chunk of one instance
+    goes to ``all_pairs``, and so does every instance whose lanes need two or
+    more bytes (tau + n + 1 >= 256). Per-instance time, batch over
+    ``all_pairs``, on runs of paths, cycles, trees, grids and cliques:
+    0.10-0.54 with one-byte lanes at tau = 2 and n = 9..250, 0.49-0.93 at
+    tau = 100..200; 0.93-2.2 with two-byte lanes at n = 16..512; 1.8-2.1 for
+    lone trees with n <= 5.
+    """
+    g, step = graphs[0], 1
+    if _horizon(g) + 1 < 256:
+        lane_bytes = g.n * (3 * g.n + g.tau * len(set().union(*g.layers)))
+        step = max(1, min(_CHUNK, _BATCH_BYTES // lane_bytes))
+    for i in range(0, len(graphs), step):
+        chunk = graphs[i : i + step]
+        if len(chunk) == 1:
+            yield all_pairs(chunk[0])
+        else:
+            yield from _all_pairs_batch(chunk)
+
+
 def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix]:
     """``all_pairs`` of each of ``graphs``, which share n, tau and edge set,
     from one layer sweep; the matrices are made one at a time, on request.
@@ -242,8 +280,6 @@ def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix
     the flat matrices of all the graphs in a row.
     """
     g, count = graphs[0], len(graphs)
-    if count == 1:
-        return iter((all_pairs(g),))
     n, tau, sentinel = g.n, g.tau, _horizon(g) + 1
     flat = _storage(sentinel)
     size, bits = flat.itemsize, 8 * flat.itemsize
@@ -251,24 +287,35 @@ def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix
     lanes = int.from_bytes(low * (count * n), "little")  # the low bit of every lane
     instance0 = int.from_bytes(low * n, "little")  # the low bits of instance 0's lanes
     edges = sorted(set().union(*g.layers))
+    index = {e: j for j, e in enumerate(edges)}
     # Row k of a layer's held matrix marks the edges graphs[k] holds in it;
     # column j, a strided slice, marks the instances that hold edges[j].
-    rows: dict[tuple[Edge, ...], bytes] = {}
+    # Steps whose held matrices are equal share one list of masked edges.
+    rows: dict[tuple[Edge, ...], bytearray] = {}
+    masked_by_held: dict[bytes, list[tuple[int, int, int | None]]] = {}
     layers = []
     for t in range(tau):
-        held = b"".join([
-            rows.get(layer) or rows.setdefault(layer, bytes([e in layer for e in edges]))
-            for layer in [h.layers[t] for h in graphs]
-        ])
-        masked = []
-        for j, (u, v) in enumerate(edges):
-            column = held[j :: len(edges)]
-            if 0 not in column:
-                masked.append((u, v, None))
-            elif 1 in column:
-                spread = bytearray(count * n * size)
-                spread[:: n * size] = column
-                masked.append((u, v, int.from_bytes(spread, "little") * instance0))
+        held = bytearray()
+        for h in graphs:
+            layer = h.layers[t]
+            row = rows.get(layer)
+            if row is None:
+                row = rows[layer] = bytearray(len(edges))
+                for e in layer:
+                    row[index[e]] = 1
+            held += row
+        held = bytes(held)
+        masked = masked_by_held.get(held)
+        if masked is None:
+            masked = masked_by_held[held] = []
+            for j, (u, v) in enumerate(edges):
+                column = held[j :: len(edges)]
+                if 0 not in column:
+                    masked.append((u, v, None))
+                elif 1 in column:
+                    spread = bytearray(count * n * size)
+                    spread[:: n * size] = column
+                    masked.append((u, v, int.from_bytes(spread, "little") * instance0))
         layers.append(masked)
     source1 = int.from_bytes(low.ljust(n * size, b"\0") * count, "little")
     reached = [0] + [source1 << (s * bits) for s in range(n)]

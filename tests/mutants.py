@@ -183,11 +183,41 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_reach.py",),
     ),
     Mutant(
-        "sweep-chunk-boundary-off-by-one",
-        "src/tempvor/explorer.py",
-        "chunk = run[i : i + _CHUNK]",
-        "chunk = run[i : i + _CHUNK - 1]",
+        "batch-masks-cached-by-first-row",
+        "src/tempvor/reach.py",
+        "masked = masked_by_held.get(held)\n        if masked is None:\n"
+        "            masked = masked_by_held[held] = []",
+        "masked = masked_by_held.get(held[: len(edges)])\n        if masked is None:\n"
+        "            masked = masked_by_held[held[: len(edges)]] = []",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "run-chunk-boundary-off-by-one",
+        "src/tempvor/reach.py",
+        "chunk = graphs[i : i + step]",
+        "chunk = graphs[i : i + step - 1]",
         ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "run-batches-two-byte-lanes",
+        "src/tempvor/reach.py",
+        "if _horizon(g) + 1 < 256:",
+        "if _horizon(g) + 1 <= 256:",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "run-budget-without-edge-masks",
+        "src/tempvor/reach.py",
+        "lane_bytes = g.n * (3 * g.n + g.tau * len(set().union(*g.layers)))",
+        "lane_bytes = g.n * 3 * g.n",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "run-batches-a-lone-instance",
+        "src/tempvor/reach.py",
+        "if len(chunk) == 1:",
+        "if not chunk:",
+        ("tests/test_reach.py",),
     ),
     Mutant(
         "expanded-search-without-waiting",

@@ -11,6 +11,7 @@ from brute import _cycle_canonical_key, oracle_layer_chains
 from test_sweep_pins import FAMILIES
 
 import tempvor.explorer
+import tempvor.reach
 from tempvor import (
     FamilyBudgetError,
     FamilySpec,
@@ -185,27 +186,27 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sweep_budget_guard_fires_before_any_distance(monkeypatch):
-    batches = _count_calls(monkeypatch, "_all_pairs_batch")
+    runs = _count_calls(monkeypatch, "_all_pairs_run")
     labels = _count_calls(monkeypatch, "classify_underlying")
     spec = FamilySpec("cycle", (6, 8), (1, 2), "any", 2)
     for limit in (3, -2):
         with pytest.raises(FamilyBudgetError):
             sweep(spec, "rvor", limit=limit)
-    assert batches == labels == []
+    assert runs == labels == []
     sweep(FamilySpec("path", (3, 3), (1, 1)), "rvor", limit=1)
-    assert sum(len(chunk) for (chunk,) in batches) == len(labels) == 1
+    assert sum(len(run) for (run,) in runs) == len(labels) == 1
 
 
 def test_sweep_passes_long_runs_in_chunks(monkeypatch):
     # 4,095 growing 3 x 3 grids share one edge set and tau: one run, 16 chunks
     spec = FamilySpec("grid", (9, 9), (2, 2), "growing")
-    batch, chunks = tempvor.explorer._all_pairs_batch, []
+    batch, chunks = tempvor.reach._all_pairs_batch, []
 
     def recording(chunk):
         chunks.append((chunk, list(batch(chunk))))
         return iter(chunks[-1][1])
 
-    monkeypatch.setattr(tempvor.explorer, "_all_pairs_batch", recording)
+    monkeypatch.setattr(tempvor.reach, "_all_pairs_batch", recording)
     outcome = sweep(spec, "vor")
     assert [len(chunk) for chunk, _ in chunks] == [256] * 15 + [255]
     graphs = [g for chunk, _ in chunks for g in chunk]

@@ -25,7 +25,8 @@ from tempvor import (
 from tempvor import FamilySpec, generate_family, reproduce
 from tempvor.explorer import MONOTONICITY, _underlying_key
 from tempvor.randgen import random_temporal_graph
-from tempvor.reach import _all_pairs_batch, _expanded_search
+import tempvor.reach
+from tempvor.reach import _all_pairs_batch, _all_pairs_run, _expanded_search
 
 
 def test_growing_cycle_arrivals_from_vertex_5():
@@ -358,6 +359,40 @@ def test_batch_kernel_with_four_byte_lanes():
     assert [(d._sentinel, d._flat.typecode) for d in batch] == [(65_538, "I")] * 2
     for g, d in zip(graphs, batch):
         assert d.rows == tuple(earliest_arrivals(g, u) for u in g.vertices)
+
+
+def _kernel_calls(monkeypatch, graphs):
+    """Drain ``_all_pairs_run(graphs)`` with both kernels stubbed out; return
+    the chunks the batch kernel got and the count of all_pairs calls."""
+    chunks, singles = [], []
+    monkeypatch.setattr(tempvor.reach, "all_pairs", singles.append)
+    monkeypatch.setattr(
+        tempvor.reach, "_all_pairs_batch", lambda chunk: chunks.append(chunk) or chunk
+    )
+    assert len(list(_all_pairs_run(graphs))) == len(graphs)
+    return [len(chunk) for chunk in chunks], len(singles)
+
+
+def test_run_sends_a_lone_instance_to_all_pairs(monkeypatch):
+    assert _kernel_calls(monkeypatch, [TemporalGraph(3, (((1, 2),),))]) == ([], 1)
+
+
+def test_run_caps_chunks_by_lane_bytes_at_large_n(monkeypatch):
+    # 199 growing paths with n = 200: each instance's lane ints take
+    # 200 * (3 * 200 + 2 * 199) bytes, so 42 of them fit in the budget
+    spec = FamilySpec("path", (200, 200), (2, 2), "growing", 1)
+    graphs = list(generate_family(spec))
+    lane_bytes = 200 * (3 * 200 + 2 * 199)
+    assert 42 * lane_bytes <= tempvor.reach._BATCH_BYTES < 43 * lane_bytes
+    assert _kernel_calls(monkeypatch, graphs) == ([42] * 4 + [31], 0)
+
+
+@pytest.mark.parametrize("n,tau,batched", [(4, 250, True), (4, 251, False), (1024, 2, False)])
+def test_run_sends_two_byte_lanes_to_all_pairs(monkeypatch, n, tau, batched):
+    # tau + n + 1 = 255 still fits one-byte lanes, 256 does not
+    path = tuple((v, v + 1) for v in range(1, n))
+    graphs = [TemporalGraph(n, ((),) * (tau - 2) + (path[:k], path)) for k in (0, 1, 2)]
+    assert _kernel_calls(monkeypatch, graphs) == (([3], 0) if batched else ([], 3))
 
 
 # Claim 13 must still name a kernel that disagrees with the time-expanded
