@@ -111,6 +111,10 @@ def _check_spec(spec: FamilySpec) -> None:
         raise FamilySpecError(
             f"unknown base class {spec.base_class!r}; known: {', '.join(BASE_CLASSES)}"
         )
+    budget = () if spec.max_edge_changes is None else (spec.max_edge_changes,)
+    if any(type(x) is not int for x in (*spec.n_range, *spec.tau_range, *budget)):
+        # exact type: bool is rejected too
+        raise FamilySpecError(f"family bounds and budget must be ints: {spec}")
     lo, hi = spec.n_range
     if lo < 1 or lo > hi or hi > _MAX_VERTICES:
         raise FamilySpecError(f"bad vertex range {spec.n_range}; n is 1..{_MAX_VERTICES}")

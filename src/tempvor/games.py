@@ -43,7 +43,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
-from .graph import TemporalGraph
+from .graph import TemporalGraph, _check_vertex
 from .reach import DistanceMatrix
 
 GameKind = Literal["vor", "rvor"]
@@ -55,11 +55,6 @@ GAME_KINDS: tuple[GameKind, ...] = ("vor", "rvor")
 def _check_kind(kind: str) -> None:
     if kind not in GAME_KINDS:
         raise ValueError(f"unknown game kind {kind!r}; expected one of {GAME_KINDS}")
-
-
-def _check_vertex(g: TemporalGraph, v: int, what: str = "vertex") -> None:
-    if not 1 <= v <= g.n:
-        raise ValueError(f"{what} {v} out of range 1..{g.n}")
 
 
 def _check_inputs(g: TemporalGraph, d: DistanceMatrix, kind: str) -> None:
@@ -112,8 +107,8 @@ def payoff(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> P
     """
     _check_inputs(g, d, kind)
     p1, p2 = s
-    _check_vertex(g, p1, "p1")
-    _check_vertex(g, p2, "p2")
+    _check_vertex(g.n, p1, "p1")
+    _check_vertex(g.n, p2, "p2")
     # The sentinel sorts above every finite time and ties with itself, as INF does.
     mine, theirs = _lines(d._flat, g.n, kind, (p1 - 1, p2 - 1))
     pairs = tuple(zip(g.vertices, mine, theirs))
@@ -220,7 +215,7 @@ def best_responses(
     _check_inputs(g, d, kind)
     if role not in (1, 2):
         raise ValueError(f"role must be 1 or 2, got {role}")
-    _check_vertex(g, fixed, "fixed vertex")
+    _check_vertex(g.n, fixed, "fixed vertex")
     return _table_replies(d, kind, fixed)
 
 
@@ -259,8 +254,8 @@ def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> 
     """Check both players play best responses; certify failure with a deviation."""
     _check_inputs(g, d, kind)
     p1, p2 = s
-    _check_vertex(g, p1, "p1")
-    _check_vertex(g, p2, "p2")
+    _check_vertex(g.n, p1, "p1")
+    _check_vertex(g.n, p2, "p2")
     for player, mine, theirs in ((1, p1, p2), (2, p2, p1)):
         col, best, _ = _table_entry(d, kind, theirs)
         if best > col[mine - 1]:
@@ -379,14 +374,14 @@ def best_response_dynamics(
     if max_steps < 1:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
     p1, p2 = start
-    _check_vertex(g, p1, "p1")
-    _check_vertex(g, p2, "p2")
+    _check_vertex(g.n, p1, "p1")
+    _check_vertex(g.n, p2, "p2")
     if allowed is None:
         choices = tuple(g.vertices)
     else:
+        for v in allowed:
+            _check_vertex(g.n, v, "allowed vertex")
         choices = tuple(sorted(allowed))
-        for v in choices:
-            _check_vertex(g, v, "allowed vertex")
         if p1 not in allowed or p2 not in allowed:
             raise ValueError("start profile must lie inside the allowed set")
 

@@ -34,6 +34,14 @@ def _vertex_count_problem(n) -> str | None:
     return None
 
 
+def _check_vertex(n: int, v, what: str) -> None:
+    """Raise ``ValueError`` unless ``v`` names a vertex: an int in 1..n."""
+    if type(v) is not int:  # exact type: bool is rejected too
+        raise ValueError(f"{what} {v!r} is not an integer")
+    if not 1 <= v <= n:
+        raise ValueError(f"{what} {v} out of range 1..{n}")
+
+
 def _reject(u, v) -> None:
     raise GraphValidationError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
 

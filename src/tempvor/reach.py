@@ -20,14 +20,14 @@ itself.
 Sweeps decide many small instances over one edge set, and there the
 interpreter's per-call and per-bit work costs more than the bit operations.
 The private ``_all_pairs_batch`` runs the same sweep once for a batch of such
-instances: each vertex holds one int with a lane per (instance, source) as
-wide as the flat array's item, edges are masked by the instances that hold
-them, and arrival times are lane counters whose bytes become the columns of
-every matrix. It saves the interpreter's per-instance work but spends 8 or
-more bits per source where ``all_pairs`` spends 1; measured, that pays for
-runs of two or more instances whose lanes fit in one byte (tau + n + 1 <
-256). ``_all_pairs_run`` makes that choice for a run and cuts it into
-chunks whose lane ints fit a fixed byte budget.
+instances: each vertex holds one int with a one-byte lane per (instance,
+source), edges are masked by the instances that hold them, and arrival
+times are lane counters whose bytes become the columns of every matrix. It
+saves the interpreter's per-instance work but spends 8 bits per source where
+``all_pairs`` spends 1; measured, that pays for runs of two or more
+instances whose times fit in one byte (tau + n + 1 < 256).
+``_all_pairs_run`` makes that choice for a run and cuts it into chunks whose
+lane ints fit a fixed byte budget.
 
 The independent check, ``oracle_arrivals``, searches the time-expanded graph
 instead: one state graph per instance on integer ids for (vertex, time)
@@ -37,13 +37,12 @@ pairs, searched by plain BFS from each source, with no bitsets.
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from itertools import starmap
 from struct import Struct
 
-from .graph import Edge, TemporalGraph
+from .graph import Edge, TemporalGraph, _check_vertex
 
 INF = math.inf
 
@@ -66,12 +65,12 @@ class DistanceMatrix:
     The times live in one row-major ``array`` of unsigned ints, td(u, v) at
     index (u-1)*n + v-1, in the smallest typecode that holds the sentinel: an
     int above every finite time that stands for ``INF``. ``all_pairs`` uses
-    tau+n+1, one past the sweep's horizon; ``DistanceMatrix(rows)`` accepts
-    any square rows of non-negative ints and ``INF`` and uses one past their
-    largest finite time. ``rows``, the tuples of ints and ``INF``, is derived
-    on request, and equality, hashing and ``repr`` read it, so two matrices
-    with equal rows are equal whatever their sentinels. Treat a matrix as
-    immutable.
+    tau+n+1, one past the sweep's horizon; ``DistanceMatrix(rows)`` takes
+    square rows of non-negative ints and ``INF``, raises ``ValueError`` on
+    any other entry and uses one past the largest finite time. ``rows``, the
+    tuples of ints and ``INF``, is derived on request, and equality, hashing
+    and ``repr`` read it, so two matrices with equal rows are equal whatever
+    their sentinels. Treat a matrix as immutable.
 
     The private ``_tables`` holds the game module's payoff tables for this
     matrix, one per game kind; it stays None until the first game query.
@@ -83,7 +82,11 @@ class DistanceMatrix:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError(f"distance rows do not form a {n} x {n} matrix")
-        sentinel = max((x for row in rows for x in row if x != INF), default=-1) + 1
+        finite = [x for row in rows for x in row if x != INF]
+        for x in finite:
+            if type(x) is not int or x < 0:  # exact type: bool is rejected too
+                raise ValueError(f"distance {x!r} is neither a non-negative int nor INF")
+        sentinel = max(finite, default=-1) + 1
         flat = _storage(sentinel)
         for row in rows:
             flat.fromlist([sentinel if x == INF else x for x in row])
@@ -194,10 +197,9 @@ def earliest_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
     The multi-source sweep run from one source: at step t a vertex w becomes
     reachable at time t when some edge {x, w} is active at t and x arrived
     strictly before t. Graphs are checked when constructed, so only a source
-    outside 1..n raises ``ValueError``.
+    that is not an int in 1..n raises ``ValueError``.
     """
-    if not 1 <= source <= g.n:
-        raise ValueError(f"source {source} out of range 1..{g.n}")
+    _check_vertex(g.n, source, "source")
     return tuple(_sweep(g, (source,), INF)[0])
 
 
@@ -226,12 +228,10 @@ def all_pairs(g: TemporalGraph) -> DistanceMatrix:
     return DistanceMatrix._of(g.n, flat, sentinel)
 
 
-# Instances per batch sweep: 256, 1,024 and 4,096 took the same time within
-# 7% on the sweep benchmark's families, 64 took 25% longer, 16 twice as long.
-_CHUNK = 256
-# Bytes of lane ints one batch sweep may hold. Traced peaks of full chunks at
-# n = 64..250 were 7-9 MiB, with Python's int and tuple overheads; one
-# ``all_pairs`` of a graph with n = 1,024 peaks at 10 MiB.
+# Bytes of lane ints one batch sweep may hold; it alone sizes a chunk.
+# Traced peaks of full chunks were 7-9 MiB at n = 64..250 and 13-16 MB for
+# runs of 59,048 instances at n = 5..8, with Python's int and tuple overheads;
+# one ``all_pairs`` of a graph with n = 1,024 peaks at 10 MiB.
 _BATCH_BYTES = 8 << 20
 
 
@@ -239,21 +239,24 @@ def _all_pairs_run(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix]:
     """``all_pairs`` of each of ``graphs``, which share n, tau and edge set,
     in order; each matrix is made on request.
 
-    The run goes to ``_all_pairs_batch`` in chunks of at most ``_CHUNK``
-    instances whose lane ints fit in ``_BATCH_BYTES``. With one-byte lanes an
-    instance adds n bytes to each of the n reached sets, the n counters, the
-    n matrix columns and at most tau*|E| edge masks. A chunk of one instance
-    goes to ``all_pairs``, and so does every instance whose lanes need two or
-    more bytes (tau + n + 1 >= 256). Per-instance time, batch over
-    ``all_pairs``, on runs of paths, cycles, trees, grids and cliques:
-    0.10-0.54 with one-byte lanes at tau = 2 and n = 9..250, 0.49-0.93 at
-    tau = 100..200; 0.93-2.2 with two-byte lanes at n = 16..512; 1.8-2.1 for
-    lone trees with n <= 5.
+    Lanes are one byte, so a run whose sentinel needs two (tau + n + 1 >=
+    256) goes to ``all_pairs``. Any other run goes to ``_all_pairs_batch``
+    in chunks whose lane ints fit in ``_BATCH_BYTES``: an instance adds n
+    bytes to each of the n reached sets, the n counters, the n matrix columns
+    and at most tau*|E| edge masks. A chunk of one instance goes to
+    ``all_pairs``. Time, batch over ``all_pairs``, per instance of runs of
+    paths, cycles, trees, grids and cliques: 0.10-0.54 at tau = 2 and
+    n = 9..250, 0.49-0.93 at tau = 100..200. For a lone instance: 0.6-1.0 on
+    random graphs with n = 150..220 and tau <= 8, 1.8-2.2 on random graphs
+    with n <= 9 and trees with n <= 5, 25-53 on sparse random graphs with
+    n = 60..90 and tau = 100..150.
     """
-    g, step = graphs[0], 1
-    if _horizon(g) + 1 < 256:
-        lane_bytes = g.n * (3 * g.n + g.tau * len(set().union(*g.layers)))
-        step = max(1, min(_CHUNK, _BATCH_BYTES // lane_bytes))
+    g = graphs[0]
+    if _horizon(g) + 1 >= 256:
+        yield from map(all_pairs, graphs)
+        return
+    lane_bytes = g.n * (3 * g.n + g.tau * len(set().union(*g.layers)))
+    step = max(1, _BATCH_BYTES // lane_bytes)
     for i in range(0, len(graphs), step):
         chunk = graphs[i : i + step]
         if len(chunk) == 1:
@@ -263,29 +266,26 @@ def _all_pairs_run(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix]:
 
 
 def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix]:
-    """``all_pairs`` of each of ``graphs``, which share n, tau and edge set,
-    from one layer sweep; the matrices are made one at a time, on request.
+    """``all_pairs`` of each of ``graphs``, which share n, tau and edge set
+    and have tau + n + 1 < 256, from one layer sweep; the matrices are made
+    one at a time, on request.
 
-    Lane (k, s), at bit offset (k*n + s-1) * b, belongs to source s of
-    graphs[k]; b is the bit width of the flat array's item. reached[v] holds
-    the lanes that have reached v, as a 1 in each lane's low bit. An edge is
-    offered only to the lanes of the instances that hold it in the layer
-    (``mask``, None when every instance does). Arrival times build up lazily
-    as lane counters: when reached[w] changes at step t, every lane still
-    outside it has been unreached through steps last[w]+1..t, so
+    Lane (k, s), byte k*n + s-1, belongs to source s of graphs[k]. reached[v]
+    holds the lanes that have reached v, as a 1 in each lane's low bit. An
+    edge is offered only to the lanes of the instances that hold it in the
+    layer (``mask``, None when every instance does). Arrival times build up
+    lazily as lane counters: when reached[w] changes at step t, every lane
+    still outside it has been unreached through steps last[w]+1..t, so
     cnt[w] += (t - last[w]) * (lanes ^ old) makes a lane reached at step t
-    read t. Unreached lanes end at the sentinel tau+n+1, which fits in b
-    bits, so lanes never carry into each other. Counter w is column w of
-    every instance: its bytes fill a strided slice of one array that holds
+    read t. Unreached lanes end at the sentinel tau+n+1, which fits in a
+    byte, so lanes never carry into each other. Counter w is column w of
+    every instance: its bytes fill a strided slice of one buffer that holds
     the flat matrices of all the graphs in a row.
     """
     g, count = graphs[0], len(graphs)
     n, tau, sentinel = g.n, g.tau, _horizon(g) + 1
-    flat = _storage(sentinel)
-    size, bits = flat.itemsize, 8 * flat.itemsize
-    low = b"\1".ljust(size, b"\0")
-    lanes = int.from_bytes(low * (count * n), "little")  # the low bit of every lane
-    instance0 = int.from_bytes(low * n, "little")  # the low bits of instance 0's lanes
+    lanes = int.from_bytes(b"\1" * (count * n), "little")  # the low bit of every lane
+    instance0 = int.from_bytes(b"\1" * n, "little")  # the low bits of instance 0's lanes
     edges = sorted(set().union(*g.layers))
     index = {e: j for j, e in enumerate(edges)}
     # Row k of a layer's held matrix marks the edges graphs[k] holds in it;
@@ -313,12 +313,12 @@ def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix
                 if 0 not in column:
                     masked.append((u, v, None))
                 elif 1 in column:
-                    spread = bytearray(count * n * size)
-                    spread[:: n * size] = column
+                    spread = bytearray(count * n)
+                    spread[::n] = column
                     masked.append((u, v, int.from_bytes(spread, "little") * instance0))
         layers.append(masked)
-    source1 = int.from_bytes(low.ljust(n * size, b"\0") * count, "little")
-    reached = [0] + [source1 << (s * bits) for s in range(n)]
+    source1 = int.from_bytes((b"\1" + bytes(n)[1:]) * count, "little")  # lanes (k, 1)
+    reached = [0] + [source1 << (8 * s) for s in range(n)]
     cnt, last = [0] * (n + 1), [0] * (n + 1)
     for t in range(1, _horizon(g) + 1):
         gains = []
@@ -339,13 +339,14 @@ def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix
                 reached[w] = merged
         if t >= tau and not gains:
             break
-    big = array(flat.typecode, bytes(count * n * n * size))
+    big = bytearray(count * n * n)
     for w in range(1, n + 1):
         cnt[w] += (sentinel - last[w]) * (lanes ^ reached[w])
-        big[w - 1 :: n] = array(flat.typecode, cnt[w].to_bytes(count * n * size, "little"))
-    if sys.byteorder == "big":
-        big.byteswap()
-    return (DistanceMatrix._of(n, big[k * n * n : (k + 1) * n * n], sentinel) for k in range(count))
+        big[w - 1 :: n] = cnt[w].to_bytes(count * n, "little")
+    return (
+        DistanceMatrix._of(n, array("B", big[k * n * n : (k + 1) * n * n]), sentinel)
+        for k in range(count)
+    )
 
 
 def _expanded_search(g: TemporalGraph, sources: Sequence[int]) -> list[tuple[float, ...]]:
@@ -393,6 +394,5 @@ def oracle_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
     (source, 0). An independent cross-check for :func:`earliest_arrivals`
     on small instances; raises ``ValueError`` on the same sources.
     """
-    if not 1 <= source <= g.n:
-        raise ValueError(f"source {source} out of range 1..{g.n}")
+    _check_vertex(g.n, source, "source")
     return _expanded_search(g, (source,))[0]

@@ -169,10 +169,10 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_reach.py",),
     ),
     Mutant(
-        "batch-one-byte-lanes",
+        "batch-lanes-seven-bits-apart",
         "src/tempvor/reach.py",
-        'low = b"\\1".ljust(size, b"\\0")',
-        'low = b"\\1"',
+        "source1 << (8 * s)",
+        "source1 << (7 * s)",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -201,8 +201,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "run-batches-two-byte-lanes",
         "src/tempvor/reach.py",
-        "if _horizon(g) + 1 < 256:",
-        "if _horizon(g) + 1 <= 256:",
+        "if _horizon(g) + 1 >= 256:",
+        "if _horizon(g) + 1 > 256:",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -220,11 +220,25 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_reach.py",),
     ),
     Mutant(
+        "matrix-accepts-bool-entries",
+        "src/tempvor/reach.py",
+        "if type(x) is not int or x < 0:",
+        "if not isinstance(x, int) or x < 0:",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
         "expanded-search-without-waiting",
         "src/tempvor/reach.py",
         "succ = [[i + 1] if (i + 1) % width else [] for i in range(g.n * width)]",
         "succ = [[] for i in range(g.n * width)]",
         ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "vertex-check-accepts-bool",
+        "src/tempvor/graph.py",
+        "if type(v) is not int:",
+        "if not isinstance(v, int):",
+        ("tests/test_games.py",),
     ),
     Mutant(
         "layer-normalisation-accepts-any-endpoint",
@@ -281,6 +295,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "sum(min(d, k) for d in degs[k:])",
         "sum(degs[k:])",
         ("tests/test_classify.py",),
+    ),
+    Mutant(
+        "spec-accepts-bool-bounds",
+        "src/tempvor/explorer.py",
+        "if any(type(x) is not int for x in",
+        "if any(not isinstance(x, int) for x in",
+        ("tests/test_explorer.py",),
     ),
     Mutant(
         "cycle-canonical-rotations-only",

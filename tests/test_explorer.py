@@ -167,6 +167,25 @@ def test_spec_validation():
         list(generate_family(FamilySpec("path", (3, 3), (1, 1), "any", -1)))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("path", (True, 2), (1, 1)),
+        FamilySpec("path", (1.0, 3), (1, 1)),
+        FamilySpec("path", (1, 3), (1, 2.0)),
+        FamilySpec("path", (1, 3), (False, 1)),
+        FamilySpec("path", (1, 3), (1, 2), "any", 1.5),
+        FamilySpec("path", (1, 3), (1, 2), "any", True),
+    ],
+    ids=repr,
+)
+def test_spec_bounds_and_budget_must_be_exact_ints(spec):
+    with pytest.raises(FamilySpecError, match="must be ints"):
+        list(generate_family(spec))
+    with pytest.raises(FamilySpecError, match="must be ints"):
+        sweep(spec, "vor")
+
+
 def test_sweep_budget_guard_raises():
     spec = FamilySpec("cycle", (6, 8), (1, 2), "any", 2)
     with pytest.raises(FamilyBudgetError):
@@ -198,9 +217,13 @@ def test_sweep_budget_guard_fires_before_any_distance(monkeypatch):
 
 
 def test_sweep_passes_long_runs_in_chunks(monkeypatch):
-    # 4,095 growing 3 x 3 grids share one edge set and tau: one run, 16 chunks
+    # 4,095 growing 3 x 3 grids share one edge set and tau: one run. Each
+    # instance's lane ints take 9 * (3 * 9 + 2 * 12) = 459 bytes, so a budget
+    # one byte short of 1,001 instances cuts the run into four chunks of 1,000
+    # and one of 95.
     spec = FamilySpec("grid", (9, 9), (2, 2), "growing")
     batch, chunks = tempvor.reach._all_pairs_batch, []
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 1000 * 459 + 458)
 
     def recording(chunk):
         chunks.append((chunk, list(batch(chunk))))
@@ -208,7 +231,7 @@ def test_sweep_passes_long_runs_in_chunks(monkeypatch):
 
     monkeypatch.setattr(tempvor.reach, "_all_pairs_batch", recording)
     outcome = sweep(spec, "vor")
-    assert [len(chunk) for chunk, _ in chunks] == [256] * 15 + [255]
+    assert [len(chunk) for chunk, _ in chunks] == [1000] * 4 + [95]
     graphs = [g for chunk, _ in chunks for g in chunk]
     assert graphs == [o.graph for o in outcome.outcomes] == list(generate_family(spec))
     for chunk, ds in chunks:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -27,9 +28,11 @@ from tempvor import (
     best_response_graph,
     best_responses,
     build_instance,
+    earliest_arrivals,
     enumerate_nash,
     first_nash,
     is_nash,
+    oracle_arrivals,
     payoff,
     underlying,
 )
@@ -189,6 +192,35 @@ def test_payoff_rejects_bad_inputs():
         payoff(g, d, "vor", (0, 3))
     with pytest.raises(ValueError):
         payoff(g, d, "voronoi", (1, 2))
+
+
+# Every vertex argument of the public game queries and single-source functions.
+_VERTEX_SLOTS = {
+    "payoff p1": lambda g, d, v: payoff(g, d, "vor", (v, 2)),
+    "payoff p2": lambda g, d, v: payoff(g, d, "rvor", (1, v)),
+    "is_nash p1": lambda g, d, v: is_nash(g, d, "vor", (v, 3)),
+    "is_nash p2": lambda g, d, v: is_nash(g, d, "rvor", (2, v)),
+    "best_responses": lambda g, d, v: best_responses(g, d, "vor", 1, v),
+    "dynamics p1": lambda g, d, v: best_response_dynamics(g, d, "vor", (v, 2)),
+    "dynamics p2": lambda g, d, v: best_response_dynamics(g, d, "rvor", (1, v)),
+    "dynamics allowed": lambda g, d, v: best_response_dynamics(
+        g, d, "vor", (4, 5), allowed=frozenset({4, 5, v})
+    ),
+    "earliest_arrivals": lambda g, d, v: earliest_arrivals(g, v),
+    "oracle_arrivals": lambda g, d, v: oracle_arrivals(g, v),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1", None, 0, -1, 8], ids=repr)
+@pytest.mark.parametrize("slot", sorted(_VERTEX_SLOTS))
+def test_every_vertex_argument_must_be_an_int_in_range(slot, bad):
+    g, d = _ctx("grow_cycle_7")
+    if type(bad) is int:
+        message = f"{bad} out of range 1..7"
+    else:
+        message = f"{bad!r} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _VERTEX_SLOTS[slot](g, d, bad)
 
 
 def test_best_responses_on_large_grid_rows():

@@ -246,6 +246,17 @@ def test_matrix_rejects_ragged_rows_and_out_of_range_pairs():
         all_pairs(TemporalGraph(2, ((),))).td(1, 3)
 
 
+@pytest.mark.parametrize("bad", [-1, 1.0, 0.5, "1", True, None, -INF, float("nan")], ids=repr)
+def test_matrix_rejects_entries_that_are_not_times(bad):
+    with pytest.raises(ValueError, match="neither a non-negative int nor INF"):
+        DistanceMatrix(((0, bad), (INF, 0)))
+
+
+def test_matrix_takes_any_infinite_float_as_inf():
+    d = DistanceMatrix(((0, float("inf")), (1, 0)))
+    assert d.rows == ((0, INF), (1, 0)) and d._sentinel == 2
+
+
 def test_payoff_tables_are_made_on_the_first_game_query():
     g = build_instance("grow_cycle_7").graph
     d = all_pairs(g)
@@ -334,31 +345,6 @@ def test_batch_kernel_runs_past_gain_free_steps_before_tau():
     _assert_batch_matches(
         [TemporalGraph(3, ((), (), (a,), (a, b))), TemporalGraph(3, ((), (), (a, b), (b,)))]
     )
-
-
-def test_batch_kernel_with_two_byte_lanes():
-    # tau + n + 1 >= 256 widens every lane to two bytes, and arrivals after
-    # the sparse first 259 layers fill the high byte
-    rng = random.Random("two-byte lanes")
-    edges = ((1, 2), (1, 4), (2, 3), (2, 4), (3, 4))
-    sparse = lambda: tuple(e for e in edges if rng.random() < 0.005)  # noqa: E731
-    graphs = [TemporalGraph(4, tuple(sparse() for _ in range(259)) + (edges,)) for _ in range(5)]
-    batch = _assert_batch_matches(graphs)
-    assert {d._flat.itemsize for d in batch} == {2}
-    assert max(d.max_finite() for d in batch) > 255
-    assert len({d._flat.tobytes() for d in batch}) == 5
-
-
-def test_batch_kernel_with_four_byte_lanes():
-    path = tuple((v, v + 1) for v in range(1, 5))
-    graphs = [
-        TemporalGraph(6, ((),) * 65_530 + (path,)),
-        TemporalGraph(6, (path,) + ((),) * 65_529 + (path,)),
-    ]
-    batch = list(_all_pairs_batch(graphs))
-    assert [(d._sentinel, d._flat.typecode) for d in batch] == [(65_538, "I")] * 2
-    for g, d in zip(graphs, batch):
-        assert d.rows == tuple(earliest_arrivals(g, u) for u in g.vertices)
 
 
 def _kernel_calls(monkeypatch, graphs):
