@@ -14,11 +14,14 @@ multiset for complete multipartite graphs, every distinct clique-to-independent
 connection pattern for split graphs, and all creation sequences for threshold
 graphs; labeled trees run over all Pruefer codes. The edge sets come from the
 class constructions in :mod:`tempvor.graph`, which :mod:`tempvor.randgen`
-draws from too. Cycle instances are additionally deduplicated up to rotation
-and reflection of the labeling: an instance is kept only when no image of it
-has lexicographically smaller layers, and the check stops at the first image
-that does. Other classes get no isomorphism reduction. Streams are lazy and
-deterministic: two sweeps of one spec produce identical output bytes.
+draws from too. Layer sequences come from a depth-first walk that enters
+only branches which can still end in an instance, so its work follows the
+instances it yields. Cycle instances are additionally deduplicated up to
+rotation and reflection of the labeling: an instance is kept only when no
+image of it has lexicographically smaller layers, each image's edges found by
+index arithmetic on the cycle's edge order, and the check stops at the first
+image that does. Other classes get no isomorphism reduction. Streams are lazy
+and deterministic: two sweeps of one spec produce identical output bytes.
 
 :func:`sweep` takes at most ``limit + 1`` instances from the stream and raises
 the budget error before it computes any distance or class label. The stream
@@ -196,8 +199,10 @@ def _layer_chains(
     ``shrinking``. E_1 toggles the edge set itself, dropping the edges that
     appear later (none when shrinking or when tau is 1), uncharged but capped
     by the budget. The last toggle holds every edge no layer has held yet and
-    is not empty, so every completed branch is an instance. Toggles go by
-    (size, sorted edges) at each step, and M | X sorts as X does for a fixed M.
+    is not empty. The walk expands a node only while it is live: while such a
+    last toggle, with the budget left, can still finish it. So every branch
+    it enters ends in an instance. Toggles go by (size, sorted edges) at each
+    step, and M | X sorts as X does for a fixed M.
     """
     universe = frozenset(edge_set)
     ordered = tuple(sorted(universe))
@@ -208,6 +213,15 @@ def _layer_chains(
         for r in range(least, min(len(free), room - len(required)) + 1):
             for extra in combinations(free, r):
                 yield required.union(extra)
+
+    def live(chain: tuple[frozenset[Edge], ...], unseen: frozenset[Edge], left: float) -> bool:
+        """Whether a node short of tau layers can finish: the last toggle must
+        afford every unseen edge and one edge at least, and find one in its
+        pool (an unseen edge when growing, an edge of the last layer when
+        shrinking, any edge otherwise)."""
+        return max(1, len(unseen)) <= left and bool(
+            unseen if monotonicity == "growing" else chain[-1] if shrinking else universe
+        )
 
     def children(chain: tuple[frozenset[Edge], ...], unseen: frozenset[Edge], left: float):
         prev, last = chain[-1], len(chain) == tau - 1
@@ -225,29 +239,34 @@ def _layer_chains(
             stack.pop()
         elif len(node[0]) == tau:
             yield node[0]
-        else:
+        elif live(*node):
             stack.append(children(*node))
 
 
 def _is_cycle_canonical(n: int, chain: tuple[frozenset[Edge], ...]) -> bool:
     """Whether no rotation or reflection of the labels gives smaller layers.
 
-    Each image is compared with the chain's sorted layers one by one and
-    dropped at the first layer that differs, so most images cost one sorted
-    layer.
+    Edge i of ``_cycle_edges(n)`` joins vertices i + 1 and i + 2 (mod n), so
+    rotating the labels by k maps it to edge i + k and reflecting them maps it
+    to edge k - i (mod n); both lie in -n..n-1 for k, i in 0..n-1, where
+    negative indexing wraps them. A layer is held as the sorted ranks of its
+    edges in sorted order, which compare as its sorted edges do. Each image is
+    compared with the chain's layers one by one and dropped at the first layer
+    that differs, so most images cost one sorted layer.
     """
-    layers = [tuple(sorted(layer)) for layer in chain]
+    index = {e: i for i, e in enumerate(_cycle_edges(n))}
+    rank = [0, *range(2, n), 1]  # sorted edges: (1, 2), (1, n), (2, 3), ..., (n - 1, n)
+    layers = [[index[e] for e in layer] for layer in chain]
+    keys = [sorted([rank[i] for i in edges]) for edges in layers]
     for k in range(n):
-        for perm in (
-            [0] + [(v - 1 + k) % n + 1 for v in range(1, n + 1)],
-            [0] + [(k - (v - 1)) % n + 1 for v in range(1, n + 1)],
+        for images in (
+            ([rank[i + k - n] for i in edges] for edges in layers),
+            ([rank[k - i] for i in edges] for edges in layers),
         ):
-            for layer in layers:
-                image = tuple(
-                    sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in layer)
-                )
-                if image != layer:
-                    if image < layer:
+            for image, key in zip(images, keys):
+                image.sort()
+                if image != key:
+                    if image < key:
                         return False
                     break
     return True

@@ -52,15 +52,20 @@ Profile = tuple[int, int]
 GAME_KINDS: tuple[GameKind, ...] = ("vor", "rvor")
 
 
-def _check_kind(kind: str) -> None:
+def _check_inputs(g: TemporalGraph, d: DistanceMatrix, kind: str) -> None:
     if kind not in GAME_KINDS:
         raise ValueError(f"unknown game kind {kind!r}; expected one of {GAME_KINDS}")
-
-
-def _check_inputs(g: TemporalGraph, d: DistanceMatrix, kind: str) -> None:
-    _check_kind(kind)
     if d.n != g.n:
         raise ValueError("distance matrix does not match graph size")
+
+
+def _check_profile(g: TemporalGraph, d: DistanceMatrix, kind: str, s: Profile) -> Profile:
+    """``_check_inputs``, then both vertices of the profile ``s``, returned as (p1, p2)."""
+    _check_inputs(g, d, kind)
+    p1, p2 = s
+    _check_vertex(g.n, p1, "p1")
+    _check_vertex(g.n, p2, "p2")
+    return p1, p2
 
 
 def _lines(data, n: int, kind: str, ps) -> list:
@@ -105,10 +110,7 @@ def payoff(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> P
     With k players a vertex would go to the player strictly closer (in the
     chosen direction) than every rival; only the k=2 case is exposed here.
     """
-    _check_inputs(g, d, kind)
-    p1, p2 = s
-    _check_vertex(g.n, p1, "p1")
-    _check_vertex(g.n, p2, "p2")
+    p1, p2 = _check_profile(g, d, kind, s)
     # The sentinel sorts above every finite time and ties with itself, as INF does.
     mine, theirs = _lines(d._flat, g.n, kind, (p1 - 1, p2 - 1))
     pairs = tuple(zip(g.vertices, mine, theirs))
@@ -252,10 +254,7 @@ class NashCheck:
 
 def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> NashCheck:
     """Check both players play best responses; certify failure with a deviation."""
-    _check_inputs(g, d, kind)
-    p1, p2 = s
-    _check_vertex(g.n, p1, "p1")
-    _check_vertex(g.n, p2, "p2")
+    p1, p2 = _check_profile(g, d, kind, s)
     for player, mine, theirs in ((1, p1, p2), (2, p2, p1)):
         col, best, _ = _table_entry(d, kind, theirs)
         if best > col[mine - 1]:
@@ -370,12 +369,9 @@ def best_response_dynamics(
     positive; a turn without a move costs nothing. Only the payoff columns of
     the opponents met are read.
     """
-    _check_inputs(g, d, kind)
+    p1, p2 = _check_profile(g, d, kind, start)
     if max_steps < 1:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
-    p1, p2 = start
-    _check_vertex(g.n, p1, "p1")
-    _check_vertex(g.n, p2, "p2")
     if allowed is None:
         choices = tuple(g.vertices)
     else:

@@ -17,7 +17,7 @@ class GraphValidationError(ValueError):
 
 # Largest accepted vertex count. Every request builds the n x n distance matrix:
 # on a one-layer path (Python 3.11, 2-vCPU Xeon VM) 1.0-1.4 s and a peak of
-# +10 MB at n = 1,024, 5-8 s and +41 MB at n = 2,048, about 5.5x the time and 4x
+# +10 MB at n = 1,024, 5-8 s and +41 MB at n = 2,048, about 6-7x the time and 4x
 # the memory per doubling. The peak is the sweep's per-source lists; the matrix
 # keeps 2 bytes per entry (2 MB and 8 MB).
 _MAX_VERTICES = 2048
@@ -46,11 +46,14 @@ def _reject(u, v) -> None:
     raise GraphValidationError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
 
 
-def _norm_edge(edge: Sequence[int]) -> Edge:
-    u, v = edge
-    if type(u) is not int or type(v) is not int:  # exact type: bool is rejected too
-        _reject(u, v)
-    return (u, v) if u <= v else (v, u)
+def _normalised(edges: Iterable[Sequence[int]]) -> list[Edge]:
+    """Each edge as (small, large); raises on the first with an endpoint that is
+    not an int (exact type: bool is rejected too)."""
+    return [
+        (u, v) if u <= v else (v, u)
+        for u, v in edges
+        if type(u) is int is type(v) or _reject(u, v)
+    ]
 
 
 @dataclass(frozen=True)
@@ -69,16 +72,7 @@ class TemporalGraph:
     layers: tuple[tuple[Edge, ...], ...]
 
     def __post_init__(self) -> None:
-        # _norm_edge inlined, one comprehension per layer: the exact type test
-        # rejects bool too, and _reject names the first bad edge in layer order.
-        norm = tuple(
-            tuple(sorted([
-                (u, v) if u <= v else (v, u)
-                for u, v in layer
-                if type(u) is int is type(v) or _reject(u, v)
-            ]))
-            for layer in self.layers
-        )
+        norm = tuple(tuple(sorted(_normalised(layer))) for layer in self.layers)
         object.__setattr__(self, "layers", norm)
         problems = validate(self)
         if problems:
@@ -115,7 +109,7 @@ class StaticGraph:
     def __post_init__(self) -> None:
         if problem := _vertex_count_problem(self.n):
             raise GraphValidationError(problem)
-        object.__setattr__(self, "edges", frozenset(_norm_edge(e) for e in self.edges))
+        object.__setattr__(self, "edges", frozenset(_normalised(self.edges)))
         adj: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
         for u, v in self.edges:
             if u == v:
@@ -141,7 +135,7 @@ class StaticGraph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge((u, v)) in self.edges
+        return _normalised([(u, v)])[0] in self.edges
 
 
 def validate(g: TemporalGraph) -> list[str]:

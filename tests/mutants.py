@@ -283,6 +283,13 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_explorer.py",),
     ),
     Mutant(
+        "layer-chains-every-node-live",
+        "src/tempvor/explorer.py",
+        "return max(1, len(unseen)) <= left and bool(",
+        "return True or bool(",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
         "path-allows-degree-three",
         "src/tempvor/classify.py",
         "all(s.degree(v) <= 2 for v in s.vertices)",
@@ -306,9 +313,23 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "cycle-canonical-rotations-only",
         "src/tempvor/explorer.py",
-        "            [0] + [(k - (v - 1)) % n + 1 for v in range(1, n + 1)],\n",
+        "            ([rank[k - i] for i in edges] for edges in layers),\n",
         "",
         ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "cycle-canonical-reflection-offset-by-one",
+        "src/tempvor/explorer.py",
+        "rank[k - i]",
+        "rank[k - i + 1]",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "fixtures-share-the-table-dicts",
+        "src/tempvor/instances.py",
+        "dict(ne_exists), dict(witnesses))",
+        "ne_exists, witnesses)",
+        ("tests/test_instances.py",),
     ),
 )
 

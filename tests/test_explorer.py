@@ -36,6 +36,7 @@ from tempvor.explorer import (
     _layer_chains,
     _underlying_edge_sets,
 )
+from tempvor.graph import _cycle_edges
 from tempvor.reach import _expanded_search
 
 
@@ -95,6 +96,23 @@ def test_layer_chains_match_the_definition_in_order(base):
     assert checked
 
 
+def test_layer_chains_enter_only_branches_that_finish(monkeypatch):
+    # growing paths on 4 vertices with two late edges over 80 layers: the
+    # walk calls combinations once per toggle size at each node it enters,
+    # and stays within 2 calls per instance and layer
+    calls, combinations = [], tempvor.explorer.combinations
+
+    def counting(*args):
+        calls.append(args)
+        return combinations(*args)
+
+    monkeypatch.setattr(tempvor.explorer, "combinations", counting)
+    tau = 80
+    chains = list(_layer_chains(((1, 2), (2, 3), (3, 4)), tau, "growing", 2))
+    assert len(chains) == 474
+    assert len(calls) <= 2 * len(chains) * tau
+
+
 def test_emitted_instances_satisfy_the_spec():
     spec = FamilySpec("tree", (4, 4), (1, 2), "growing", 2)
     fam = list(generate_family(spec))
@@ -125,12 +143,20 @@ def test_every_base_class_generates_valid_members():
                 assert base in labels, (base, g.layers, labels)
 
 
-def test_cycle_stream_is_deduplicated_up_to_symmetry():
-    fam = list(generate_family(FamilySpec("cycle", (6, 6), (2, 2), "shrinking", 2)))
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 9])
+def test_cycle_stream_is_deduplicated_up_to_symmetry(n):
+    fam = list(generate_family(FamilySpec("cycle", (n, n), (2, 3), "any", 2)))
     keys = {_cycle_canonical_key(g) for g in fam}
     assert len(keys) == len(fam)
     for g in fam:
         assert tuple(g.layers) == _cycle_canonical_key(g)
+    # and every orbit of the labeled chains keeps its representative
+    labeled = [
+        TemporalGraph(n, chain)
+        for tau in (2, 3)
+        for chain in _layer_chains(_cycle_edges(n), tau, "any", 2)
+    ]
+    assert keys == {_cycle_canonical_key(g) for g in labeled}
 
 
 def test_cycle_stream_covers_every_labeled_orbit_exactly_once():

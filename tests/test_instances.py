@@ -84,3 +84,13 @@ def test_verdict_matrix_matches_enumeration():
         for kind, witnesses in fx.witnesses.items():
             for profile in witnesses:
                 assert is_nash(fx.graph, d, kind, profile).ok, (fx.name, kind, profile)
+
+
+def test_each_build_returns_fresh_verdicts():
+    fx = build_instance("grow_cycle_7")
+    fx.ne_exists["vor"] = False
+    fx.witnesses["vor"] = ((1, 1),)
+    fx.witnesses["rvor"] = ((2, 2),)
+    again = build_instance("grow_cycle_7")
+    assert again.ne_exists == {"rvor": False, "vor": True}
+    assert again.witnesses == {"vor": ((5, 4),)}
