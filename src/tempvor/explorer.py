@@ -28,11 +28,11 @@ the budget error before it computes any distance or class label. The stream
 emits all instances over one edge set in a row, and within that run all of
 one lifetime in a row. So :func:`sweep` decides the class labels once per
 underlying graph (vertex count and edge set), not once per instance, and
-passes each (vertex count, edge set, lifetime) run to the distance module,
-which computes it in batch layer sweeps of bounded size where they pay and
-with ``all_pairs`` where they do not. Each instance's matrix is made when
-that instance is decided, so it and its payoff tables are freed before the
-next one.
+passes each (vertex count, edge set) run to the distance module, which splits
+it by lifetime and computes each lifetime in batch layer sweeps of bounded
+size where they pay and with ``all_pairs`` where they do not. Each
+instance's matrix is made when that instance is decided, so it and its payoff
+tables are freed before the next one.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations, groupby, islice, product
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -279,7 +278,9 @@ def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
     t_lo, t_hi = spec.tau_range
     for n in range(n_lo, n_hi + 1):
         for edge_set in _underlying_edge_sets(spec.base_class, n):
-            for tau in range(t_lo, t_hi + 1):
+            # past tau = 1 a minimal instance changes an edge: it needs one and a budget
+            top = t_hi if edge_set and spec.max_edge_changes != 0 else 1
+            for tau in range(t_lo, top + 1):
                 for chain in _layer_chains(
                     edge_set, tau, spec.monotonicity, spec.max_edge_changes
                 ):
@@ -372,15 +373,14 @@ def sweep(
     graphs = list(islice(generate_family(spec), bound + 1))
     if len(graphs) > bound:
         raise FamilyBudgetError(limit)
-    # the stream emits each (n, edge set) as one run, and within it each tau
+    # the stream emits each (n, edge set) as one run, in ascending tau
     outcomes = []
-    for (n, edges), same_edges in groupby(graphs, _underlying_key):
+    for (n, edges), run in groupby(graphs, _underlying_key):
         labels = tuple(sorted(classify_underlying(StaticGraph(n, edges))))
-        for _, run in groupby(same_edges, attrgetter("tau")):
-            run = list(run)
-            for g, d in zip(run, _all_pairs_run(run), strict=True):
-                witness = first_nash(g, d, kind)
-                outcomes.append(InstanceOutcome(g, _report(g, d, labels), witness))
+        run = list(run)
+        for g, d in zip(run, _all_pairs_run(run), strict=True):
+            witness = first_nash(g, d, kind)
+            outcomes.append(InstanceOutcome(g, _report(g, d, labels), witness))
     return SearchOutcome(spec, kind, tuple(outcomes))
 
 

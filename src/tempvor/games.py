@@ -22,14 +22,14 @@ packed as it stands, one ``int.from_bytes`` per row; otherwise each time is
 replaced by its rank among the matrix's distinct times.
 
 Every query reads the matrix's payoff table for its game. The tables live in
-the matrix's private ``_tables`` dict, which the first game query creates,
-and each is made on the first query of its kind. A table holds the packed
-view and, for each column computed so far, the column, its maximum and, once
-a query asks for them, its maximisers (``_table_entry``, ``_table_replies``).
-Columns are stored as 16-bit unsigned ints (a payoff is at most n <= 2048),
-so all n columns take 2n^2 bytes rather than n^2 int objects. A matrix
-therefore packs each view once and computes each column at most once, however
-many queries read it, and a query computes only the columns it reads.
+the matrix's private ``_tables`` dict, empty until the first game query, and
+each is made on the first query of its kind. A table holds the packed view
+and, for each column computed so far, one entry made once: the column, its
+maximisers and its maximum (``_table_entry``). Columns are stored as 16-bit
+unsigned ints (a payoff is at most n <= 2048), so all n columns take 2n^2
+bytes rather than n^2 int objects. A matrix therefore packs each view once
+and computes each column at most once, however many queries read it, and a
+query computes only the columns it reads.
 
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
@@ -179,31 +179,20 @@ def _replies(values: Sequence[int], choices: Sequence[int]) -> tuple[tuple[int, 
     return tuple([c for c, value in zip(choices, values) if value == best]), best
 
 
-def _table_entry(d: DistanceMatrix, kind: str, fixed: int) -> list:
-    """[column, best, replies] against an opponent at ``fixed`` from ``d``'s table
-    of the game. The table and the column are made on first read; replies stay
-    None until ``_table_replies`` first asks for them."""
-    tables = d._tables
-    if tables is None:
-        tables = d._tables = {}
-    table = tables.get(kind)
+def _table_entry(d: DistanceMatrix, kind: str, fixed: int) -> tuple[array, tuple[int, ...], int]:
+    """(column, replies, best) against an opponent at ``fixed`` from ``d``'s
+    table of the game: the payoff column, its maximisers (``_replies`` over
+    every vertex) and its maximum. The table and the entry are made on first
+    read."""
+    table = d._tables.get(kind)
     if table is None:
-        table = tables[kind] = (_packed(d, kind), [None] * d.n)
+        table = d._tables[kind] = (_packed(d, kind), [None] * d.n)
     view, entries = table
     entry = entries[fixed - 1]
     if entry is None:
-        col = array("H")
-        col.fromlist(_column(view, fixed))
-        entry = entries[fixed - 1] = [col, max(col), None]
+        col = array("H", _column(view, fixed))
+        entry = entries[fixed - 1] = (col, *_replies(col, range(1, d.n + 1)))
     return entry
-
-
-def _table_replies(d: DistanceMatrix, kind: str, fixed: int) -> tuple[tuple[int, ...], int]:
-    """``_replies`` over every vertex for the column against ``fixed``, made once."""
-    entry = _table_entry(d, kind, fixed)
-    if entry[2] is None:
-        entry[2] = _replies(entry[0], range(1, d.n + 1))[0]
-    return entry[2], entry[1]
 
 
 def best_responses(
@@ -218,7 +207,7 @@ def best_responses(
     if role not in (1, 2):
         raise ValueError(f"role must be 1 or 2, got {role}")
     _check_vertex(g.n, fixed, "fixed vertex")
-    return _table_replies(d, kind, fixed)
+    return _table_entry(d, kind, fixed)[1:]
 
 
 @dataclass(frozen=True)
@@ -256,10 +245,9 @@ def is_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> 
     """Check both players play best responses; certify failure with a deviation."""
     p1, p2 = _check_profile(g, d, kind, s)
     for player, mine, theirs in ((1, p1, p2), (2, p2, p1)):
-        col, best, _ = _table_entry(d, kind, theirs)
+        col, replies, best = _table_entry(d, kind, theirs)
         if best > col[mine - 1]:
-            reply = _table_replies(d, kind, theirs)[0][0]
-            return NashCheck(False, Deviation(player, reply, col[mine - 1], best))
+            return NashCheck(False, Deviation(player, replies[0], col[mine - 1], best))
     return NashCheck(True, None)
 
 
@@ -271,8 +259,8 @@ def _equilibria(g: TemporalGraph, d: DistanceMatrix, kind: str) -> Iterator[Prof
     """
     _check_inputs(g, d, kind)
     for p1 in g.vertices:
-        for p2 in _table_replies(d, kind, p1)[0]:
-            col, best, _ = _table_entry(d, kind, p2)
+        for p2 in _table_entry(d, kind, p1)[1]:
+            col, _, best = _table_entry(d, kind, p2)
             if col[p1 - 1] == best:
                 yield (p1, p2)
 
@@ -311,7 +299,7 @@ def best_response_graph(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> 
     responses: dict[int, tuple[int, ...]] = {}
     values: dict[int, int] = {}
     for fixed in g.vertices:
-        responses[fixed], values[fixed] = _table_replies(d, kind, fixed)
+        _, responses[fixed], values[fixed] = _table_entry(d, kind, fixed)
     return BestResponseGraph(responses, values)
 
 

@@ -72,8 +72,13 @@ class TemporalGraph:
     layers: tuple[tuple[Edge, ...], ...]
 
     def __post_init__(self) -> None:
-        norm = tuple(tuple(sorted(_normalised(layer))) for layer in self.layers)
-        object.__setattr__(self, "layers", norm)
+        norm = []
+        for layer in self.layers:
+            layer = tuple(sorted(_normalised(layer)))
+            # a repeated layer reuses its predecessor's tuple, so long
+            # lifetimes of few changes hold each distinct layer once
+            norm.append(norm[-1] if norm and norm[-1] == layer else layer)
+        object.__setattr__(self, "layers", tuple(norm))
         problems = validate(self)
         if problems:
             raise GraphValidationError("; ".join(problems))

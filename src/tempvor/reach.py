@@ -26,7 +26,8 @@ times are lane counters whose bytes become the columns of every matrix. It
 saves the interpreter's per-instance work but spends 8 bits per source where
 ``all_pairs`` spends 1; measured, that pays for runs of two or more
 instances whose times fit in one byte (tau + n + 1 < 256).
-``_all_pairs_run`` makes that choice for a run and cuts it into chunks whose
+``_all_pairs_run`` takes the instances over one edge set, splits them by
+lifetime, makes that choice for each lifetime and cuts it into chunks whose
 lane ints fit a fixed byte budget.
 
 The independent check, ``oracle_arrivals``, searches the time-expanded graph
@@ -38,8 +39,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections.abc import Iterator, Sequence
-from itertools import starmap
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import groupby, starmap
+from operator import attrgetter
 from struct import Struct
 
 from .graph import Edge, TemporalGraph, _check_vertex
@@ -73,7 +75,7 @@ class DistanceMatrix:
     their sentinels. Treat a matrix as immutable.
 
     The private ``_tables`` holds the game module's payoff tables for this
-    matrix, one per game kind; it stays None until the first game query.
+    matrix, one per game kind; it stays empty until the first game query.
     """
 
     __slots__ = ("n", "_flat", "_sentinel", "_tables")
@@ -93,7 +95,7 @@ class DistanceMatrix:
         self._set(n, flat, sentinel)
 
     def _set(self, n: int, flat: array, sentinel: int) -> None:
-        self.n, self._flat, self._sentinel, self._tables = n, flat, sentinel, None
+        self.n, self._flat, self._sentinel, self._tables = n, flat, sentinel, {}
 
     @classmethod
     def _of(cls, n: int, flat: array, sentinel: int) -> DistanceMatrix:
@@ -216,14 +218,10 @@ def all_pairs(g: TemporalGraph) -> DistanceMatrix:
     sentinel = _horizon(g) + 1
     flat = _storage(sentinel)
     rows = _sweep(g, g.vertices, sentinel)
-    # bytes() and Struct.pack convert a row in C about twice as fast as
-    # array.fromlist, which parses every item on its own. Appending row by
-    # row keeps one converted row alive at a time.
-    if flat.itemsize == 1:
-        converted = map(bytes, rows)
-    else:
-        converted = starmap(Struct(f"{g.n}{flat.typecode}").pack, rows)
-    for row in converted:
+    # Struct.pack converts a row in C about twice as fast as array.fromlist,
+    # which parses every item on its own. Appending row by row keeps one
+    # converted row alive at a time.
+    for row in starmap(Struct(f"{g.n}{flat.typecode}").pack, rows):
         flat.frombytes(row)
     return DistanceMatrix._of(g.n, flat, sentinel)
 
@@ -235,34 +233,36 @@ def all_pairs(g: TemporalGraph) -> DistanceMatrix:
 _BATCH_BYTES = 8 << 20
 
 
-def _all_pairs_run(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix]:
-    """``all_pairs`` of each of ``graphs``, which share n, tau and edge set,
-    in order; each matrix is made on request.
+def _all_pairs_run(graphs: Iterable[TemporalGraph]) -> Iterator[DistanceMatrix]:
+    """``all_pairs`` of each of ``graphs``, which share n and edge set and come
+    in ascending tau, in order; each matrix is made on request.
 
-    Lanes are one byte, so a run whose sentinel needs two (tau + n + 1 >=
-    256) goes to ``all_pairs``. Any other run goes to ``_all_pairs_batch``
-    in chunks whose lane ints fit in ``_BATCH_BYTES``: an instance adds n
-    bytes to each of the n reached sets, the n counters, the n matrix columns
-    and at most tau*|E| edge masks. A chunk of one instance goes to
-    ``all_pairs``. Time, batch over ``all_pairs``, per instance of runs of
-    paths, cycles, trees, grids and cliques: 0.10-0.54 at tau = 2 and
-    n = 9..250, 0.49-0.93 at tau = 100..200. For a lone instance: 0.6-1.0 on
-    random graphs with n = 150..220 and tau <= 8, 1.8-2.2 on random graphs
-    with n <= 9 and trees with n <= 5, 25-53 on sparse random graphs with
-    n = 60..90 and tau = 100..150.
+    Each lifetime is decided on its own. Lanes are one byte, so a lifetime
+    whose sentinel needs two (tau + n + 1 >= 256) goes to ``all_pairs``. Any
+    other goes to ``_all_pairs_batch`` in chunks whose lane ints fit in
+    ``_BATCH_BYTES``: an instance adds n bytes to each of the n reached sets,
+    the n counters, the n matrix columns and at most tau*|E| edge masks. A
+    chunk of one instance goes to ``all_pairs``. Time, batch over
+    ``all_pairs``, per instance of runs of paths, cycles, trees, grids and
+    cliques: 0.10-0.54 at tau = 2 and n = 9..250, 0.49-0.93 at tau = 100..200.
+    For a lone instance: 0.6-1.0 on random graphs with n = 150..220 and
+    tau <= 8, 1.8-2.2 on random graphs with n <= 9 and trees with n <= 5,
+    25-53 on sparse random graphs with n = 60..90 and tau = 100..150.
     """
-    g = graphs[0]
-    if _horizon(g) + 1 >= 256:
-        yield from map(all_pairs, graphs)
-        return
-    lane_bytes = g.n * (3 * g.n + g.tau * len(set().union(*g.layers)))
-    step = max(1, _BATCH_BYTES // lane_bytes)
-    for i in range(0, len(graphs), step):
-        chunk = graphs[i : i + step]
-        if len(chunk) == 1:
-            yield all_pairs(chunk[0])
-        else:
-            yield from _all_pairs_batch(chunk)
+    for _, same_tau in groupby(graphs, attrgetter("tau")):
+        lifetime = list(same_tau)
+        g = lifetime[0]
+        if _horizon(g) + 1 >= 256:
+            yield from map(all_pairs, lifetime)
+            continue
+        lane_bytes = g.n * (3 * g.n + g.tau * len(set().union(*g.layers)))
+        step = max(1, _BATCH_BYTES // lane_bytes)
+        for i in range(0, len(lifetime), step):
+            chunk = lifetime[i : i + step]
+            if len(chunk) == 1:
+                yield all_pairs(chunk[0])
+            else:
+                yield from _all_pairs_batch(chunk)
 
 
 def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix]:

@@ -105,6 +105,20 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_games.py",),
     ),
     Mutant(
+        "entry-replies-shifted",
+        "src/tempvor/games.py",
+        "range(1, d.n + 1)",
+        "range(2, d.n + 2)",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "deviation-names-largest-reply",
+        "src/tempvor/games.py",
+        "Deviation(player, replies[0],",
+        "Deviation(player, replies[-1],",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
         "all-finite-tests-inf-not-sentinel",
         "src/tempvor/reach.py",
         "return self._sentinel not in self._flat",
@@ -194,9 +208,16 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "run-chunk-boundary-off-by-one",
         "src/tempvor/reach.py",
-        "chunk = graphs[i : i + step]",
-        "chunk = graphs[i : i + step - 1]",
+        "chunk = lifetime[i : i + step]",
+        "chunk = lifetime[i : i + step - 1]",
         ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "run-mixes-lifetimes",
+        "src/tempvor/reach.py",
+        'attrgetter("tau")',
+        'attrgetter("n")',
+        ("tests/test_reach.py",),
     ),
     Mutant(
         "run-batches-two-byte-lanes",
@@ -239,6 +260,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "if type(v) is not int:",
         "if not isinstance(v, int):",
         ("tests/test_games.py",),
+    ),
+    Mutant(
+        "layers-never-shared",
+        "src/tempvor/graph.py",
+        "norm.append(norm[-1] if norm and norm[-1] == layer else layer)",
+        "norm.append(layer)",
+        ("tests/test_graph.py",),
     ),
     Mutant(
         "layer-normalisation-accepts-any-endpoint",
@@ -287,6 +315,20 @@ MUTANTS: tuple[Mutant, ...] = (
         "src/tempvor/explorer.py",
         "return max(1, len(unseen)) <= left and bool(",
         "return True or bool(",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "empty-edge-set-walks-every-lifetime",
+        "src/tempvor/explorer.py",
+        "top = t_hi if edge_set and spec.max_edge_changes != 0 else 1",
+        "top = t_hi if spec.max_edge_changes != 0 else 1",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "zero-budget-walks-every-lifetime",
+        "src/tempvor/explorer.py",
+        "top = t_hi if edge_set and spec.max_edge_changes != 0 else 1",
+        "top = t_hi if edge_set else 1",
         ("tests/test_explorer.py",),
     ),
     Mutant(

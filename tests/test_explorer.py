@@ -113,6 +113,28 @@ def test_layer_chains_enter_only_branches_that_finish(monkeypatch):
     assert len(calls) <= 2 * len(chains) * tau
 
 
+@pytest.mark.parametrize(
+    "spec,walks",
+    [
+        # path n = 1 has no edge, and a zero budget allows no change
+        (FamilySpec("path", (1, 1), (1, 10**6)), 1),
+        (FamilySpec("threshold", (1, 6), (1, 10**4), "any", 0), 63),
+        (FamilySpec("threshold", (1, 6), (2, 10**4), "any", 0), 0),
+    ],
+)
+def test_lifetimes_past_one_are_skipped_when_no_edge_can_change(monkeypatch, spec, walks):
+    # one walk per edge set at tau = 1, each yielding its one instance
+    calls, layer_chains = [], tempvor.explorer._layer_chains
+
+    def counting(edge_set, tau, *args):
+        calls.append(tau)
+        return layer_chains(edge_set, tau, *args)
+
+    monkeypatch.setattr(tempvor.explorer, "_layer_chains", counting)
+    assert len(list(generate_family(spec))) == walks
+    assert calls == [1] * walks
+
+
 def test_emitted_instances_satisfy_the_spec():
     spec = FamilySpec("tree", (4, 4), (1, 2), "growing", 2)
     fam = list(generate_family(spec))

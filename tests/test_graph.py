@@ -158,6 +158,12 @@ def test_reversed_tuples_and_lists_normalise_to_sorted_pairs():
         assert all(type(e) is tuple for layer in g.layers for e in layer)
 
 
+def test_equal_consecutive_layers_share_one_tuple():
+    g = TemporalGraph(3, ([(1, 2)], [(2, 1)], [(2, 3)]))
+    assert g.layers == (((1, 2),), ((1, 2),), ((2, 3),))
+    assert g.layers[0] is g.layers[1]
+
+
 @pytest.mark.parametrize(
     "layers, message",
     [

@@ -260,7 +260,7 @@ def test_matrix_takes_any_infinite_float_as_inf():
 def test_payoff_tables_are_made_on_the_first_game_query():
     g = build_instance("grow_cycle_7").graph
     d = all_pairs(g)
-    assert d._tables is None
+    assert d._tables == {}
     first_nash(g, d, "rvor")
     assert list(d._tables) == ["rvor"]
 
@@ -379,6 +379,30 @@ def test_run_sends_two_byte_lanes_to_all_pairs(monkeypatch, n, tau, batched):
     path = tuple((v, v + 1) for v in range(1, n))
     graphs = [TemporalGraph(n, ((),) * (tau - 2) + (path[:k], path)) for k in (0, 1, 2)]
     assert _kernel_calls(monkeypatch, graphs) == (([3], 0) if batched else ([], 3))
+
+
+def test_run_splits_an_edge_set_run_by_lifetime(monkeypatch):
+    # growing paths on 4 vertices over lifetimes 1..4, then two lifetimes
+    # whose times need two-byte lanes (tau + n + 1 = 255 and 256)
+    graphs = list(generate_family(FamilySpec("path", (4, 4), (1, 4), "growing")))
+    path = ((1, 2), (2, 3), (3, 4))
+    for tau in (250, 251):
+        graphs += [TemporalGraph(4, ((),) * (tau - 2) + (path[:k], path)) for k in (0, 1, 2)]
+    chunks, batch = [], tempvor.reach._all_pairs_batch
+    monkeypatch.setattr(
+        tempvor.reach, "_all_pairs_batch", lambda chunk: chunks.append(chunk) or batch(chunk)
+    )
+    run = list(_all_pairs_run(graphs))
+    assert len(run) == len(graphs)
+    for g, d in zip(graphs, run):
+        single = all_pairs(g)
+        assert (d._sentinel, d._flat.typecode, d._flat) == (
+            single._sentinel,
+            single._flat.typecode,
+            single._flat,
+        )
+    assert [len({g.tau for g in chunk}) for chunk in chunks] == [1] * 4
+    assert sorted(chunk[0].tau for chunk in chunks) == [2, 3, 4, 250]
 
 
 # Claim 13 must still name a kernel that disagrees with the time-expanded
