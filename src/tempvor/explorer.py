@@ -33,6 +33,13 @@ it by lifetime and computes each lifetime in batch layer sweeps of bounded
 size where they pay and with ``all_pairs`` where they do not. Each
 instance's matrix is made when that instance is decided, so it and its payoff
 tables are freed before the next one.
+
+:func:`write_outcome` frames each JSON-lines record from text pieces, in
+sorted key order: the game encoded once per sweep, each distinct class
+report once, and the layers by one call to the compact JSON encoder. The
+lines are written as they are made, so writing holds one line, never the
+whole file. The bytes equal those of the record as a dict encoded with
+sorted keys and compact separators.
 """
 
 from __future__ import annotations
@@ -306,17 +313,6 @@ class InstanceOutcome:
     def has_nash(self) -> bool:
         return self.witness is not None
 
-    def to_record_obj(self, kind: GameKind) -> dict:
-        return {
-            "graph": to_json_obj(self.graph),
-            "n": self.graph.n,
-            "tau": self.graph.tau,
-            "report": self.report.to_json_obj(),
-            "game": kind,
-            "has_nash": self.has_nash,
-            "witness": list(self.witness) if self.witness else None,
-        }
-
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -330,30 +326,38 @@ class SearchOutcome:
 
     @property
     def with_nash(self) -> int:
-        return sum(1 for o in self.outcomes if o.has_nash)
+        return self._tally()[0]
 
     @property
     def without_nash(self) -> int:
         return self.total - self.with_nash
 
     def min_counterexample_n(self) -> int | None:
-        sizes = [o.graph.n for o in self.outcomes if not o.has_nash]
-        return min(sizes) if sizes else None
+        return self._tally()[1]
+
+    def _tally(self) -> tuple[int, int | None, list[TemporalGraph]]:
+        """(instances with an equilibrium, the least n without one, the
+        graphs without one at that n in stream order), in one pass."""
+        with_nash, min_n, minimal = 0, None, []
+        for o in self.outcomes:
+            if o.witness is not None:
+                with_nash += 1
+            elif min_n is None or o.graph.n < min_n:
+                min_n, minimal = o.graph.n, [o.graph]
+            elif o.graph.n == min_n:
+                minimal.append(o.graph)
+        return with_nash, min_n, minimal
 
     def summary_obj(self) -> dict:
-        min_n = self.min_counterexample_n()
+        with_nash, min_n, minimal = self._tally()
         return {
             "spec": self.spec.to_json_obj(),
             "game": self.kind,
             "instances": self.total,
-            "with_nash": self.with_nash,
-            "without_nash": self.without_nash,
+            "with_nash": with_nash,
+            "without_nash": self.total - with_nash,
             "min_counterexample_n": min_n,
-            "minimal_counterexamples": [
-                to_json_obj(o.graph)
-                for o in self.outcomes
-                if not o.has_nash and o.graph.n == min_n
-            ],
+            "minimal_counterexamples": [to_json_obj(g) for g in minimal],
         }
 
 
@@ -384,16 +388,45 @@ def sweep(
     return SearchOutcome(spec, kind, tuple(outcomes))
 
 
+def _record_lines(outcome: SearchOutcome) -> Iterator[str]:
+    """One JSON line per instance, framed in sorted key order:
+    ``{"game":..,"graph":{"layers":..,"n":..},"has_nash":..,"n":..,
+    "report":{..},"tau":..,"witness":..}``. The game is encoded once per
+    sweep and each distinct report once; the compact encoder writes the
+    layers' tuples as arrays.
+    """
+    encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+    head = '{"game":' + encode(outcome.kind) + ',"graph":{"layers":'
+    reports: dict[ClassReport, str] = {}
+    for o in outcome.outcomes:
+        g, r, w = o.graph, o.report, o.witness
+        report = reports.get(r)
+        if report is None:
+            report = reports[r] = encode(
+                {
+                    "monotone_growing": r.monotone_growing,
+                    "monotone_shrinking": r.monotone_shrinking,
+                    "temporally_connected": r.temporally_connected,
+                    "underlying_class": r.underlying_class,
+                }
+            )
+        yield (
+            f'{head}{encode(g.layers)},"n":{g.n}}},'
+            f'"has_nash":{"false" if w is None else "true"},"n":{g.n},'
+            f'"report":{report},"tau":{g.tau},'
+            f'"witness":{"null" if w is None else f"[{w[0]},{w[1]}]"}}}\n'
+        )
+
+
 def write_outcome(outcome: SearchOutcome, outdir: str | Path) -> tuple[Path, Path]:
-    """Write one JSON-lines record per instance plus a summary JSON."""
+    """Write one JSON-lines record per instance, streamed line by line from
+    :func:`_record_lines`, plus a summary JSON."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     records_path = outdir / "instances.jsonl"
     summary_path = outdir / "summary.json"
     with records_path.open("w", encoding="utf-8") as fh:
-        for o in outcome.outcomes:
-            fh.write(json.dumps(o.to_record_obj(outcome.kind), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(_record_lines(outcome))
     with summary_path.open("w", encoding="utf-8") as fh:
         fh.write(json.dumps(outcome.summary_obj(), sort_keys=True, indent=2))
         fh.write("\n")

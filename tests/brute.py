@@ -5,16 +5,18 @@ reusing library algorithms: temporal distances come from literal enumeration
 of temporal walks or from a layer sweep run one source at a time, equilibria
 from a double loop over profiles and deviations, payoff columns from one
 comparison per entry, and class recognition from exhaustive search over
-partitions, subsets and vertex bijections. Apart from the sweep and the
-columns, only usable on small instances.
+partitions, subsets and vertex bijections, and sweep records from a dict
+encoded with sorted keys. Apart from the sweep, the columns and the records,
+only usable on small instances.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations, permutations, product
 from operator import lt
 
-from tempvor import INF, StaticGraph, TemporalGraph
+from tempvor import INF, StaticGraph, TemporalGraph, to_json_obj
 
 
 def enumerate_walk_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
@@ -365,3 +367,20 @@ def oracle_tree_profile(s: StaticGraph) -> tuple[int, int]:
     loads = {v: max(branch_sizes(v).values()) for v in s.vertices}
     p1 = min(s.vertices, key=loads.__getitem__)
     return p1, min(w for w, size in branch_sizes(p1).items() if size == loads[p1])
+
+
+def oracle_record_line(o, kind: str) -> str:
+    """The record line of one sweep instance (an ``InstanceOutcome``) without
+    its newline: the record as a dict, encoded by ``json.dumps`` with sorted
+    keys and compact separators. The reference for ``write_outcome``, which
+    frames the same bytes from pieces."""
+    record = {
+        "graph": to_json_obj(o.graph),
+        "n": o.graph.n,
+        "tau": o.graph.tau,
+        "report": o.report.to_json_obj(),
+        "game": kind,
+        "has_nash": o.has_nash,
+        "witness": list(o.witness) if o.witness else None,
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))

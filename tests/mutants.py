@@ -367,6 +367,24 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_explorer.py",),
     ),
     Mutant(
+        "record-monotone-flags-swapped",
+        "src/tempvor/explorer.py",
+        '"monotone_growing": r.monotone_growing,\n'
+        '                    "monotone_shrinking": r.monotone_shrinking,',
+        '"monotone_growing": r.monotone_shrinking,\n'
+        '                    "monotone_shrinking": r.monotone_growing,',
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "record-report-cached-on-labels",
+        "src/tempvor/explorer.py",
+        "report = reports.get(r)\n        if report is None:\n            report = reports[r] =",
+        "report = reports.get(r.underlying_class)\n"
+        "        if report is None:\n"
+        "            report = reports[r.underlying_class] =",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
         "fixtures-share-the-table-dicts",
         "src/tempvor/instances.py",
         "dict(ne_exists), dict(witnesses))",

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
-from brute import _cycle_canonical_key, oracle_layer_chains
+from brute import _cycle_canonical_key, oracle_layer_chains, oracle_record_line
 from test_sweep_pins import FAMILIES
 
 import tempvor.explorer
@@ -26,6 +27,7 @@ from tempvor import (
     graph_from_obj,
     is_monotone,
     sweep,
+    to_json_obj,
     underlying,
     validate,
     write_outcome,
@@ -382,3 +384,69 @@ def test_written_output_is_deterministic(tmp_path):
     assert validate(g) == []
     summary = json.loads((d1 / "summary.json").read_text())
     assert summary["instances"] == outcome.total
+
+
+# every base class and monotonicity at small n, then growing grids with
+# reverse-game counterexamples, the n >= 10 grids, a budgeted three-layer
+# family and a family with no instance
+RECORD_FAMILIES = [
+    *(FamilySpec(base, (1, 4), (1, 2), mono) for base in BASE_CLASSES for mono in MONOTONICITY),
+    FamilySpec("grid", (6, 6), (1, 2), "growing"),
+    FAMILIES["grid"],
+    FAMILIES["tree_growing_budget2"],
+    FamilySpec("path", (1, 1), (2, 2)),
+]
+
+
+def _record_cases(outcome):
+    """The edge cases of the framing that the outcome's records contain."""
+    cases = set()
+    for o in outcome.outcomes:
+        g = o.graph
+        cases |= {
+            "n=1" if g.layers == ((),) else None,
+            "one-edge layer" if any(len(layer) == 1 for layer in g.layers) else None,
+            "no witness" if o.witness is None else None,
+            "n>=10" if g.n >= 10 else None,
+            "budgeted tau=3" if g.tau == 3 and outcome.spec.max_edge_changes else None,
+        }
+    return cases - {None} if outcome.outcomes else {"empty"}
+
+
+def test_written_records_equal_the_oracle_encoding(tmp_path):
+    cases = set()
+    for i, (spec, game) in enumerate(product(RECORD_FAMILIES, ("vor", "rvor"))):
+        outcome = sweep(spec, game)
+        records, _ = write_outcome(outcome, tmp_path / str(i))
+        lines = records.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        assert lines == [oracle_record_line(o, game) for o in outcome.outcomes], spec
+        cases |= _record_cases(outcome)
+    assert cases == {"n=1", "one-edge layer", "no witness", "n>=10", "budgeted tau=3", "empty"}
+
+
+def test_writing_streams_the_records(tmp_path):
+    outcome = sweep(FamilySpec("tree", (2, 5), (1, 2), "any"), "rvor")
+    assert outcome.total == 10_587
+    tracemalloc.start()
+    try:
+        records, _ = write_outcome(outcome, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records.stat().st_size > 2_500_000
+    # one line at a time: the file is ten times this bound
+    assert peak < 256 * 1024
+
+
+def test_summary_counts_agree_with_the_outcomes():
+    outcome = sweep(FamilySpec("grid", (4, 8), (1, 2), "growing"), "rvor")
+    failed = [o for o in outcome.outcomes if not o.has_nash]
+    min_n = min(o.graph.n for o in failed)
+    summary = outcome.summary_obj()
+    assert outcome.with_nash == summary["with_nash"] == outcome.total - len(failed)
+    assert outcome.without_nash == summary["without_nash"] == len(failed) > 0
+    assert outcome.min_counterexample_n() == summary["min_counterexample_n"] == min_n
+    assert summary["minimal_counterexamples"] == [
+        to_json_obj(o.graph) for o in failed if o.graph.n == min_n
+    ]
