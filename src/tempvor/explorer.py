@@ -30,9 +30,12 @@ one lifetime in a row. So :func:`sweep` decides the class labels once per
 underlying graph (vertex count and edge set), not once per instance, and
 passes each (vertex count, edge set) run to the distance module, which splits
 it by lifetime and computes each lifetime in batch layer sweeps of bounded
-size where they pay and with ``all_pairs`` where they do not. Each
-instance's matrix is made when that instance is decided, so it and its payoff
-tables are freed before the next one.
+size where they pay and with ``all_pairs`` where they do not. The game module
+decides the run's equilibria the same way, in batches of bounded size where
+they pay and with ``first_nash`` where they do not. A batch holds its
+instances' matrices until it is decided; on the per-instance path each
+matrix is made when its instance is decided, so it and its payoff tables are
+freed before the next one.
 
 :func:`write_outcome` frames each JSON-lines record from text pieces, in
 sorted key order: the game encoded once per sweep, each distinct class
@@ -51,7 +54,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .classify import ClassReport, _report, classify_underlying
-from .games import GameKind, Profile, first_nash
+from .games import GameKind, Profile, _first_nash_run
 from .graph import (
     _MAX_VERTICES,
     Edge,
@@ -382,8 +385,8 @@ def sweep(
     for (n, edges), run in groupby(graphs, _underlying_key):
         labels = tuple(sorted(classify_underlying(StaticGraph(n, edges))))
         run = list(run)
-        for g, d in zip(run, _all_pairs_run(run), strict=True):
-            witness = first_nash(g, d, kind)
+        pairs = zip(run, _all_pairs_run(run), strict=True)
+        for g, d, witness in _first_nash_run(pairs, kind):
             outcomes.append(InstanceOutcome(g, _report(g, d, labels), witness))
     return SearchOutcome(spec, kind, tuple(outcomes))
 

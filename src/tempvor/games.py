@@ -11,15 +11,16 @@ The variants differ only in which distances they compare, so every query
 reads the matrix's flat row-major array (with its int sentinel for ``INF``)
 through one view, ``_lines(data, n, kind, ps)``: row p holds the times a
 player at p is compared on -- row p of the matrix for ``"vor"``, the strided
-slice ``flat[p::n]`` (column p) for ``"rvor"``. Nothing else looks at the game
-kind. Every payoff count comes from one helper, ``_column(view, fixed)``: the
-payoff of a player at each vertex against an opponent at ``fixed``. It reads
-the packed view of ``_packed(d, kind)``, which packs each view row into one
-int with a spare guard bit atop every field, so one subtraction, one AND and
-one ``bit_count`` compare two whole rows (SWAR: Lamport, CACM 18(8), 1975;
-Fisher & Dietz, LCPC 1998). One-byte storage whose sentinel is below 128 is
-packed as it stands, one ``int.from_bytes`` per row; otherwise each time is
-replaced by its rank among the matrix's distinct times.
+slice ``flat[p::n]`` (column p) for ``"rvor"``. Only the sweep's batch kernel
+(below) builds the view another way. Every payoff count of a query comes
+from one helper, ``_column(view, fixed)``: the payoff of a player at each
+vertex against an opponent at ``fixed``. It reads the packed view of
+``_packed(d, kind)``, which packs each view row into one int with a spare
+guard bit atop every field, so one subtraction, one AND and one
+``bit_count`` compare two whole rows (SWAR: Lamport, CACM 18(8), 1975;
+Fisher & Dietz, LCPC 1998). One-byte storage whose sentinel is below 128
+(``_raw``) is packed as it stands, one ``int.from_bytes`` per row; otherwise
+each time is replaced by its rank among the matrix's distinct times.
 
 Every query reads the matrix's payoff table for its game. The tables live in
 the matrix's private ``_tables`` dict, empty until the first game query, and
@@ -31,6 +32,13 @@ bytes rather than n^2 int objects. A matrix therefore packs each view once
 and computes each column at most once, however many queries read it, and a
 query computes only the columns it reads.
 
+A sweep asks only ``first_nash``, of many small matrices over one edge set,
+and there the interpreter's per-query work costs more than the bit
+operations. The private ``_first_nash_run`` sends chunks of such matrices to
+``_first_nash_batch``, which decides all of them in one SWAR pass with a
+one-byte lane per instance and gives each the witness ``first_nash`` gives;
+it reads and fills no payoff table. Other matrices go to ``first_nash``.
+
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
 same vertex; then both payoffs are 0. All searches are exhaustive: instances
@@ -41,8 +49,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from itertools import groupby, islice
+from typing import Iterable, Iterator, Literal, Sequence
 
+from . import reach
 from .graph import TemporalGraph, _check_vertex
 from .reach import DistanceMatrix
 
@@ -119,6 +129,12 @@ def payoff(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> P
     return PayoffResult(u1, u2, frozenset(g.vertices) - u1 - u2)
 
 
+def _raw(d: DistanceMatrix) -> bool:
+    """Whether ``d``'s times are one-byte fields with a spare top bit: one-byte
+    storage with a sentinel below 128."""
+    return d._flat.itemsize == 1 and d._sentinel < 128
+
+
 def _packed(d: DistanceMatrix, kind: str) -> tuple[list[int], int, int]:
     """The game view packed for ``_column``: (one int per row, G, U).
 
@@ -136,7 +152,7 @@ def _packed(d: DistanceMatrix, kind: str) -> tuple[list[int], int, int]:
     their rank fields.
     """
     n, flat = d.n, d._flat
-    if flat.itemsize == 1 and d._sentinel < 128:
+    if _raw(d):
         size, lines = 1, _lines(flat.tobytes(), n, kind, range(n))
     else:
         times = sorted(set(flat))
@@ -273,6 +289,112 @@ def enumerate_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> list[
 def first_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> Profile | None:
     """Lexicographically first equilibrium, or None; short-circuits the scan."""
     return next(_equilibria(g, d, kind), None)
+
+
+def _first_nash_run(
+    pairs: Iterable[tuple[TemporalGraph, DistanceMatrix]], kind: str
+) -> Iterator[tuple[TemporalGraph, DistanceMatrix, Profile | None]]:
+    """(g, d, ``first_nash(g, d, kind)``) for each of ``pairs``, in order; each
+    pair is read on request.
+
+    Consecutive matrices with one n <= 32 and ``_raw`` times go to
+    ``_first_nash_batch`` in chunks that fit the distance module's byte
+    budget, ``_BATCH_BYTES``: an instance's matrix and its shares of the
+    joined buffer, the packed rows and the reply lanes take at most about
+    4n^2 bytes, and its objects under 512 more. A chunk of one and every
+    other matrix go to ``first_nash``, one at a time. Time, batch over
+    ``first_nash``, per instance of runs of growing paths, grids and
+    cliques: 0.07-0.3 at n = 8..16 and 0.4-0.5 at n = 32; past 32 the gain
+    narrows (0.5-0.9 at n = 40..48) and runs stay per instance.
+    """
+
+    def batched_n(pair: tuple[TemporalGraph, DistanceMatrix]) -> int | None:
+        d = pair[1]
+        return d.n if d.n <= 32 and _raw(d) else None
+
+    for n, same in groupby(pairs, batched_n):
+        if n is None:
+            for g, d in same:
+                yield g, d, first_nash(g, d, kind)
+            continue
+        step = max(1, reach._BATCH_BYTES // (4 * n * n + 512))
+        while chunk := list(islice(same, step)):
+            if len(chunk) == 1:
+                [(g, d)] = chunk
+                yield g, d, first_nash(g, d, kind)
+            else:
+                graphs, ds = zip(*chunk)
+                yield from zip(graphs, ds, _first_nash_batch(ds, kind))
+
+
+def _first_nash_batch(ds: Sequence[DistanceMatrix], kind: str) -> list[Profile | None]:
+    """``first_nash`` of each of ``ds``, which share n < 128 and hold ``_raw``
+    times, from one SWAR pass over all of them.
+
+    The flat matrices are joined into one buffer, and view row p becomes one
+    int whose byte k*n + v-1 holds entry v of row p of ds[k]'s view. As in
+    ``_column``, one subtraction and one AND against the row of b leave the
+    guard bit in each field a player at a wins against b. Shifted to the
+    field's low bit and multiplied by ``window``, a 1 in each of n bytes, the
+    won fields of each instance sum into its last byte (a payoff is at most
+    n, so nothing carries), and a strided slice of the bytes gives
+    ``pays[a]``: one byte per instance, its lane. A lane-wise max and a
+    guard-bit compare against it (payoffs, at most n, leave the guard bit
+    spare) give ``replies[b][a]``, whose lane k keeps its guard bit iff
+    a+1 is a best reply to b+1 in ds[k]. The walk visits the profiles in
+    lexicographic order and gives each lane still ``undecided`` the first
+    profile of mutual best replies, as ``_equilibria`` does, adding its two
+    vertices into the lane's byte of ``first`` and ``second``; it computes
+    the replies to b on first need.
+    """
+    n, count = ds[0].n, len(ds)
+    buf = b"".join([d._flat for d in ds])
+    if kind == "vor":
+        # rvor's view of the transposed matrices is vor's view
+        transposed = bytearray(len(buf))
+        for p in range(n):
+            for v in range(n):
+                transposed[v * n + p :: n * n] = buf[p * n + v :: n * n]
+        buf = transposed
+    packed = [int.from_bytes(buf[p::n], "little") for p in range(n)]
+    del buf
+    width = count * n
+    ones = int.from_bytes(b"\1" * width, "little")
+    guard = ones << 7
+    window = int.from_bytes(b"\1" * n, "little")
+    lane_guard = int.from_bytes(b"\x80" * count, "little")
+    replies: list[list[int] | None] = [None] * n
+
+    def replies_to(b: int) -> list[int]:
+        if replies[b] is None:
+            top = (packed[b] | guard) - ones
+            pays = []
+            for mine in packed:
+                sums = ((((top - mine) & guard) >> 7) * window).to_bytes(width + n, "little")
+                pays.append(int.from_bytes(sums[n - 1 :: n], "little"))
+            best = pays[0]
+            for pay in pays[1:]:
+                keep = ((best | lane_guard) - pay) & lane_guard  # lanes where best >= pay
+                best = pay ^ ((best ^ pay) & (keep - (keep >> 7)))
+            replies[b] = [((pay | lane_guard) - best) & lane_guard for pay in pays]
+        return replies[b]
+
+    undecided, first, second = lane_guard, 0, 0
+    for p1 in range(n):
+        for p2, hit in enumerate(replies_to(p1)):
+            hit &= undecided
+            if hit:
+                hit &= replies_to(p2)[p1]
+                undecided ^= hit
+                hit >>= 7
+                first += hit * (p1 + 1)
+                second += hit * (p2 + 1)
+        if not undecided:
+            break
+    return [
+        (a, b) if a else None
+        for a, b in zip(first.to_bytes(count, "little"), second.to_bytes(count, "little"))
+    ]
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,24 @@
 
 Usage, from any directory::
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py              # every mutant
+    python3 tests/mutants.py NAME...      # only the named mutants
 
-Each mutant is one exact text replacement in one file under ``src/``. For
-each, the script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
-temporary directory, applies the replacement there and runs the listed test
-files with ``pytest -x`` in one subprocess; the checkout itself is never
-written. A mutant is killed when a test fails (pytest exit code 1). The
-script prints one line per mutant and exits 1 when a mutant survives, when a
-run ends any other way (a collection error, a timeout), or when an ``old``
-text does not occur exactly once in its file, so a refactor of a listed
-kernel has to update this list on purpose.
+An unknown name exits 2 and lists the known names. Each mutant is one exact
+text replacement in one file under ``src/``. For each, the script copies
+``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory,
+applies the replacement there and runs the listed test files with
+``pytest -x`` in one subprocess; the checkout itself is never written. A
+mutant is killed when a test fails (pytest exit code 1). The script prints
+one line per mutant and exits 1 when a mutant survives, when a run ends any
+other way (a collection error, a timeout), or when an ``old`` text does not
+occur exactly once in its file, so a refactor of a listed kernel has to
+update this list on purpose.
 
 It stays outside tier-1 because every mutant reruns whole test files;
 ``tests/test_mutant_list.py`` checks in milliseconds that every ``old``
-still matches exactly once. Standard library only.
+still matches exactly once, and how names select mutants. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
@@ -65,8 +68,57 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "packed-raw-bytes-up-to-255",
         "src/tempvor/games.py",
-        "if flat.itemsize == 1 and d._sentinel < 128:",
-        "if flat.itemsize == 1 and d._sentinel < 256:",
+        "return d._flat.itemsize == 1 and d._sentinel < 128",
+        "return d._flat.itemsize == 1 and d._sentinel < 256",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "raw-bytes-take-a-sentinel-of-128",
+        "src/tempvor/games.py",
+        "return d._flat.itemsize == 1 and d._sentinel < 128",
+        "return d._flat.itemsize == 1 and d._sentinel <= 128",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "nash-batch-max-keeps-the-smaller",
+        "src/tempvor/games.py",
+        "best = pay ^ ((best ^ pay) & (keep - (keep >> 7)))",
+        "best = best ^ ((best ^ pay) & (keep - (keep >> 7)))",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "nash-batch-equality-below-the-guard-bit",
+        "src/tempvor/games.py",
+        "replies[b] = [((pay | lane_guard) - best) & lane_guard for pay in pays]",
+        "replies[b] = [((pay | lane_guard) - best) & (lane_guard >> 1) for pay in pays]",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "nash-batch-window-of-n-minus-1-fields",
+        "src/tempvor/games.py",
+        'window = int.from_bytes(b"\\1" * n, "little")',
+        'window = int.from_bytes(b"\\1" * (n - 1), "little")',
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "nash-batch-walk-p2-major",
+        "src/tempvor/games.py",
+        "first += hit * (p1 + 1)\n                second += hit * (p2 + 1)",
+        "first += hit * (p2 + 1)\n                second += hit * (p1 + 1)",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "nash-run-batches-33-vertices",
+        "src/tempvor/games.py",
+        "return d.n if d.n <= 32 and _raw(d) else None",
+        "return d.n if d.n <= 33 and _raw(d) else None",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "nash-run-batches-a-lone-chunk",
+        "src/tempvor/games.py",
+        "if len(chunk) == 1:",
+        "if not chunk:",
         ("tests/test_games.py",),
     ),
     Mutant(
@@ -367,6 +419,13 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_explorer.py",),
     ),
     Mutant(
+        "sweep-holds-the-runs-matrices",
+        "src/tempvor/explorer.py",
+        "pairs = zip(run, _all_pairs_run(run), strict=True)",
+        "pairs = zip(run, list(_all_pairs_run(run)), strict=True)",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
         "record-monotone-flags-swapped",
         "src/tempvor/explorer.py",
         '"monotone_growing": r.monotone_growing,\n'
@@ -428,14 +487,29 @@ def run_mutant(m: Mutant, root: Path = ROOT) -> str:
     return f"pytest exit code {proc.returncode}"
 
 
-def main() -> int:
+def selected(names: Sequence[str]) -> list[Mutant]:
+    """The mutants called ``names``, in list order, or all of them when no
+    name is given; ``ValueError`` names the unknown ones."""
+    known = {m.name for m in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown mutant {', '.join(unknown)}")
+    return [m for m in MUTANTS if not names or m.name in names]
+
+
+def main(names: Sequence[str]) -> int:
+    try:
+        chosen = selected(names)
+    except ValueError as e:
+        print(f"{e}; known mutants:", *(m.name for m in MUTANTS), sep="\n", file=sys.stderr)
+        return 2
     problems = match_problems()
     if problems:
         print("\n".join(problems))
         return 1
     failed = False
     start = time.perf_counter()
-    for m in MUTANTS:
+    for m in chosen:
         t = time.perf_counter()
         outcome = run_mutant(m)
         failed |= outcome != "killed"
@@ -445,4 +519,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from brute import _cycle_canonical_key, oracle_layer_chains, oracle_record_line
+from test_games import batch_sizes
 from test_sweep_pins import FAMILIES
 
 import tempvor.explorer
@@ -23,6 +24,7 @@ from tempvor import (
     build_instance,
     classify_underlying,
     enumerate_nash,
+    first_nash,
     generate_family,
     graph_from_obj,
     is_monotone,
@@ -288,6 +290,60 @@ def test_sweep_passes_long_runs_in_chunks(monkeypatch):
         for g, d in zip(chunk, ds, strict=True):
             assert d._flat == all_pairs(g)._flat
             assert list(d.rows) == _expanded_search(g, g.vertices)
+
+
+def test_sweep_decides_long_runs_in_chunks(monkeypatch):
+    # The equilibrium batch counts 4 * 81 + 512 = 836 bytes for each of the
+    # 4,095 growing 3 x 3 grids, so a budget one byte short of 1,001 instances
+    # cuts their run into four chunks of 1,000 and one of 95.
+    spec = FamilySpec("grid", (9, 9), (2, 2), "growing")
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 1000 * 836 + 835)
+    chunks = batch_sizes(monkeypatch)
+    outcome = sweep(spec, "rvor")
+    assert chunks == [1000] * 4 + [95]
+    assert [o.graph for o in outcome.outcomes] == list(generate_family(spec))
+    for o in outcome.outcomes:
+        assert o.witness == first_nash(o.graph, all_pairs(o.graph), "rvor")
+
+
+def _distance_bytes() -> int:
+    """Traced bytes still held that ``tempvor.reach`` allocated."""
+    held = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, tempvor.reach.__file__)]
+    )
+    return sum(stat.size for stat in held.statistics("filename"))
+
+
+def test_sweep_makes_per_instance_matrices_on_request(monkeypatch):
+    # The 64 one-change paths with n = 33 form one run, which first_nash
+    # decides one instance at a time; a small budget keeps the distance
+    # module's chunks at 4 instances. When the run's last matrix arrives, the
+    # earlier ones must be gone.
+    spec = FamilySpec("path", (33, 33), (2, 2), "any", 1)
+    graphs = list(generate_family(spec))
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 4 * 33 * (3 * 33 + 2 * 32))
+    real, last = tempvor.explorer._all_pairs_run, []
+
+    def reporting(run):
+        tracemalloc.start()
+        for i, d in enumerate(real(run), 1):
+            if i == len(run):
+                last.append(_distance_bytes())
+            yield d
+        tracemalloc.stop()
+
+    try:
+        tracemalloc.start()
+        ds = list(real(graphs))
+        together = _distance_bytes()
+        del ds
+        tracemalloc.stop()
+        monkeypatch.setattr(tempvor.explorer, "_all_pairs_run", reporting)
+        assert sweep(spec, "vor").total == len(graphs) == 64
+    finally:
+        tracemalloc.stop()
+    assert len(last) == 1
+    assert last[0] < together / 4
 
 
 @pytest.mark.parametrize(

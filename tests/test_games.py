@@ -6,7 +6,8 @@ import hashlib
 import json
 import random
 import re
-from itertools import combinations, product
+import tracemalloc
+from itertools import combinations, groupby, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,9 +20,12 @@ from brute import (
     walk_distances,
 )
 
+import tempvor.games
+import tempvor.reach
 from tempvor import (
     INF,
     DistanceMatrix,
+    FamilySpec,
     TemporalGraph,
     all_pairs,
     best_response_dynamics,
@@ -31,16 +35,18 @@ from tempvor import (
     earliest_arrivals,
     enumerate_nash,
     first_nash,
+    generate_family,
     is_nash,
     oracle_arrivals,
     payoff,
     underlying,
 )
 from tempvor.builders import split_clique_partition
-from tempvor.games import GAME_KINDS, _column, _packed
+from tempvor.explorer import BASE_CLASSES, MONOTONICITY, _underlying_key
+from tempvor.games import GAME_KINDS, _column, _first_nash_batch, _first_nash_run, _packed
 from tempvor.instances import INSTANCE_NAMES
 from tempvor.randgen import random_temporal_graph
-from tempvor.reach import _expanded_search
+from tempvor.reach import _all_pairs_run, _expanded_search
 
 
 @st.composite
@@ -687,3 +693,124 @@ def test_clique_dynamics_on_split_instance_is_pinned():
     g, d = _ctx("shrink_split_8")
     clique, _ = split_clique_partition(underlying(g))
     assert _dynamics_digest(g, d, clique) == _CLIQUE_DYNAMICS_SHA256
+
+
+# With any layer pattern the dense classes pass 5 * 10^4 instances at n = 5,
+# so there they stop at n = 4.
+_DENSE = ("clique", "complete_k_partite", "split", "threshold")
+
+
+def _gate_runs(base):
+    """Every (n, edge set) run of ``base`` x each monotonicity with n <= 5 and
+    tau <= 2, as (graphs, matrices) with the matrices a sweep makes."""
+    for mono in MONOTONICITY:
+        top = 4 if base in _DENSE and mono == "any" else 5
+        family = generate_family(FamilySpec(base, (1, top), (1, 2), mono))
+        for _, run in groupby(family, _underlying_key):
+            run = list(run)
+            yield run, list(_all_pairs_run(run))
+
+
+@pytest.mark.parametrize("base", BASE_CLASSES)
+def test_batch_equilibria_match_first_nash_on_every_run(base):
+    # and, on one run in 20, one instance against the brute-force profiles
+    rng, mixed = random.Random(base), False
+    for run, ds in _gate_runs(base):
+        for kind in GAME_KINDS:
+            witnesses = _first_nash_batch(ds, kind)
+            assert witnesses == [first_nash(g, d, kind) for g, d in zip(run, ds)]
+            if rng.random() < 0.05:
+                k = rng.randrange(len(run))
+                equilibria = brute_nash_profiles(ds[k].rows, kind, run[k].n)
+                assert witnesses[k] == (equilibria or [None])[0]
+        mixed |= run[0].tau < run[-1].tau
+    assert mixed
+
+
+@pytest.mark.parametrize("kind", GAME_KINDS)
+def test_batch_equilibria_of_one_vertex_and_lone_matrices(kind):
+    one = all_pairs(TemporalGraph(1, ((),)))
+    assert _first_nash_batch([one], kind) == _first_nash_batch([one, one], kind)[1:] == [(1, 1)]
+    for name in INSTANCE_NAMES:
+        g, d = _ctx(name)
+        if d._sentinel < 128:
+            assert _first_nash_batch([d], kind) == [first_nash(g, d, kind)]
+
+
+def batch_sizes(monkeypatch) -> list[int]:
+    """The size of each chunk ``_first_nash_run`` sends to the batch kernel,
+    recorded as the kernel is called."""
+    sizes, batch = [], tempvor.games._first_nash_batch
+
+    def recording(ds, kind):
+        sizes.append(len(ds))
+        return batch(ds, kind)
+
+    monkeypatch.setattr(tempvor.games, "_first_nash_batch", recording)
+    return sizes
+
+
+def _nash_routes(monkeypatch, graphs):
+    """Drain ``_first_nash_run`` over ``graphs`` and their matrices for each
+    game, with both deciders recorded; check every witness against
+    ``first_nash`` and return, for one game, the chunk sizes the batch got
+    and the count of ``first_nash`` calls."""
+    chunks, singles, single = batch_sizes(monkeypatch), [], first_nash
+    monkeypatch.setattr(
+        tempvor.games, "first_nash", lambda g, d, kind: singles.append(g) or single(g, d, kind)
+    )
+    for kind in GAME_KINDS:
+        decided = list(_first_nash_run(zip(graphs, map(all_pairs, graphs)), kind))
+        assert [g for g, _, _ in decided] == graphs
+        assert [w for _, _, w in decided] == [single(g, all_pairs(g), kind) for g in graphs]
+    return chunks[: len(chunks) // 2], len(singles) // 2
+
+
+def test_run_sends_a_lone_instance_to_first_nash(monkeypatch):
+    assert _nash_routes(monkeypatch, [TemporalGraph(3, (((1, 2),),))]) == ([], 1)
+
+
+def test_run_sends_times_from_128_to_first_nash(monkeypatch):
+    # tau + n + 1 = 127 leaves every time's top bit spare, 128 does not
+    path = ((1, 2), (2, 3), (3, 4))
+    graphs = [
+        TemporalGraph(4, ((),) * (tau - 2) + (path[:k], path))
+        for tau in (122, 123)
+        for k in (0, 1, 2)
+    ]
+    assert [all_pairs(g)._sentinel for g in graphs] == [127] * 3 + [128] * 3
+    assert _nash_routes(monkeypatch, graphs) == ([3], 3)
+
+
+def test_run_sends_more_than_32_vertices_to_first_nash(monkeypatch):
+    graphs = list(generate_family(FamilySpec("path", (32, 33), (2, 2), "growing", 1)))
+    assert [g.n for g in graphs] == [32] * 31 + [33] * 32
+    assert _nash_routes(monkeypatch, graphs) == ([31], 32)
+
+
+def test_run_cuts_chunks_by_the_byte_budget(monkeypatch):
+    # an instance with n = 3 counts 4 * 9 + 512 bytes: two fit, so the third
+    # is a lone chunk
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 3 * 548 - 1)
+    graphs = [TemporalGraph(3, (((1, 2),), ((1, 2), (2, 3))[:k])) for k in (0, 1, 2)]
+    assert _nash_routes(monkeypatch, graphs) == ([2], 1)
+
+
+@pytest.mark.parametrize("kind", GAME_KINDS)
+def test_a_full_batch_chunk_stays_within_the_byte_budget(monkeypatch, kind):
+    # growing 3 x 3 grids count 4 * 81 + 512 = 836 bytes each, so a 512 KiB
+    # budget takes them 627 at a time; the chunk's matrices, made one at a
+    # time as the run reads them, count in its peak
+    budget = 1 << 19
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", budget)
+    graphs = list(generate_family(FamilySpec("grid", (9, 9), (2, 2), "growing")))[:627]
+    chunks = batch_sizes(monkeypatch)
+    tracemalloc.start()
+    try:
+        for _ in _first_nash_run(zip(graphs, map(all_pairs, graphs)), kind):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunks == [627]
+    assert budget / 2 < peak < budget
