@@ -32,10 +32,11 @@ passes each (vertex count, edge set) run to the distance module, which splits
 it by lifetime and computes each lifetime in batch layer sweeps of bounded
 size where they pay and with ``all_pairs`` where they do not. The game module
 decides the run's equilibria the same way, in batches of bounded size where
-they pay and with ``first_nash`` where they do not. A batch holds its
-instances' matrices until it is decided; on the per-instance path each
-matrix is made when its instance is decided, so it and its payoff tables are
-freed before the next one.
+they pay and with ``first_nash`` where they do not. A batch, or a chunk
+too short to pay for one (at most n <= 20 instances), holds its instances'
+matrices until it is decided; for the instances with n > 20 or times from
+128 each matrix is made when its instance is decided, so it and its payoff
+tables are freed before the next one.
 
 :func:`write_outcome` frames each JSON-lines record from text pieces, in
 sorted key order: the game encoded once per sweep, each distinct class

@@ -62,9 +62,13 @@ Profile = tuple[int, int]
 GAME_KINDS: tuple[GameKind, ...] = ("vor", "rvor")
 
 
-def _check_inputs(g: TemporalGraph, d: DistanceMatrix, kind: str) -> None:
+def _check_kind(kind: str) -> None:
     if kind not in GAME_KINDS:
         raise ValueError(f"unknown game kind {kind!r}; expected one of {GAME_KINDS}")
+
+
+def _check_inputs(g: TemporalGraph, d: DistanceMatrix, kind: str) -> None:
+    _check_kind(kind)
     if d.n != g.n:
         raise ValueError("distance matrix does not match graph size")
 
@@ -295,22 +299,30 @@ def _first_nash_run(
     pairs: Iterable[tuple[TemporalGraph, DistanceMatrix]], kind: str
 ) -> Iterator[tuple[TemporalGraph, DistanceMatrix, Profile | None]]:
     """(g, d, ``first_nash(g, d, kind)``) for each of ``pairs``, in order; each
-    pair is read on request.
+    pair is read on request. An unknown ``kind`` raises ValueError, as in
+    ``first_nash``.
 
-    Consecutive matrices with one n <= 32 and ``_raw`` times go to
-    ``_first_nash_batch`` in chunks that fit the distance module's byte
-    budget, ``_BATCH_BYTES``: an instance's matrix and its shares of the
-    joined buffer, the packed rows and the reply lanes take at most about
-    4n^2 bytes, and its objects under 512 more. A chunk of one and every
-    other matrix go to ``first_nash``, one at a time. Time, batch over
-    ``first_nash``, per instance of runs of growing paths, grids and
-    cliques: 0.07-0.3 at n = 8..16 and 0.4-0.5 at n = 32; past 32 the gain
-    narrows (0.5-0.9 at n = 40..48) and runs stay per instance.
+    Consecutive matrices with one n <= 20 and ``_raw`` times are cut into
+    chunks that fit the distance module's byte budget, ``_BATCH_BYTES``: an
+    instance's matrix and its shares of the joined buffer, the packed rows
+    and the reply lanes take at most about 4n^2 bytes, and its objects under
+    512 more. A chunk of more than n matrices goes to ``_first_nash_batch``;
+    a smaller chunk and every other matrix go to ``first_nash``, one at a
+    time. Time, batch over ``first_nash``, on the longest (n, edge set) run
+    of each base class x monotonicity, both games, worst case per n: 0.64-0.98
+    for chunks of n instances and 0.40-0.74 for chunks of 2n at n = 2..22,
+    but 1.8-7.9 for a lone instance and 1.05-4.0 for chunks of two at
+    n = 3..16, where the chunk's fixed costs (``vor``'s n^2 slice copies, a
+    pass over all lanes per column) are not paid back. Past n = 20 the gain
+    goes: 0.88-0.98 at n = 24 and 2.3-2.5 at n = 32 on growing cycles, whose
+    ``rvor`` lanes reach different replies, so the walk pays for the replies
+    of every lane; 1.2-4.5 on paths, cycles and cliques at n = 64..120.
     """
+    _check_kind(kind)
 
     def batched_n(pair: tuple[TemporalGraph, DistanceMatrix]) -> int | None:
         d = pair[1]
-        return d.n if d.n <= 32 and _raw(d) else None
+        return d.n if d.n <= 20 and _raw(d) else None
 
     for n, same in groupby(pairs, batched_n):
         if n is None:
@@ -319,9 +331,9 @@ def _first_nash_run(
             continue
         step = max(1, reach._BATCH_BYTES // (4 * n * n + 512))
         while chunk := list(islice(same, step)):
-            if len(chunk) == 1:
-                [(g, d)] = chunk
-                yield g, d, first_nash(g, d, kind)
+            if len(chunk) <= n:
+                for g, d in chunk:
+                    yield g, d, first_nash(g, d, kind)
             else:
                 graphs, ds = zip(*chunk)
                 yield from zip(graphs, ds, _first_nash_batch(ds, kind))

@@ -108,18 +108,32 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_games.py",),
     ),
     Mutant(
-        "nash-run-batches-33-vertices",
+        "nash-run-batches-21-vertices",
         "src/tempvor/games.py",
-        "return d.n if d.n <= 32 and _raw(d) else None",
-        "return d.n if d.n <= 33 and _raw(d) else None",
+        "return d.n if d.n <= 20 and _raw(d) else None",
+        "return d.n if d.n <= 21 and _raw(d) else None",
         ("tests/test_games.py",),
     ),
     Mutant(
         "nash-run-batches-a-lone-chunk",
         "src/tempvor/games.py",
-        "if len(chunk) == 1:",
+        "if len(chunk) <= n:",
         "if not chunk:",
         ("tests/test_games.py",),
+    ),
+    Mutant(
+        "nash-run-batches-chunks-of-n",
+        "src/tempvor/games.py",
+        "if len(chunk) <= n:",
+        "if len(chunk) < n:",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "nash-run-accepts-any-kind",
+        "src/tempvor/games.py",
+        "    _check_kind(kind)\n\n    def batched_n",
+        "\n    def batched_n",
+        ("tests/test_explorer.py",),
     ),
     Mutant(
         "packed-rvor-reads-rows",

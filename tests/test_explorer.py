@@ -292,6 +292,15 @@ def test_sweep_passes_long_runs_in_chunks(monkeypatch):
             assert list(d.rows) == _expanded_search(g, g.vertices)
 
 
+@pytest.mark.parametrize("kind", ["foo", "VOR"])
+def test_sweep_rejects_an_unknown_game_kind(monkeypatch, kind):
+    # every run of this family goes to the batch kernel
+    chunks = batch_sizes(monkeypatch)
+    with pytest.raises(ValueError, match="unknown game kind"):
+        sweep(FamilySpec("tree", (2, 4), (1, 2), "any"), kind)
+    assert sweep(FamilySpec("tree", (2, 4), (1, 2), "any"), "vor").total == sum(chunks) > 0
+
+
 def test_sweep_decides_long_runs_in_chunks(monkeypatch):
     # The equilibrium batch counts 4 * 81 + 512 = 836 bytes for each of the
     # 4,095 growing 3 x 3 grids, so a budget one byte short of 1,001 instances

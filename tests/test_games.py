@@ -766,34 +766,38 @@ def _nash_routes(monkeypatch, graphs):
     return chunks[: len(chunks) // 2], len(singles) // 2
 
 
-def test_run_sends_a_lone_instance_to_first_nash(monkeypatch):
-    assert _nash_routes(monkeypatch, [TemporalGraph(3, (((1, 2),),))]) == ([], 1)
+_PATHS_3 = list(generate_family(FamilySpec("path", (3, 3), (1, 2), "any")))
+
+
+def test_run_batches_chunks_of_more_than_n_instances(monkeypatch):
+    assert len(_PATHS_3) == 9
+    assert _nash_routes(monkeypatch, _PATHS_3[:1]) == ([], 1)
+    assert _nash_routes(monkeypatch, _PATHS_3[:3]) == ([], 3)
+    assert _nash_routes(monkeypatch, _PATHS_3[:4]) == ([4], 0)
 
 
 def test_run_sends_times_from_128_to_first_nash(monkeypatch):
     # tau + n + 1 = 127 leaves every time's top bit spare, 128 does not
     path = ((1, 2), (2, 3), (3, 4))
+    firsts = ((), path[:1], path[:2], path[1:], path[2:])
     graphs = [
-        TemporalGraph(4, ((),) * (tau - 2) + (path[:k], path))
-        for tau in (122, 123)
-        for k in (0, 1, 2)
+        TemporalGraph(4, ((),) * (tau - 2) + (first, path)) for tau in (122, 123) for first in firsts
     ]
-    assert [all_pairs(g)._sentinel for g in graphs] == [127] * 3 + [128] * 3
-    assert _nash_routes(monkeypatch, graphs) == ([3], 3)
+    assert [all_pairs(g)._sentinel for g in graphs] == [127] * 5 + [128] * 5
+    assert _nash_routes(monkeypatch, graphs) == ([5], 5)
 
 
-def test_run_sends_more_than_32_vertices_to_first_nash(monkeypatch):
-    graphs = list(generate_family(FamilySpec("path", (32, 33), (2, 2), "growing", 1)))
-    assert [g.n for g in graphs] == [32] * 31 + [33] * 32
-    assert _nash_routes(monkeypatch, graphs) == ([31], 32)
+def test_run_sends_more_than_20_vertices_to_first_nash(monkeypatch):
+    graphs = list(generate_family(FamilySpec("path", (20, 21), (2, 2), "any", 1)))
+    assert [g.n for g in graphs] == [20] * 38 + [21] * 40
+    assert _nash_routes(monkeypatch, graphs) == ([38], 40)
 
 
 def test_run_cuts_chunks_by_the_byte_budget(monkeypatch):
-    # an instance with n = 3 counts 4 * 9 + 512 bytes: two fit, so the third
-    # is a lone chunk
-    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 3 * 548 - 1)
-    graphs = [TemporalGraph(3, (((1, 2),), ((1, 2), (2, 3))[:k])) for k in (0, 1, 2)]
-    assert _nash_routes(monkeypatch, graphs) == ([2], 1)
+    # an instance with n = 3 counts 4 * 9 + 512 bytes: four fit, so nine
+    # paths make two chunks of four and a lone ninth
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 5 * 548 - 1)
+    assert _nash_routes(monkeypatch, _PATHS_3) == ([4, 4], 1)
 
 
 @pytest.mark.parametrize("kind", GAME_KINDS)
