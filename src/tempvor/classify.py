@@ -181,18 +181,13 @@ class ClassReport:
         }
 
 
-def _report(g: TemporalGraph, d: DistanceMatrix, labels: tuple[str, ...]) -> ClassReport:
-    """The report of g from its distances and the sorted labels of its union."""
+def _flags(g: TemporalGraph, d: DistanceMatrix) -> tuple[bool, bool, bool]:
+    """(temporally connected, growing, shrinking): the report of g from its
+    distances, all but the labels of its union."""
     if d.n != g.n:
         raise ValueError("distance matrix does not match graph size")
-    growing, shrinking = is_monotone(g)
-    return ClassReport(
-        temporally_connected=d.all_finite(),
-        monotone_growing=growing,
-        monotone_shrinking=shrinking,
-        underlying_class=labels,
-    )
+    return (d.all_finite(), *is_monotone(g))
 
 
 def build_class_report(g: TemporalGraph, d: DistanceMatrix) -> ClassReport:
-    return _report(g, d, tuple(sorted(classify_underlying(underlying(g)))))
+    return ClassReport(*_flags(g, d), tuple(sorted(classify_underlying(underlying(g)))))

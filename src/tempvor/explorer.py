@@ -23,11 +23,21 @@ index arithmetic on the cycle's edge order, and the check stops at the first
 image that does. Other classes get no isomorphism reduction. Streams are lazy
 and deterministic: two sweeps of one spec produce identical output bytes.
 
+Each edge set is checked once, by the public :class:`TemporalGraph`
+constructor on its one-layer graph, and the walk runs over the checked,
+sorted edges. Every layer it yields is a subset of them, so each instance
+is made by the private ``TemporalGraph._of`` with no normalisation, sort or
+check of its own. Each distinct layer of an edge set is one sorted tuple
+that every instance holding it shares, made of the edge set's own edge
+tuples; the cache that finds it is keyed by the layer's hash, so it keeps
+none of the walk's frozensets alive.
+
 :func:`sweep` takes at most ``limit + 1`` instances from the stream and raises
 the budget error before it computes any distance or class label. The stream
 emits all instances over one edge set in a row, and within that run all of
 one lifetime in a row. So :func:`sweep` decides the class labels once per
-underlying graph (vertex count and edge set), not once per instance, and
+underlying graph (vertex count and edge set), not once per instance, keeps
+one class report object per distinct report of that run, and
 passes each (vertex count, edge set) run to the distance module, which splits
 it by lifetime and computes each lifetime in batch layer sweeps of bounded
 size where they pay and with ``all_pairs`` where they do not. The game module
@@ -54,7 +64,7 @@ from itertools import combinations, groupby, islice, product
 from pathlib import Path
 from typing import Iterator
 
-from .classify import ClassReport, _report, classify_underlying
+from .classify import ClassReport, _flags, classify_underlying
 from .games import GameKind, Profile, _first_nash_run
 from .graph import (
     _MAX_VERTICES,
@@ -124,6 +134,10 @@ def _check_spec(spec: FamilySpec) -> None:
         raise FamilySpecError(
             f"unknown base class {spec.base_class!r}; known: {', '.join(BASE_CLASSES)}"
         )
+    for field in ("n_range", "tau_range"):
+        pair = getattr(spec, field)
+        if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+            raise FamilySpecError(f"{field} must be a pair of ints, got {pair!r}")
     budget = () if spec.max_edge_changes is None else (spec.max_edge_changes,)
     if any(type(x) is not int for x in (*spec.n_range, *spec.tau_range, *budget)):
         # exact type: bool is rejected too
@@ -282,6 +296,20 @@ def _is_cycle_canonical(n: int, chain: tuple[frozenset[Edge], ...]) -> bool:
     return True
 
 
+def _shared(layers: dict[int, tuple[Edge, ...]], layer: frozenset[Edge]) -> tuple[Edge, ...]:
+    """``layer`` as the one sorted tuple that ``layers`` holds for its edges.
+
+    The cache is keyed by the frozenset's hash, so it keeps no frozenset of
+    the walk alive; a cached tuple is taken only when it holds the same
+    edges, and a hash collision just sorts the layer again.
+    """
+    key = hash(layer)
+    shared = layers.get(key)
+    if shared is None or len(shared) != len(layer) or not layer.issuperset(shared):
+        shared = layers[key] = tuple(sorted(layer))
+    return shared
+
+
 def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
     """Lazy, deterministic stream of every instance in the described family."""
     _check_spec(spec)
@@ -289,14 +317,15 @@ def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
     t_lo, t_hi = spec.tau_range
     for n in range(n_lo, n_hi + 1):
         for edge_set in _underlying_edge_sets(spec.base_class, n):
+            # the one check: every layer below is a subset of these edges
+            (edges,) = TemporalGraph(n, (edge_set,)).layers
+            layers: dict[int, tuple[Edge, ...]] = {}
             # past tau = 1 a minimal instance changes an edge: it needs one and a budget
-            top = t_hi if edge_set and spec.max_edge_changes != 0 else 1
+            top = t_hi if edges and spec.max_edge_changes != 0 else 1
             for tau in range(t_lo, top + 1):
-                for chain in _layer_chains(
-                    edge_set, tau, spec.monotonicity, spec.max_edge_changes
-                ):
+                for chain in _layer_chains(edges, tau, spec.monotonicity, spec.max_edge_changes):
                     if spec.base_class != "cycle" or _is_cycle_canonical(n, chain):
-                        yield TemporalGraph(n, chain)
+                        yield TemporalGraph._of(n, tuple([_shared(layers, l) for l in chain]))
 
 
 # --- sweeping -----------------------------------------------------------------
@@ -370,13 +399,16 @@ def sweep(
 ) -> SearchOutcome:
     """Decide equilibrium existence for every instance of the family.
 
-    Raises :class:`FamilyBudgetError` when the family has more than ``limit``
+    Raises ``ValueError`` when ``limit`` is not an int (a bool included) and
+    :class:`FamilyBudgetError` when the family has more than ``limit``
     instances, before any instance is decided; a partial sweep is never
     returned. Every stored verdict is reproducible by re-running the
     equilibrium enumeration on the stored graph, and every report equals
     :func:`~tempvor.classify.build_class_report` on it; the class labels in
     the reports are decided once per underlying graph.
     """
+    if type(limit) is not int:  # exact type: bool is rejected too
+        raise ValueError(f"instance limit {limit!r} is not an integer")
     bound = max(limit, 0)
     graphs = list(islice(generate_family(spec), bound + 1))
     if len(graphs) > bound:
@@ -387,8 +419,13 @@ def sweep(
         labels = tuple(sorted(classify_underlying(StaticGraph(n, edges))))
         run = list(run)
         pairs = zip(run, _all_pairs_run(run), strict=True)
+        reports: dict[tuple[bool, bool, bool], ClassReport] = {}  # one per distinct report
         for g, d, witness in _first_nash_run(pairs, kind):
-            outcomes.append(InstanceOutcome(g, _report(g, d, labels), witness))
+            flags = _flags(g, d)
+            report = reports.get(flags)
+            if report is None:
+                report = reports[flags] = ClassReport(*flags, labels)
+            outcomes.append(InstanceOutcome(g, report, witness))
     return SearchOutcome(spec, kind, tuple(outcomes))
 
 

@@ -66,6 +66,10 @@ class TemporalGraph:
     edges of each layer, then raises :class:`GraphValidationError` with the
     problems :func:`validate` reports, so every instance has tau >= 1 and
     endpoints in 1..n. Instances are immutable and hashable.
+
+    The private :meth:`_of` takes layers as they are, with no normalisation,
+    sort or check; family generation uses it for layers that are subsets of
+    one edge set checked by this constructor.
     """
 
     n: int
@@ -82,6 +86,16 @@ class TemporalGraph:
         problems = validate(self)
         if problems:
             raise GraphValidationError("; ".join(problems))
+
+    @classmethod
+    def _of(cls, n: int, layers: tuple[tuple[Edge, ...], ...]) -> TemporalGraph:
+        """The graph on ``layers`` taken as they are. The caller guarantees what
+        construction would ensure: sorted (small, large) edges that
+        :func:`validate` accepts, and a repeated layer held as one tuple."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "layers", layers)
+        return g
 
     @property
     def tau(self) -> int:

@@ -386,15 +386,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "empty-edge-set-walks-every-lifetime",
         "src/tempvor/explorer.py",
-        "top = t_hi if edge_set and spec.max_edge_changes != 0 else 1",
+        "top = t_hi if edges and spec.max_edge_changes != 0 else 1",
         "top = t_hi if spec.max_edge_changes != 0 else 1",
         ("tests/test_explorer.py",),
     ),
     Mutant(
         "zero-budget-walks-every-lifetime",
         "src/tempvor/explorer.py",
-        "top = t_hi if edge_set and spec.max_edge_changes != 0 else 1",
-        "top = t_hi if edge_set else 1",
+        "top = t_hi if edges and spec.max_edge_changes != 0 else 1",
+        "top = t_hi if edges else 1",
         ("tests/test_explorer.py",),
     ),
     Mutant(
@@ -430,6 +430,55 @@ MUTANTS: tuple[Mutant, ...] = (
         "src/tempvor/explorer.py",
         "rank[k - i]",
         "rank[k - i + 1]",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "generated-layers-unsorted",
+        "src/tempvor/explorer.py",
+        "shared = layers[key] = tuple(sorted(layer))",
+        "shared = layers[key] = tuple(layer)",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "edge-set-check-skipped",
+        "src/tempvor/explorer.py",
+        "(edges,) = TemporalGraph(n, (edge_set,)).layers",
+        "edges = edge_set",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "generated-layers-not-shared",
+        "src/tempvor/explorer.py",
+        "tuple([_shared(layers, l) for l in chain])",
+        "tuple([tuple(sorted(l)) for l in chain])",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "layer-cache-keeps-the-frozensets",
+        "src/tempvor/explorer.py",
+        "key = hash(layer)",
+        "key = layer",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "layer-cache-trusts-the-hash",
+        "src/tempvor/explorer.py",
+        "if shared is None or len(shared) != len(layer) or not layer.issuperset(shared):",
+        "if shared is None:",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "layer-cache-takes-a-cached-subset",
+        "src/tempvor/explorer.py",
+        "if shared is None or len(shared) != len(layer) or not layer.issuperset(shared):",
+        "if shared is None or not layer.issuperset(shared):",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "sweep-report-per-instance",
+        "src/tempvor/explorer.py",
+        "report = reports.get(flags)",
+        "report = None",
         ("tests/test_explorer.py",),
     ),
     Mutant(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, groupby, islice, product
 
 import pytest
 
@@ -18,6 +18,7 @@ from tempvor import (
     FamilyBudgetError,
     FamilySpec,
     FamilySpecError,
+    GraphValidationError,
     TemporalGraph,
     all_pairs,
     build_class_report,
@@ -38,6 +39,7 @@ from tempvor.explorer import (
     BASE_CLASSES,
     MONOTONICITY,
     _layer_chains,
+    _shared,
     _underlying_edge_sets,
 )
 from tempvor.graph import _cycle_edges
@@ -154,6 +156,91 @@ def test_emitted_instances_satisfy_the_spec():
             assert frozenset(g.layer(g.tau)) != frozenset(g.layer(g.tau - 1))
 
 
+# n ranges whose edge sets keep the budget-free tau = 3 families small
+_BUILD_N = {
+    "path": (1, 4),
+    "cycle": (3, 4),
+    "tree": (1, 4),
+    "grid": (4, 4),
+    "clique": (1, 3),
+    "complete_k_partite": (2, 3),
+    "split": (1, 3),
+    "threshold": (1, 3),
+}
+
+
+@pytest.mark.parametrize("base", BASE_CLASSES)
+def test_generated_instances_equal_the_checked_construction(base):
+    # every instance of every monotonicity and budget, built without the
+    # per-instance check, is the graph the checked constructor makes of its
+    # layers; within one edge set each distinct layer and edge is one object
+    count = 0
+    for mono, budget in product(MONOTONICITY, (None, 0, 1, 2)):
+        fam = generate_family(FamilySpec(base, _BUILD_N[base], (1, 3), mono, budget))
+        for _, run in groupby(fam, lambda g: (g.n, frozenset().union(*g.layers))):
+            layers, edges = {}, {}
+            for g in run:
+                assert g == TemporalGraph(g.n, g.layers)
+                assert validate(g) == []
+                count += 1
+                for layer in g.layers:
+                    assert layers.setdefault(layer, layer) is layer
+                    for e in layer:
+                        assert edges.setdefault(e, e) is e
+    assert count > 100
+
+
+@pytest.mark.parametrize(
+    "edge_set",
+    [((1, 1),), ((0, 1),), ((1, 4),), ((1, 2), (2, 1)), ((1, True),), ((1, 2.0),)],
+    ids=repr,
+)
+def test_a_bad_edge_set_is_rejected_before_any_instance(monkeypatch, edge_set):
+    monkeypatch.setattr(tempvor.explorer, "_underlying_edge_sets", lambda base, n: iter([edge_set]))
+    with pytest.raises(GraphValidationError):
+        next(generate_family(FamilySpec("path", (3, 3), (1, 2))))
+
+
+class _Colliding(frozenset):
+    """A layer whose hash every other layer shares."""
+
+    def __hash__(self):
+        return 0
+
+
+def test_layer_cache_takes_a_tuple_only_for_the_same_edges():
+    layers = {}
+    for edges in ([(2, 3), (1, 2)], [(1, 2)], [(1, 2), (2, 3)], [(1, 2), (1, 3)], []):
+        layer = _Colliding(edges)
+        assert _shared(layers, layer) == tuple(sorted(edges))
+        assert _shared(layers, _Colliding(edges)) is _shared(layers, layer)
+
+
+def _held_bytes_per_graph(stream, count):
+    """Traced bytes per graph of holding ``count`` graphs taken from ``stream``,
+    with the stream, and any cache it keeps, still alive."""
+    tracemalloc.start()
+    try:
+        held = list(islice(stream, count))
+        assert len(held) == count
+        return tracemalloc.get_traced_memory()[0] / count
+    finally:
+        tracemalloc.stop()
+
+
+def test_held_instances_share_their_edge_and_layer_tuples():
+    # The 10,587 trees with n = 2..5 hold about 165 bytes each when
+    # instances share layers (the graph, its layer tuple and a list slot);
+    # about 275 with a layer tuple per instance and 565 with edge tuples too.
+    tree = FamilySpec("tree", (2, 5), (1, 2), "any")
+    assert _held_bytes_per_graph(generate_family(tree), 10_587) < 220
+    # The first 5,000 of the ten-edge clique's 59,049 instances: about
+    # 180 bytes each, and 320 when the layer cache keeps the walk's
+    # frozensets (about 700 bytes per distinct layer) while the edge set runs.
+    clique = FamilySpec("clique", (5, 5), (1, 2), "any")
+    assert _held_bytes_per_graph(generate_family(clique), 5_000) < 250
+
+
 def test_every_base_class_generates_valid_members():
     for base in ("path", "cycle", "tree", "grid", "clique", "complete_k_partite", "split", "threshold"):
         n = 4 if base != "grid" else 4
@@ -217,6 +304,8 @@ def test_spec_validation():
         list(generate_family(FamilySpec("path", (3, 3), (1, 1), "sideways")))
     with pytest.raises(FamilySpecError):
         list(generate_family(FamilySpec("path", (3, 3), (1, 1), "any", -1)))
+    # a list is a pair too
+    assert len(list(generate_family(FamilySpec("path", [3, 3], [1, 1])))) == 1
 
 
 @pytest.mark.parametrize(
@@ -236,6 +325,34 @@ def test_spec_bounds_and_budget_must_be_exact_ints(spec):
         list(generate_family(spec))
     with pytest.raises(FamilySpecError, match="must be ints"):
         sweep(spec, "vor")
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        (FamilySpec("path", 5), "n_range"),
+        (FamilySpec("path", (1, 2, 3)), "n_range"),
+        (FamilySpec("path", (1,)), "n_range"),
+        (FamilySpec("path", "13"), "n_range"),
+        (FamilySpec("path", (1, 3), 2), "tau_range"),
+        (FamilySpec("path", (1, 3), (1, 2, 3)), "tau_range"),
+        (FamilySpec("path", (1, 3), ()), "tau_range"),
+    ],
+    ids=repr,
+)
+def test_spec_ranges_must_be_pairs(spec, field):
+    with pytest.raises(FamilySpecError, match=f"{field} must be a pair of ints"):
+        list(generate_family(spec))
+    with pytest.raises(FamilySpecError, match=f"{field} must be a pair of ints"):
+        sweep(spec, "vor")
+
+
+@pytest.mark.parametrize("limit", [2.5, 3.0, True, False, "3", None], ids=repr)
+def test_sweep_limit_must_be_an_exact_int(monkeypatch, limit):
+    generated = _count_calls(monkeypatch, "generate_family")
+    with pytest.raises(ValueError, match="instance limit .* is not an integer"):
+        sweep(FamilySpec("path", (3, 3), (1, 1)), "vor", limit=limit)
+    assert generated == []
 
 
 def test_sweep_budget_guard_raises():
@@ -379,8 +496,26 @@ def test_sweep_reports_match_the_per_instance_report(family, game):
         assert o.report == build_class_report(o.graph, all_pairs(o.graph))
 
 
+def test_sweep_shares_one_report_per_distinct_report_of_a_run():
+    outcome = sweep(FamilySpec("tree", (2, 5), (1, 2), "any"), "vor")
+    runs = groupby(outcome.outcomes, lambda o: (o.graph.n, frozenset().union(*o.graph.layers)))
+    shared = 0
+    for _, run in runs:
+        reports = {}
+        for o in run:
+            assert reports.setdefault(o.report, o.report) is o.report
+        shared += len(reports)
+    assert shared < outcome.total / 10
+
+
 def test_cycle_family_builds_only_the_graphs_it_keeps(monkeypatch):
-    built = _count_calls(monkeypatch, "TemporalGraph")
+    built, of = [], TemporalGraph._of
+
+    def counting(n, layers):
+        built.append(n)
+        return of(n, layers)
+
+    monkeypatch.setattr(TemporalGraph, "_of", staticmethod(counting))
     fam = list(generate_family(FamilySpec("cycle", (3, 7), (1, 2))))
     assert len(built) == len(fam) == 360
 
