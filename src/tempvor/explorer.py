@@ -16,24 +16,27 @@ graphs; labeled trees run over all Pruefer codes. The edge sets come from the
 class constructions in :mod:`tempvor.graph`, which :mod:`tempvor.randgen`
 draws from too. Layer sequences come from a depth-first walk that enters
 only branches which can still end in an instance, so its work follows the
-instances it yields. Cycle instances are additionally deduplicated up to
-rotation and reflection of the labeling: an instance is kept only when no
-image of it has lexicographically smaller layers, each image's edges found by
-index arithmetic on the cycle's edge order, and the check stops at the first
-image that does. Other classes get no isomorphism reduction. Streams are lazy
-and deterministic: two sweeps of one spec produce identical output bytes.
+instances it yields. The walk holds each layer as an int bitmask over the
+edge set's sorted edges: a toggle is a sum of single-bit ints, and sizes
+come from ``int.bit_count``. Cycle instances are additionally deduplicated
+up to rotation and reflection of the labeling: an instance is kept only when
+no image of it has lexicographically smaller layers, each image's masks made
+by bit rotation (and bit reversal, for a reflection) in the cycle's edge
+order, and the check stops at the first image that does. Other classes get no
+isomorphism reduction. Streams are lazy and deterministic: two sweeps of one
+spec produce identical output bytes.
 
 Each edge set is checked once, by the public :class:`TemporalGraph`
 constructor on its one-layer graph, and the walk runs over the checked,
 sorted edges. Every layer it yields is a subset of them, so each instance
 is made by the private ``TemporalGraph._of`` with no normalisation, sort or
 check of its own. Each distinct layer of an edge set is one sorted tuple
-that every instance holding it shares, made of the edge set's own edge
-tuples; the cache that finds it is keyed by the layer's hash, so it keeps
-none of the walk's frozensets alive.
+of the edge set's own edge tuples, shared by every instance that holds it
+and found by its mask in one dict per edge set.
 
-:func:`sweep` takes at most ``limit + 1`` instances from the stream and raises
-the budget error before it computes any distance or class label. The stream
+:func:`sweep` checks its limit and game kind before it generates anything,
+takes at most ``limit + 1`` instances from the stream and raises the budget
+error before it computes any distance or class label. The stream
 emits all instances over one edge set in a row, and within that run all of
 one lifetime in a row. So :func:`sweep` decides the class labels once per
 underlying graph (vertex count and edge set), not once per instance, keeps
@@ -50,10 +53,11 @@ tables are freed before the next one.
 
 :func:`write_outcome` frames each JSON-lines record from text pieces, in
 sorted key order: the game encoded once per sweep, each distinct class
-report once, and the layers by one call to the compact JSON encoder. The
-lines are written as they are made, so writing holds one line, never the
-whole file. The bytes equal those of the record as a dict encoded with
-sorted keys and compact separators.
+report once, and each distinct layer tuple once by the compact JSON encoder,
+its fragment kept for the records that share it. The lines are written as
+they are made, so writing holds one line and at most ``_FRAGMENTS`` layer
+fragments, never the whole file. The bytes equal those of the record as a
+dict encoded with sorted keys and compact separators.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .classify import ClassReport, _flags, classify_underlying
-from .games import GameKind, Profile, _first_nash_run
+from .games import GameKind, Profile, _check_kind, _first_nash_run
 from .graph import (
     _MAX_VERTICES,
     Edge,
@@ -213,9 +217,10 @@ def _layer_chains(
     tau: int,
     monotonicity: str,
     budget: int | None,
-) -> Iterator[tuple[frozenset[Edge], ...]]:
-    """All minimal-lifetime layer sequences over ``edge_set``.
+) -> Iterator[tuple[int, ...]]:
+    """All minimal-lifetime layer sequences over ``edge_set``, as edge masks.
 
+    A layer is an int whose bit i holds edge i of ``sorted(edge_set)``.
     Yields tuples (E_1, ..., E_tau) with union exactly ``edge_set``, the given
     monotonicity, total change within ``budget``, and E_tau != E_{tau-1} when
     tau >= 2. Each layer is its predecessor with a subset of a pool toggled:
@@ -226,37 +231,38 @@ def _layer_chains(
     is not empty. The walk expands a node only while it is live: while such a
     last toggle, with the budget left, can still finish it. So every branch
     it enters ends in an instance. Toggles go by (size, sorted edges) at each
-    step, and M | X sorts as X does for a fixed M.
+    step, as the combinations of a pool's bits in ascending order do, and
+    M | X sorts as X does for a fixed M.
     """
-    universe = frozenset(edge_set)
-    ordered = tuple(sorted(universe))
+    bits = [1 << i for i in range(len(edge_set))]
+    universe = sum(bits)
     shrinking = monotonicity == "shrinking"
 
-    def toggles(pool, required: frozenset[Edge], room: float, least: int = 0):
-        free = [e for e in pool if e not in required]
-        for r in range(least, min(len(free), room - len(required)) + 1):
+    def toggles(pool: list[int], required: int, room: float, least: int = 0) -> Iterator[int]:
+        free = [b for b in pool if not b & required]
+        for r in range(least, min(len(free), room - required.bit_count()) + 1):
             for extra in combinations(free, r):
-                yield required.union(extra)
+                yield sum(extra, required)
 
-    def live(chain: tuple[frozenset[Edge], ...], unseen: frozenset[Edge], left: float) -> bool:
+    def live(chain: tuple[int, ...], unseen: int, left: float) -> bool:
         """Whether a node short of tau layers can finish: the last toggle must
         afford every unseen edge and one edge at least, and find one in its
         pool (an unseen edge when growing, an edge of the last layer when
         shrinking, any edge otherwise)."""
-        return max(1, len(unseen)) <= left and bool(
+        return max(1, unseen.bit_count()) <= left and bool(
             unseen if monotonicity == "growing" else chain[-1] if shrinking else universe
         )
 
-    def children(chain: tuple[frozenset[Edge], ...], unseen: frozenset[Edge], left: float):
+    def children(chain: tuple[int, ...], unseen: int, left: float):
         prev, last = chain[-1], len(chain) == tau - 1
-        pool = ordered if monotonicity == "any" else [e for e in ordered if (e in prev) == shrinking]
-        for toggle in toggles(pool, unseen if last else frozenset(), left, int(last and not unseen)):
-            yield chain + (prev ^ toggle,), unseen - toggle, left - len(toggle)
+        pool = bits if monotonicity == "any" else [b for b in bits if bool(b & prev) == shrinking]
+        for toggle in toggles(pool, unseen if last else 0, left, int(last and not unseen)):
+            yield chain + (prev ^ toggle,), unseen & ~toggle, left - toggle.bit_count()
 
     # depth-first with an explicit stack: lifetimes may exceed the recursion limit
     left = float("inf") if budget is None else budget
-    first = toggles(() if shrinking or tau == 1 else ordered, frozenset(), left)
-    stack = [(((universe - dropped,), dropped, left) for dropped in first)]
+    first = toggles([] if shrinking or tau == 1 else bits, 0, left)
+    stack = [(((universe ^ dropped,), dropped, left) for dropped in first)]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -267,47 +273,48 @@ def _layer_chains(
             stack.append(children(*node))
 
 
-def _is_cycle_canonical(n: int, chain: tuple[frozenset[Edge], ...]) -> bool:
+def _is_cycle_canonical(n: int, chain: tuple[int, ...]) -> bool:
     """Whether no rotation or reflection of the labels gives smaller layers.
 
-    Edge i of ``_cycle_edges(n)`` joins vertices i + 1 and i + 2 (mod n), so
-    rotating the labels by k maps it to edge i + k and reflecting them maps it
-    to edge k - i (mod n); both lie in -n..n-1 for k, i in 0..n-1, where
-    negative indexing wraps them. A layer is held as the sorted ranks of its
-    edges in sorted order, which compare as its sorted edges do. Each image is
-    compared with the chain's layers one by one and dropped at the first layer
-    that differs, so most images cost one sorted layer.
+    ``chain`` holds edge masks over the sorted edges (1, 2), (1, n), (2, 3),
+    ..., (n - 1, n), and a mask's bits are its edges' ranks, so masks
+    compare as the sorted layers do: where two masks first differ, at their
+    lowest differing bit r, the mask holding r is smaller exactly when the
+    other has a bit above r. Edge i of ``_cycle_edges(n)`` joins vertices
+    i + 1 and i + 2 (mod n), at rank 0 for i = 0, 1 for i = n - 1 and i + 1
+    otherwise. In that index order, rotating the labels by k rotates a mask
+    by k bits, and reflecting them (edge i to edge k - i) reverses its n bits
+    and rotates them by k + 1. Each image is compared with the chain's
+    layers one by one and dropped at the first layer that differs, so most
+    images cost one layer.
     """
-    index = {e: i for i, e in enumerate(_cycle_edges(n))}
-    rank = [0, *range(2, n), 1]  # sorted edges: (1, 2), (1, n), (2, 3), ..., (n - 1, n)
-    layers = [[index[e] for e in layer] for layer in chain]
-    keys = [sorted([rank[i] for i in edges]) for edges in layers]
+    full = (1 << n) - 1
+    turns = [m & 1 | (m >> 2) << 1 | (m >> 1 & 1) << (n - 1) for m in chain]  # rank -> index
+    mirrors = [int(f"{m:0{n}b}"[::-1], 2) for m in turns]
     for k in range(n):
-        for images in (
-            ([rank[i + k - n] for i in edges] for edges in layers),
-            ([rank[k - i] for i in edges] for edges in layers),
-        ):
-            for image, key in zip(images, keys):
-                image.sort()
+        for masks, shift in ((turns, k), (mirrors, (k + 1) % n)):
+            for m, key in zip(masks, chain):
+                m = (m << shift | m >> (n - shift)) & full
+                image = m & 1 | (m >> 1 << 2) & full | (m >> (n - 1)) << 1  # index -> rank
                 if image != key:
-                    if image < key:
+                    low = (image ^ key) & -(image ^ key)
+                    if (key > low) if image & low else (image < low):
                         return False
                     break
     return True
 
 
-def _shared(layers: dict[int, tuple[Edge, ...]], layer: frozenset[Edge]) -> tuple[Edge, ...]:
-    """``layer`` as the one sorted tuple that ``layers`` holds for its edges.
+class _Layers(dict):
+    """Edge mask -> the one sorted tuple of the edge set's own edge tuples
+    that its bits hold, made on first use."""
 
-    The cache is keyed by the frozenset's hash, so it keeps no frozenset of
-    the walk alive; a cached tuple is taken only when it holds the same
-    edges, and a hash collision just sorts the layer again.
-    """
-    key = hash(layer)
-    shared = layers.get(key)
-    if shared is None or len(shared) != len(layer) or not layer.issuperset(shared):
-        shared = layers[key] = tuple(sorted(layer))
-    return shared
+    def __init__(self, edges: tuple[Edge, ...]):
+        super().__init__()
+        self.edges = edges
+
+    def __missing__(self, mask: int) -> tuple[Edge, ...]:
+        layer = self[mask] = tuple([e for i, e in enumerate(self.edges) if mask >> i & 1])
+        return layer
 
 
 def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
@@ -319,13 +326,13 @@ def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
         for edge_set in _underlying_edge_sets(spec.base_class, n):
             # the one check: every layer below is a subset of these edges
             (edges,) = TemporalGraph(n, (edge_set,)).layers
-            layers: dict[int, tuple[Edge, ...]] = {}
+            layers = _Layers(edges)
             # past tau = 1 a minimal instance changes an edge: it needs one and a budget
             top = t_hi if edges and spec.max_edge_changes != 0 else 1
             for tau in range(t_lo, top + 1):
                 for chain in _layer_chains(edges, tau, spec.monotonicity, spec.max_edge_changes):
                     if spec.base_class != "cycle" or _is_cycle_canonical(n, chain):
-                        yield TemporalGraph._of(n, tuple([_shared(layers, l) for l in chain]))
+                        yield TemporalGraph._of(n, tuple([layers[m] for m in chain]))
 
 
 # --- sweeping -----------------------------------------------------------------
@@ -399,7 +406,8 @@ def sweep(
 ) -> SearchOutcome:
     """Decide equilibrium existence for every instance of the family.
 
-    Raises ``ValueError`` when ``limit`` is not an int (a bool included) and
+    Raises ``ValueError`` when ``limit`` is not an int (a bool included) or
+    ``kind`` is not a game kind, before any instance is generated, and
     :class:`FamilyBudgetError` when the family has more than ``limit``
     instances, before any instance is decided; a partial sweep is never
     returned. Every stored verdict is reproducible by re-running the
@@ -409,6 +417,7 @@ def sweep(
     """
     if type(limit) is not int:  # exact type: bool is rejected too
         raise ValueError(f"instance limit {limit!r} is not an integer")
+    _check_kind(kind)
     bound = max(limit, 0)
     graphs = list(islice(generate_family(spec), bound + 1))
     if len(graphs) > bound:
@@ -429,18 +438,33 @@ def sweep(
     return SearchOutcome(spec, kind, tuple(outcomes))
 
 
+_FRAGMENTS = 1024  # layer fragments held while writing: about 130 KB
+
+
 def _record_lines(outcome: SearchOutcome) -> Iterator[str]:
     """One JSON line per instance, framed in sorted key order:
     ``{"game":..,"graph":{"layers":..,"n":..},"has_nash":..,"n":..,
     "report":{..},"tau":..,"witness":..}``. The game is encoded once per
-    sweep and each distinct report once; the compact encoder writes the
-    layers' tuples as arrays.
+    sweep, each distinct report once, and each distinct layer tuple once by
+    the compact encoder; a record's layers join those fragments. Layers are
+    keyed by identity, which is safe while ``outcome`` keeps every tuple
+    alive, and instances of one edge set share their layer tuples. The
+    fragments are dropped whenever ``_FRAGMENTS`` of them are held.
     """
     encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
-    head = '{"game":' + encode(outcome.kind) + ',"graph":{"layers":'
+    head = '{"game":' + encode(outcome.kind) + ',"graph":{"layers":['
     reports: dict[ClassReport, str] = {}
+    layers: dict[int, str] = {}  # id of a layer tuple -> its JSON text
     for o in outcome.outcomes:
         g, r, w = o.graph, o.report, o.witness
+        fragments = []
+        for layer in g.layers:
+            fragment = layers.get(id(layer))
+            if fragment is None:
+                if len(layers) == _FRAGMENTS:
+                    layers.clear()
+                fragment = layers[id(layer)] = encode(layer)
+            fragments.append(fragment)
         report = reports.get(r)
         if report is None:
             report = reports[r] = encode(
@@ -452,7 +476,7 @@ def _record_lines(outcome: SearchOutcome) -> Iterator[str]:
                 }
             )
         yield (
-            f'{head}{encode(g.layers)},"n":{g.n}}},'
+            f'{head}{",".join(fragments)}],"n":{g.n}}},'
             f'"has_nash":{"false" if w is None else "true"},"n":{g.n},'
             f'"report":{report},"tau":{g.tau},'
             f'"witness":{"null" if w is None else f"[{w[0]},{w[1]}]"}}}\n'

@@ -220,17 +220,19 @@ def _dihedral_maps(n: int) -> list[dict[int, int]]:
     return maps
 
 
+def _cycle_orbit(g: TemporalGraph) -> set[tuple]:
+    """The layer tuples of all 2n rotations and reflections of g."""
+    edges = set().union(*g.layers)
+    orbit = set()
+    for perm in _dihedral_maps(g.n):
+        image = {(u, v): tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+        orbit.add(tuple(tuple(sorted([image[e] for e in layer])) for layer in g.layers))
+    return orbit
+
+
 def _cycle_canonical_key(g: TemporalGraph) -> tuple:
     """The smallest layer tuple among all 2n rotations and reflections of g."""
-    best = None
-    for perm in _dihedral_maps(g.n):
-        mapped = tuple(
-            tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in layer))
-            for layer in g.layers
-        )
-        if best is None or mapped < best:
-            best = mapped
-    return best
+    return min(_cycle_orbit(g))
 
 
 # --- exhaustive class recognition -------------------------------------------

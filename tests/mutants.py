@@ -133,7 +133,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "src/tempvor/games.py",
         "    _check_kind(kind)\n\n    def batched_n",
         "\n    def batched_n",
-        ("tests/test_explorer.py",),
+        ("tests/test_games.py",),
     ),
     Mutant(
         "packed-rvor-reads-rows",
@@ -372,14 +372,14 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "layer-chains-change-budget-off-by-one",
         "src/tempvor/explorer.py",
-        "yield chain + (prev ^ toggle,), unseen - toggle, left - len(toggle)",
-        "yield chain + (prev ^ toggle,), unseen - toggle, left - len(toggle) + 1",
+        "unseen & ~toggle, left - toggle.bit_count()",
+        "unseen & ~toggle, left - toggle.bit_count() + 1",
         ("tests/test_explorer.py",),
     ),
     Mutant(
         "layer-chains-every-node-live",
         "src/tempvor/explorer.py",
-        "return max(1, len(unseen)) <= left and bool(",
+        "return max(1, unseen.bit_count()) <= left and bool(",
         "return True or bool(",
         ("tests/test_explorer.py",),
     ),
@@ -421,22 +421,29 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "cycle-canonical-rotations-only",
         "src/tempvor/explorer.py",
-        "            ([rank[k - i] for i in edges] for edges in layers),\n",
-        "",
+        "for masks, shift in ((turns, k), (mirrors, (k + 1) % n)):",
+        "for masks, shift in ((turns, k),):",
         ("tests/test_explorer.py",),
     ),
     Mutant(
-        "cycle-canonical-reflection-offset-by-one",
+        "cycle-canonical-reflection-width-off-by-one",
         "src/tempvor/explorer.py",
-        "rank[k - i]",
-        "rank[k - i + 1]",
+        'int(f"{m:0{n}b}"[::-1], 2)',
+        'int(f"{m:0{n - 1}b}"[::-1], 2)',
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "cycle-canonical-prefix-rule-inverted",
+        "src/tempvor/explorer.py",
+        "if (key > low) if image & low else (image < low):",
+        "if (key < low) if image & low else (image > low):",
         ("tests/test_explorer.py",),
     ),
     Mutant(
         "generated-layers-unsorted",
         "src/tempvor/explorer.py",
-        "shared = layers[key] = tuple(sorted(layer))",
-        "shared = layers[key] = tuple(layer)",
+        "tuple([e for i, e in enumerate(self.edges) if mask >> i & 1])",
+        "tuple([e for i, e in enumerate(self.edges) if mask >> i & 1][::-1])",
         ("tests/test_explorer.py",),
     ),
     Mutant(
@@ -449,29 +456,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "generated-layers-not-shared",
         "src/tempvor/explorer.py",
-        "tuple([_shared(layers, l) for l in chain])",
-        "tuple([tuple(sorted(l)) for l in chain])",
+        "tuple([layers[m] for m in chain])",
+        "tuple([layers.__missing__(m) for m in chain])",
         ("tests/test_explorer.py",),
     ),
     Mutant(
-        "layer-cache-keeps-the-frozensets",
+        "sweep-checks-the-kind-after-generating",
         "src/tempvor/explorer.py",
-        "key = hash(layer)",
-        "key = layer",
-        ("tests/test_explorer.py",),
-    ),
-    Mutant(
-        "layer-cache-trusts-the-hash",
-        "src/tempvor/explorer.py",
-        "if shared is None or len(shared) != len(layer) or not layer.issuperset(shared):",
-        "if shared is None:",
-        ("tests/test_explorer.py",),
-    ),
-    Mutant(
-        "layer-cache-takes-a-cached-subset",
-        "src/tempvor/explorer.py",
-        "if shared is None or len(shared) != len(layer) or not layer.issuperset(shared):",
-        "if shared is None or not layer.issuperset(shared):",
+        "    _check_kind(kind)\n",
+        "",
         ("tests/test_explorer.py",),
     ),
     Mutant(
@@ -504,6 +497,28 @@ MUTANTS: tuple[Mutant, ...] = (
         "report = reports.get(r.underlying_class)\n"
         "        if report is None:\n"
         "            report = reports[r.underlying_class] =",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "record-layer-fragments-keyed-by-length",
+        "src/tempvor/explorer.py",
+        "fragment = layers.get(id(layer))\n"
+        "            if fragment is None:\n"
+        "                if len(layers) == _FRAGMENTS:\n"
+        "                    layers.clear()\n"
+        "                fragment = layers[id(layer)] =",
+        "fragment = layers.get(len(layer))\n"
+        "            if fragment is None:\n"
+        "                if len(layers) == _FRAGMENTS:\n"
+        "                    layers.clear()\n"
+        "                fragment = layers[len(layer)] =",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "record-layer-fragments-never-cleared",
+        "src/tempvor/explorer.py",
+        "if len(layers) == _FRAGMENTS:",
+        "if False:",
         ("tests/test_explorer.py",),
     ),
     Mutant(

@@ -8,7 +8,7 @@ from itertools import combinations, groupby, islice, product
 
 import pytest
 
-from brute import _cycle_canonical_key, oracle_layer_chains, oracle_record_line
+from brute import _cycle_canonical_key, _cycle_orbit, oracle_layer_chains, oracle_record_line
 from test_games import batch_sizes
 from test_sweep_pins import FAMILIES
 
@@ -39,10 +39,10 @@ from tempvor.explorer import (
     BASE_CLASSES,
     MONOTONICITY,
     _layer_chains,
-    _shared,
+    _Layers,
     _underlying_edge_sets,
 )
-from tempvor.graph import _cycle_edges
+from tempvor.graph import _clique_edges, _cycle_edges
 from tempvor.reach import _expanded_search
 
 
@@ -79,6 +79,12 @@ def test_growing_cycle_family_contains_the_bundled_instance():
     assert any(tuple(g.layers) == key for g in fam)
 
 
+def _decoded(edge_set, chain):
+    """A chain of edge masks as the frozensets of the sorted edges they hold."""
+    ordered = sorted(edge_set)
+    return tuple(frozenset(e for i, e in enumerate(ordered) if mask >> i & 1) for mask in chain)
+
+
 @pytest.mark.parametrize("base", BASE_CLASSES)
 def test_layer_chains_match_the_definition_in_order(base):
     # the first edge set of each size m that the class has on n <= 4
@@ -94,12 +100,28 @@ def test_layer_chains_match_the_definition_in_order(base):
                 continue
             for mono in MONOTONICITY:
                 for budget in (None, 0, 1, 2, 3):
-                    got = list(_layer_chains(edge_set, tau, mono, budget))
+                    got = [_decoded(edge_set, chain) for chain in _layer_chains(edge_set, tau, mono, budget)]
                     assert got == oracle_layer_chains(edge_set, tau, mono, budget), (
                         edge_set, tau, mono, budget,
                     )
                     checked += len(got)
     assert checked
+
+
+@pytest.mark.parametrize("mono,chains", [("any", 132), ("growing", 66), ("shrinking", 66)])
+def test_layer_chains_past_64_edges(mono, chains):
+    # the 66 edges of the 12-clique, one change: each chain toggles one edge,
+    # the highest bits included, and the family adds the one-layer instance
+    edges = tuple(sorted(_clique_edges(range(1, 13))))
+    universe = frozenset(edges)
+    # both layers full, then one dropped, in (size, sorted edges) order
+    late = [(universe, universe - {e}) for e in edges] if mono != "growing" else []
+    early = [(universe - {e}, universe) for e in edges] if mono != "shrinking" else []
+    got = [_decoded(edges, chain) for chain in _layer_chains(edges, 2, mono, 1)]
+    assert got == late + early
+    assert len(got) == chains
+    spec = FamilySpec("clique", (12, 12), (1, 2), mono, 1)
+    assert sum(1 for _ in generate_family(spec)) == chains + 1
 
 
 def test_layer_chains_enter_only_branches_that_finish(monkeypatch):
@@ -201,19 +223,35 @@ def test_a_bad_edge_set_is_rejected_before_any_instance(monkeypatch, edge_set):
         next(generate_family(FamilySpec("path", (3, 3), (1, 2))))
 
 
-class _Colliding(frozenset):
-    """A layer whose hash every other layer shares."""
+def test_each_layer_is_the_sorted_edges_of_its_mask():
+    # every mask over the 4-clique's edges, highest bit first so that the
+    # cache fills out of order: a sorted tuple of the edge set's own edge
+    # tuples, one tuple per mask
+    edges = tuple(sorted(_clique_edges(range(1, 5))))
+    layers = _Layers(edges)
+    for mask in reversed(range(1 << len(edges))):
+        layer = layers[mask]
+        assert layer == tuple(sorted(e for i, e in enumerate(edges) if mask >> i & 1))
+        assert all(any(e is own for own in edges) for e in layer)
+        assert layers[mask] is layer
 
-    def __hash__(self):
-        return 0
 
-
-def test_layer_cache_takes_a_tuple_only_for_the_same_edges():
-    layers = {}
-    for edges in ([(2, 3), (1, 2)], [(1, 2)], [(1, 2), (2, 3)], [(1, 2), (1, 3)], []):
-        layer = _Colliding(edges)
-        assert _shared(layers, layer) == tuple(sorted(edges))
-        assert _shared(layers, _Colliding(edges)) is _shared(layers, layer)
+@pytest.mark.parametrize("base", BASE_CLASSES)
+def test_generated_layers_decode_the_walk_in_order(base):
+    # one instance per walked chain (every kept one, for cycles), with the
+    # sorted edges of each mask as its layers
+    spec = FamilySpec(base, _BUILD_N[base], (1, 3), "any", 2)
+    expected = []
+    for n in range(spec.n_range[0], spec.n_range[1] + 1):
+        for edge_set in _underlying_edge_sets(base, n):
+            edges = tuple(sorted(edge_set))
+            for tau in range(1, 4 if edges else 2):
+                for chain in _layer_chains(edges, tau, "any", 2):
+                    layers = tuple(tuple(sorted(layer)) for layer in _decoded(edges, chain))
+                    g = TemporalGraph(n, layers)
+                    if base != "cycle" or layers == _cycle_canonical_key(g):
+                        expected.append(g)
+    assert list(generate_family(spec)) == expected
 
 
 def _held_bytes_per_graph(stream, count):
@@ -235,8 +273,7 @@ def test_held_instances_share_their_edge_and_layer_tuples():
     tree = FamilySpec("tree", (2, 5), (1, 2), "any")
     assert _held_bytes_per_graph(generate_family(tree), 10_587) < 220
     # The first 5,000 of the ten-edge clique's 59,049 instances: about
-    # 180 bytes each, and 320 when the layer cache keeps the walk's
-    # frozensets (about 700 bytes per distinct layer) while the edge set runs.
+    # 180 bytes each, with the edge set's layer cache alive.
     clique = FamilySpec("clique", (5, 5), (1, 2), "any")
     assert _held_bytes_per_graph(generate_family(clique), 5_000) < 250
 
@@ -256,20 +293,33 @@ def test_every_base_class_generates_valid_members():
                 assert base in labels, (base, g.layers, labels)
 
 
-@pytest.mark.parametrize("n", [3, 4, 6, 8, 9])
+_LABELED_CAP = 10**5
+
+
+@pytest.mark.parametrize("n", range(3, 11))
 def test_cycle_stream_is_deduplicated_up_to_symmetry(n):
-    fam = list(generate_family(FamilySpec("cycle", (n, n), (2, 3), "any", 2)))
-    keys = {_cycle_canonical_key(g) for g in fam}
-    assert len(keys) == len(fam)
-    for g in fam:
-        assert tuple(g.layers) == _cycle_canonical_key(g)
-    # and every orbit of the labeled chains keeps its representative
-    labeled = [
-        TemporalGraph(n, chain)
-        for tau in (2, 3)
-        for chain in _layer_chains(_cycle_edges(n), tau, "any", 2)
-    ]
-    assert keys == {_cycle_canonical_key(g) for g in labeled}
+    # every kept instance is the least image of its orbit under rotation and
+    # reflection, and the orbits of the kept instances are disjoint and cover
+    # the labelled chains, so every labelled orbit keeps its representative;
+    # a case whose labelled walk passes _LABELED_CAP chains is skipped
+    edges = tuple(sorted(_cycle_edges(n)))
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    checked = skipped = 0
+    for mono, tau, budget in product(MONOTONICITY, (1, 2, 3), (None, 1, 2)):
+        labeled = set(islice(_layer_chains(edges, tau, mono, budget), _LABELED_CAP + 1))
+        if len(labeled) > _LABELED_CAP:
+            skipped += 1
+            continue
+        covered = set()
+        for g in generate_family(FamilySpec("cycle", (n, n), (tau, tau), mono, budget)):
+            orbit = _cycle_orbit(g)
+            assert tuple(g.layers) == min(orbit)
+            masks = {tuple(sum(bit[e] for e in layer) for layer in image) for image in orbit}
+            assert covered.isdisjoint(masks), (g, mono, budget)
+            covered |= masks
+        assert covered == labeled, (mono, tau, budget)
+        checked += len(labeled)
+    assert checked and skipped == {6: 1, 7: 1, 8: 1, 9: 1, 10: 1}.get(n, 0)
 
 
 def test_cycle_stream_covers_every_labeled_orbit_exactly_once():
@@ -416,6 +466,27 @@ def test_sweep_rejects_an_unknown_game_kind(monkeypatch, kind):
     with pytest.raises(ValueError, match="unknown game kind"):
         sweep(FamilySpec("tree", (2, 4), (1, 2), "any"), kind)
     assert sweep(FamilySpec("tree", (2, 4), (1, 2), "any"), "vor").total == sum(chunks) > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # no instance at all, and a family past the guard
+        FamilySpec("cycle", (1, 2), (1, 1)),
+        FamilySpec("cycle", (6, 8), (1, 2), "any", 2),
+    ],
+    ids=["empty", "past-the-guard"],
+)
+def test_sweep_checks_the_game_kind_before_generating(monkeypatch, spec):
+    generated = _count_calls(monkeypatch, "generate_family")
+    with pytest.raises(ValueError, match="unknown game kind 'xx'"):
+        sweep(spec, "xx", limit=3)
+    assert generated == []
+
+
+def test_a_bad_spec_with_a_good_kind_is_a_spec_error():
+    with pytest.raises(FamilySpecError, match="unknown base class"):
+        sweep(FamilySpec("blob", (3, 3), (1, 1)), "vor")
 
 
 def test_sweep_decides_long_runs_in_chunks(monkeypatch):

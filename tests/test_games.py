@@ -766,6 +766,18 @@ def _nash_routes(monkeypatch, graphs):
     return chunks[: len(chunks) // 2], len(singles) // 2
 
 
+@pytest.mark.parametrize("kind", ["foo", "VOR"])
+def test_nash_run_rejects_an_unknown_game_kind(monkeypatch, kind):
+    # every instance of this run goes to the batch kernel
+    graphs = list(generate_family(FamilySpec("tree", (4, 4), (1, 2), "any")))
+    chunks = batch_sizes(monkeypatch)
+    with pytest.raises(ValueError, match="unknown game kind"):
+        list(_first_nash_run(zip(graphs, map(all_pairs, graphs)), kind))
+    assert chunks == []
+    decided = list(_first_nash_run(zip(graphs, map(all_pairs, graphs)), "vor"))
+    assert len(decided) == sum(chunks) == len(graphs)
+
+
 _PATHS_3 = list(generate_family(FamilySpec("path", (3, 3), (1, 2), "any")))
 
 
