@@ -9,7 +9,8 @@ commands, the game. Each command's handler adds only its own fields.
 Exit codes are a stable contract: 0 success, 1 claim failure, 2 parse error,
 3 validation error, 4 bad profile, 5 bad request argument (family spec,
 unknown instance or claim, non-positive --max-steps, unwritable output
-directory), 6 family budget exceeded. Reports are pure functions of the
+directory), 6 family budget exceeded, 141 (128 + SIGPIPE) stdout closed by
+its reader before the output was written. Reports are pure functions of the
 input bytes and flags: no timestamps, hostnames or other machine state
 appear in any output.
 """
@@ -20,6 +21,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from collections.abc import Callable
 from itertools import repeat
@@ -354,7 +356,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """``main()`` as a process; stdout closed by its reader exits 141."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

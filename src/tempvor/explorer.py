@@ -40,16 +40,12 @@ error before it computes any distance or class label. The stream
 emits all instances over one edge set in a row, and within that run all of
 one lifetime in a row. So :func:`sweep` decides the class labels once per
 underlying graph (vertex count and edge set), not once per instance, keeps
-one class report object per distinct report of that run, and
-passes each (vertex count, edge set) run to the distance module, which splits
-it by lifetime and computes each lifetime in batch layer sweeps of bounded
-size where they pay and with ``all_pairs`` where they do not. The game module
-decides the run's equilibria the same way, in batches of bounded size where
-they pay and with ``first_nash`` where they do not. A batch, or a chunk
-too short to pay for one (at most n <= 20 instances), holds its instances'
-matrices until it is decided; for the instances with n > 20 or times from
-128 each matrix is made when its instance is decided, so it and its payoff
-tables are freed before the next one.
+one class report object per distinct report of that run, and passes each
+(vertex count, edge set) run to the game module. That cuts the run into
+chunks once, by the distance module's byte budget, decides each chunk that
+pays in one equilibrium batch over the chunk's flat array of distances, and
+reads each instance's temporal connectivity from that array; the other
+instances get one matrix at a time, each freed before the next.
 
 :func:`write_outcome` frames each JSON-lines record from text pieces, in
 sorted key order: the game encoded once per sweep, each distinct class
@@ -69,7 +65,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .classify import ClassReport, _flags, classify_underlying
-from .games import GameKind, Profile, _check_kind, _first_nash_run
+from .games import GameKind, Profile, _check_kind, _decide_run
 from .graph import (
     _MAX_VERTICES,
     Edge,
@@ -85,7 +81,6 @@ from .graph import (
     _threshold_edges,
     to_json_obj,
 )
-from .reach import _all_pairs_run
 
 BASE_CLASSES = (
     "path",
@@ -426,11 +421,9 @@ def sweep(
     outcomes = []
     for (n, edges), run in groupby(graphs, _underlying_key):
         labels = tuple(sorted(classify_underlying(StaticGraph(n, edges))))
-        run = list(run)
-        pairs = zip(run, _all_pairs_run(run), strict=True)
         reports: dict[tuple[bool, bool, bool], ClassReport] = {}  # one per distinct report
-        for g, d, witness in _first_nash_run(pairs, kind):
-            flags = _flags(g, d)
+        for g, connected, witness in _decide_run(run, kind):
+            flags = _flags(g, connected)
             report = reports.get(flags)
             if report is None:
                 report = reports[flags] = ClassReport(*flags, labels)

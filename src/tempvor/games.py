@@ -19,8 +19,8 @@ vertex against an opponent at ``fixed``. It reads the packed view of
 guard bit atop every field, so one subtraction, one AND and one
 ``bit_count`` compare two whole rows (SWAR: Lamport, CACM 18(8), 1975;
 Fisher & Dietz, LCPC 1998). One-byte storage whose sentinel is below 128
-(``_raw``) is packed as it stands, one ``int.from_bytes`` per row; otherwise
-each time is replaced by its rank among the matrix's distinct times.
+is packed as it stands, one ``int.from_bytes`` per row; otherwise each time
+is replaced by its rank among the matrix's distinct times.
 
 Every query reads the matrix's payoff table for its game. The tables live in
 the matrix's private ``_tables`` dict, empty until the first game query, and
@@ -32,12 +32,13 @@ bytes rather than n^2 int objects. A matrix therefore packs each view once
 and computes each column at most once, however many queries read it, and a
 query computes only the columns it reads.
 
-A sweep asks only ``first_nash``, of many small matrices over one edge set,
-and there the interpreter's per-query work costs more than the bit
-operations. The private ``_first_nash_run`` sends chunks of such matrices to
-``_first_nash_batch``, which decides all of them in one SWAR pass with a
-one-byte lane per instance and gives each the witness ``first_nash`` gives;
-it reads and fills no payoff table. Other matrices go to ``first_nash``.
+A sweep asks only ``first_nash``, of many small instances over one edge set,
+where the interpreter's per-query work costs more than the bit operations. The
+private ``_decide_run`` sends each of the distance module's chunks that pays
+to ``_first_nash_batch``, which decides it in one SWAR pass over the chunk's
+flat array with a one-byte lane per instance and gives the witness
+``first_nash`` gives, with no matrix object or payoff table. Other instances
+get one matrix at a time.
 
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import groupby
 from typing import Iterable, Iterator, Literal, Sequence
 
 from . import reach
@@ -133,12 +134,6 @@ def payoff(g: TemporalGraph, d: DistanceMatrix, kind: GameKind, s: Profile) -> P
     return PayoffResult(u1, u2, frozenset(g.vertices) - u1 - u2)
 
 
-def _raw(d: DistanceMatrix) -> bool:
-    """Whether ``d``'s times are one-byte fields with a spare top bit: one-byte
-    storage with a sentinel below 128."""
-    return d._flat.itemsize == 1 and d._sentinel < 128
-
-
 def _packed(d: DistanceMatrix, kind: str) -> tuple[list[int], int, int]:
     """The game view packed for ``_column``: (one int per row, G, U).
 
@@ -156,7 +151,7 @@ def _packed(d: DistanceMatrix, kind: str) -> tuple[list[int], int, int]:
     their rank fields.
     """
     n, flat = d.n, d._flat
-    if _raw(d):
+    if flat.itemsize == 1 and d._sentinel < 128:
         size, lines = 1, _lines(flat.tobytes(), n, kind, range(n))
     else:
         times = sorted(set(flat))
@@ -295,81 +290,82 @@ def first_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> Profile |
     return next(_equilibria(g, d, kind), None)
 
 
-def _first_nash_run(
-    pairs: Iterable[tuple[TemporalGraph, DistanceMatrix]], kind: str
-) -> Iterator[tuple[TemporalGraph, DistanceMatrix, Profile | None]]:
-    """(g, d, ``first_nash(g, d, kind)``) for each of ``pairs``, in order; each
-    pair is read on request. An unknown ``kind`` raises ValueError, as in
-    ``first_nash``.
+def _decide_run(
+    graphs: Iterable[TemporalGraph], kind: str
+) -> Iterator[tuple[TemporalGraph, bool, Profile | None]]:
+    """(g, connected, witness) for each of ``graphs``, which share n and edge
+    set and come in ascending tau, in order: whether all of g's distances are
+    finite, and ``first_nash`` of g. An unknown ``kind`` raises ValueError
+    before any distance is computed.
 
-    Consecutive matrices with one n <= 20 and ``_raw`` times are cut into
-    chunks that fit the distance module's byte budget, ``_BATCH_BYTES``: an
-    instance's matrix and its shares of the joined buffer, the packed rows
-    and the reply lanes take at most about 4n^2 bytes, and its objects under
-    512 more. A chunk of more than n matrices goes to ``_first_nash_batch``;
-    a smaller chunk and every other matrix go to ``first_nash``, one at a
-    time. Time, batch over ``first_nash``, on the longest (n, edge set) run
-    of each base class x monotonicity, both games, worst case per n: 0.64-0.98
+    The run is split at n <= 20 and tau + n + 1 < 128 first, so instances
+    below that bound keep the batch when a run crosses it; each part is cut
+    into chunks by ``reach._all_pairs_run`` alone. Per instance, the distance
+    kernel peaks at its budgeted n(3n + tau*|E|) bytes of lane ints plus up to
+    2n|E| in one step's gains; the equilibrium batch, given a chunk of the
+    first part with more than n instances, at the chunk's n^2 bytes of times
+    plus about 3n^2 in packed rows, ``vor``'s transposed copy and reply lanes.
+    Other chunks get one matrix at a time for ``first_nash``.
+
+    Time, batch over ``all_pairs``, per instance of runs of paths, cycles,
+    trees, grids and cliques: 0.10-0.54 at tau = 2 and n = 9..250, 0.49-0.93
+    at tau = 100..200. For a lone instance: 0.6-1.0 on random graphs with
+    n = 150..220 and tau <= 8, 1.8-2.2 on random graphs with n <= 9 and trees
+    with n <= 5, 25-53 on sparse random graphs with n = 60..90 and
+    tau = 100..150. Time, batch over ``first_nash``, on the longest run of
+    each base class x monotonicity, both games, worst case per n: 0.64-0.98
     for chunks of n instances and 0.40-0.74 for chunks of 2n at n = 2..22,
     but 1.8-7.9 for a lone instance and 1.05-4.0 for chunks of two at
     n = 3..16, where the chunk's fixed costs (``vor``'s n^2 slice copies, a
     pass over all lanes per column) are not paid back. Past n = 20 the gain
     goes: 0.88-0.98 at n = 24 and 2.3-2.5 at n = 32 on growing cycles, whose
-    ``rvor`` lanes reach different replies, so the walk pays for the replies
-    of every lane; 1.2-4.5 on paths, cycles and cliques at n = 64..120.
+    ``rvor`` lanes reach different replies; 1.2-4.5 on paths, cycles and
+    cliques at n = 64..120.
     """
     _check_kind(kind)
-
-    def batched_n(pair: tuple[TemporalGraph, DistanceMatrix]) -> int | None:
-        d = pair[1]
-        return d.n if d.n <= 20 and _raw(d) else None
-
-    for n, same in groupby(pairs, batched_n):
-        if n is None:
-            for g, d in same:
-                yield g, d, first_nash(g, d, kind)
-            continue
-        step = max(1, reach._BATCH_BYTES // (4 * n * n + 512))
-        while chunk := list(islice(same, step)):
-            if len(chunk) <= n:
-                for g, d in chunk:
-                    yield g, d, first_nash(g, d, kind)
-            else:
-                graphs, ds = zip(*chunk)
-                yield from zip(graphs, ds, _first_nash_batch(ds, kind))
+    for batched, part in groupby(graphs, lambda g: g.n <= 20 and g.tau + g.n + 1 < 128):
+        for chunk, flat, sentinel in reach._all_pairs_run(part):
+            n, count = chunk[0].n, len(chunk)
+            size = n * n
+            batch = _first_nash_batch(flat, n, count, kind) if batched and count > n else None
+            for k, g in enumerate(chunk):
+                times = flat[k * size : (k + 1) * size]
+                if batch is None:
+                    witness = first_nash(g, DistanceMatrix._of(n, times, sentinel), kind)
+                else:
+                    witness = batch[k]
+                yield g, sentinel not in times, witness
 
 
-def _first_nash_batch(ds: Sequence[DistanceMatrix], kind: str) -> list[Profile | None]:
-    """``first_nash`` of each of ``ds``, which share n < 128 and hold ``_raw``
-    times, from one SWAR pass over all of them.
+def _first_nash_batch(flat: array, n: int, count: int, kind: str) -> list[Profile | None]:
+    """``first_nash`` of each of the ``count`` n x n matrices that lie in a
+    row in the one-byte array ``flat``, with one sentinel below 128, from one
+    SWAR pass over all of them.
 
-    The flat matrices are joined into one buffer, and view row p becomes one
-    int whose byte k*n + v-1 holds entry v of row p of ds[k]'s view. As in
-    ``_column``, one subtraction and one AND against the row of b leave the
-    guard bit in each field a player at a wins against b. Shifted to the
-    field's low bit and multiplied by ``window``, a 1 in each of n bytes, the
-    won fields of each instance sum into its last byte (a payoff is at most
-    n, so nothing carries), and a strided slice of the bytes gives
-    ``pays[a]``: one byte per instance, its lane. A lane-wise max and a
+    View row p becomes one int whose byte k*n + v-1 holds entry v of row p of
+    matrix k's view. As in ``_column``, one subtraction and one AND against
+    the row of b leave the guard bit in each field a player at a wins against
+    b. Shifted to the field's low bit and multiplied by ``window``, a 1 in
+    each of n bytes, the won fields of each instance sum into its last byte (a
+    payoff is at most n, so nothing carries), and a strided slice of the bytes
+    gives ``pays[a]``: one byte per instance, its lane. A lane-wise max and a
     guard-bit compare against it (payoffs, at most n, leave the guard bit
-    spare) give ``replies[b][a]``, whose lane k keeps its guard bit iff
-    a+1 is a best reply to b+1 in ds[k]. The walk visits the profiles in
+    spare) give ``replies[b][a]``, whose lane k keeps its guard bit iff a+1 is
+    a best reply to b+1 in matrix k. The walk visits the profiles in
     lexicographic order and gives each lane still ``undecided`` the first
     profile of mutual best replies, as ``_equilibria`` does, adding its two
-    vertices into the lane's byte of ``first`` and ``second``; it computes
-    the replies to b on first need.
+    vertices into the lane's byte of ``first`` and ``second``; it computes the
+    replies to b on first need.
     """
-    n, count = ds[0].n, len(ds)
-    buf = b"".join([d._flat for d in ds])
+    view = flat
     if kind == "vor":
         # rvor's view of the transposed matrices is vor's view
-        transposed = bytearray(len(buf))
+        view = array("B", [0]) * len(flat)
         for p in range(n):
             for v in range(n):
-                transposed[v * n + p :: n * n] = buf[p * n + v :: n * n]
-        buf = transposed
-    packed = [int.from_bytes(buf[p::n], "little") for p in range(n)]
-    del buf
+                view[v * n + p :: n * n] = flat[p * n + v :: n * n]
+    packed = [int.from_bytes(view[p::n], "little") for p in range(n)]
+    del view
     width = count * n
     ones = int.from_bytes(b"\1" * width, "little")
     guard = ones << 7

@@ -19,16 +19,14 @@ itself.
 
 Sweeps decide many small instances over one edge set, and there the
 interpreter's per-call and per-bit work costs more than the bit operations.
-The private ``_all_pairs_batch`` runs the same sweep once for a batch of such
-instances: each vertex holds one int with a one-byte lane per (instance,
-source), edges are masked by the instances that hold them, and arrival
-times are lane counters whose bytes become the columns of every matrix. It
-saves the interpreter's per-instance work but spends 8 bits per source where
-``all_pairs`` spends 1; measured, that pays for runs of two or more
-instances whose times fit in one byte (tau + n + 1 < 256).
-``_all_pairs_run`` takes the instances over one edge set, splits them by
-lifetime, makes that choice for each lifetime and cuts it into chunks whose
-lane ints fit a fixed byte budget.
+``_all_pairs_run`` cuts such a run into chunks, and the private
+``_all_pairs_batch`` runs the same sweep once per chunk, lifetimes mixed:
+each vertex holds one int with a one-byte lane per (instance, source), edges
+are masked by the instances that hold them, and arrival times are lane
+counters whose bytes become the columns of the chunk's matrices, in a row in
+one flat array that the game module reads in place. It spends 8 bits per
+source where ``all_pairs`` spends 1, which pays for two or more instances
+whose times fit in one byte (tau + n + 1 < 256).
 
 The independent check, ``oracle_arrivals``, searches the time-expanded graph
 instead: one state graph per instance on integer ids for (vertex, time)
@@ -40,8 +38,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import groupby, starmap
-from operator import attrgetter
+from itertools import starmap
 from struct import Struct
 
 from .graph import Edge, TemporalGraph, _check_vertex
@@ -233,57 +230,62 @@ def all_pairs(g: TemporalGraph) -> DistanceMatrix:
 _BATCH_BYTES = 8 << 20
 
 
-def _all_pairs_run(graphs: Iterable[TemporalGraph]) -> Iterator[DistanceMatrix]:
-    """``all_pairs`` of each of ``graphs``, which share n and edge set and come
-    in ascending tau, in order; each matrix is made on request.
+def _all_pairs_run(
+    graphs: Iterable[TemporalGraph],
+) -> Iterator[tuple[list[TemporalGraph], array, int]]:
+    """(chunk, flat, sentinel) for consecutive chunks of ``graphs``, which
+    share n and edge set and come in ascending tau, each computed on request:
+    ``flat`` holds the chunk's matrices in a row, ``sentinel`` standing for
+    ``INF`` in all of them, and their rows equal those of ``all_pairs``.
 
-    Each lifetime is decided on its own. Lanes are one byte, so a lifetime
-    whose sentinel needs two (tau + n + 1 >= 256) goes to ``all_pairs``. Any
-    other goes to ``_all_pairs_batch`` in chunks whose lane ints fit in
-    ``_BATCH_BYTES``: an instance adds n bytes to each of the n reached sets,
-    the n counters, the n matrix columns and at most tau*|E| edge masks. A
-    chunk of one instance goes to ``all_pairs``. Time, batch over
-    ``all_pairs``, per instance of runs of paths, cycles, trees, grids and
-    cliques: 0.10-0.54 at tau = 2 and n = 9..250, 0.49-0.93 at tau = 100..200.
-    For a lone instance: 0.6-1.0 on random graphs with n = 150..220 and
-    tau <= 8, 1.8-2.2 on random graphs with n <= 9 and trees with n <= 5,
-    25-53 on sparse random graphs with n = 60..90 and tau = 100..150.
+    An instance whose sentinel needs two bytes (tau + n + 1 >= 256) goes
+    alone. The others, lifetimes mixed, are cut into chunks whose lane ints
+    fit in ``_BATCH_BYTES``: an instance adds n bytes to each of the n
+    reached sets, the n counters, the n matrix columns and at most tau*|E|
+    edge masks, tau being the chunk's largest. A lone instance goes to
+    ``all_pairs``; ``games._decide_run`` gives the measured times.
     """
-    for _, same_tau in groupby(graphs, attrgetter("tau")):
-        lifetime = list(same_tau)
-        g = lifetime[0]
-        if _horizon(g) + 1 >= 256:
-            yield from map(all_pairs, lifetime)
-            continue
-        lane_bytes = g.n * (3 * g.n + g.tau * len(set().union(*g.layers)))
-        step = max(1, _BATCH_BYTES // lane_bytes)
-        for i in range(0, len(lifetime), step):
-            chunk = lifetime[i : i + step]
-            if len(chunk) == 1:
-                yield all_pairs(chunk[0])
-            else:
-                yield from _all_pairs_batch(chunk)
+    chunk: list[TemporalGraph] = []
+    for g in graphs:
+        if not chunk:
+            edges = len(set().union(*g.layers))  # the size of the run's edge set
+        lane_bytes = g.n * (3 * g.n + g.tau * edges)
+        if chunk and (_horizon(g) + 1 >= 256 or (len(chunk) + 1) * lane_bytes > _BATCH_BYTES):
+            yield _chunk_distances(chunk)
+            chunk = []
+        chunk.append(g)
+    if chunk:
+        yield _chunk_distances(chunk)
 
 
-def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix]:
-    """``all_pairs`` of each of ``graphs``, which share n, tau and edge set
-    and have tau + n + 1 < 256, from one layer sweep; the matrices are made
-    one at a time, on request.
+def _chunk_distances(chunk: list[TemporalGraph]) -> tuple[list[TemporalGraph], array, int]:
+    if len(chunk) == 1:
+        d = all_pairs(chunk[0])
+        return chunk, d._flat, d._sentinel
+    return (chunk, *_all_pairs_batch(chunk))
 
-    Lane (k, s), byte k*n + s-1, belongs to source s of graphs[k]. reached[v]
-    holds the lanes that have reached v, as a 1 in each lane's low bit. An
-    edge is offered only to the lanes of the instances that hold it in the
-    layer (``mask``, None when every instance does). Arrival times build up
-    lazily as lane counters: when reached[w] changes at step t, every lane
-    still outside it has been unreached through steps last[w]+1..t, so
-    cnt[w] += (t - last[w]) * (lanes ^ old) makes a lane reached at step t
-    read t. Unreached lanes end at the sentinel tau+n+1, which fits in a
-    byte, so lanes never carry into each other. Counter w is column w of
-    every instance: its bytes fill a strided slice of one buffer that holds
-    the flat matrices of all the graphs in a row.
+
+def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> tuple[array, int]:
+    """(flat, sentinel): the ``all_pairs`` matrices of ``graphs``, which
+    share n and edge set, in a row in one one-byte array from one layer
+    sweep; tau + n + 1 is the sentinel for their largest tau, below 256.
+
+    Lane (k, s), byte k*n + s-1, belongs to source s of graphs[k], which
+    holds its layer min(t, tau_k) at step t. reached[v] holds the lanes that
+    have reached v, as a 1 in each lane's low bit. An edge is offered only to
+    the lanes of the instances that hold it in the layer (``mask``, None when
+    every instance does). Arrival times build up lazily as lane counters:
+    when reached[w] changes at step t, every lane still outside it has been
+    unreached through steps last[w]+1..t, so cnt[w] += (t - last[w]) *
+    (lanes ^ old) makes a lane reached at step t read t. Unreached lanes end
+    at the sentinel, which fits in a byte, so lanes never carry into each
+    other. Counter w is column w of every instance: its bytes fill a strided
+    slice of one buffer that holds the flat matrices of all the graphs in a
+    row.
     """
     g, count = graphs[0], len(graphs)
-    n, tau, sentinel = g.n, g.tau, _horizon(g) + 1
+    n, tau = g.n, max(h.tau for h in graphs)
+    sentinel = tau + n + 1
     lanes = int.from_bytes(b"\1" * (count * n), "little")  # the low bit of every lane
     instance0 = int.from_bytes(b"\1" * n, "little")  # the low bits of instance 0's lanes
     edges = sorted(set().union(*g.layers))
@@ -294,10 +296,10 @@ def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix
     rows: dict[tuple[Edge, ...], bytearray] = {}
     masked_by_held: dict[bytes, list[tuple[int, int, int | None]]] = {}
     layers = []
-    for t in range(tau):
+    for t in range(1, tau + 1):
         held = bytearray()
         for h in graphs:
-            layer = h.layers[t]
+            layer = h.layers[min(t, h.tau) - 1]
             row = rows.get(layer)
             if row is None:
                 row = rows[layer] = bytearray(len(edges))
@@ -320,7 +322,7 @@ def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix
     source1 = int.from_bytes((b"\1" + bytes(n)[1:]) * count, "little")  # lanes (k, 1)
     reached = [0] + [source1 << (8 * s) for s in range(n)]
     cnt, last = [0] * (n + 1), [0] * (n + 1)
-    for t in range(1, _horizon(g) + 1):
+    for t in range(1, tau + n + 1):
         gains = []
         for u, v, mask in layers[min(t, tau) - 1]:
             ru, rv = reached[u], reached[v]
@@ -339,14 +341,11 @@ def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> Iterator[DistanceMatrix
                 reached[w] = merged
         if t >= tau and not gains:
             break
-    big = bytearray(count * n * n)
+    flat = array("B", [0]) * (count * n * n)  # sized in place: no buffer to copy
     for w in range(1, n + 1):
         cnt[w] += (sentinel - last[w]) * (lanes ^ reached[w])
-        big[w - 1 :: n] = cnt[w].to_bytes(count * n, "little")
-    return (
-        DistanceMatrix._of(n, array("B", big[k * n * n : (k + 1) * n * n]), sentinel)
-        for k in range(count)
-    )
+        flat[w - 1 :: n] = array("B", cnt[w].to_bytes(count * n, "little"))
+    return flat, sentinel
 
 
 def _expanded_search(g: TemporalGraph, sources: Sequence[int]) -> list[tuple[float, ...]]:

@@ -68,15 +68,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "packed-raw-bytes-up-to-255",
         "src/tempvor/games.py",
-        "return d._flat.itemsize == 1 and d._sentinel < 128",
-        "return d._flat.itemsize == 1 and d._sentinel < 256",
+        "if flat.itemsize == 1 and d._sentinel < 128:",
+        "if flat.itemsize == 1 and d._sentinel < 256:",
         ("tests/test_games.py",),
     ),
     Mutant(
         "raw-bytes-take-a-sentinel-of-128",
         "src/tempvor/games.py",
-        "return d._flat.itemsize == 1 and d._sentinel < 128",
-        "return d._flat.itemsize == 1 and d._sentinel <= 128",
+        "if flat.itemsize == 1 and d._sentinel < 128:",
+        "if flat.itemsize == 1 and d._sentinel <= 128:",
         ("tests/test_games.py",),
     ),
     Mutant(
@@ -108,31 +108,45 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_games.py",),
     ),
     Mutant(
-        "nash-run-batches-21-vertices",
+        "decide-run-batches-21-vertices",
         "src/tempvor/games.py",
-        "return d.n if d.n <= 20 and _raw(d) else None",
-        "return d.n if d.n <= 21 and _raw(d) else None",
+        "g.n <= 20 and g.tau + g.n + 1 < 128",
+        "g.n <= 21 and g.tau + g.n + 1 < 128",
         ("tests/test_games.py",),
     ),
     Mutant(
-        "nash-run-batches-a-lone-chunk",
+        "decide-run-batches-times-of-128",
         "src/tempvor/games.py",
-        "if len(chunk) <= n:",
-        "if not chunk:",
+        "g.n <= 20 and g.tau + g.n + 1 < 128",
+        "g.n <= 20 and g.tau + g.n + 1 <= 128",
         ("tests/test_games.py",),
     ),
     Mutant(
-        "nash-run-batches-chunks-of-n",
+        "decide-run-batches-a-lone-chunk",
         "src/tempvor/games.py",
-        "if len(chunk) <= n:",
-        "if len(chunk) < n:",
+        "if batched and count > n else None",
+        "if batched and count > 0 else None",
         ("tests/test_games.py",),
     ),
     Mutant(
-        "nash-run-accepts-any-kind",
+        "decide-run-batches-chunks-of-n",
         "src/tempvor/games.py",
-        "    _check_kind(kind)\n\n    def batched_n",
-        "\n    def batched_n",
+        "if batched and count > n else None",
+        "if batched and count >= n else None",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "decide-run-accepts-any-kind",
+        "src/tempvor/games.py",
+        "    _check_kind(kind)\n    for batched, part in groupby(",
+        "    for batched, part in groupby(",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
+        "decide-run-connected-reads-the-whole-chunk",
+        "src/tempvor/games.py",
+        "yield g, sentinel not in times, witness",
+        "yield g, sentinel not in flat, witness",
         ("tests/test_games.py",),
     ),
     Mutant(
@@ -274,29 +288,36 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "run-chunk-boundary-off-by-one",
         "src/tempvor/reach.py",
-        "chunk = lifetime[i : i + step]",
-        "chunk = lifetime[i : i + step - 1]",
+        "(len(chunk) + 1) * lane_bytes > _BATCH_BYTES",
+        "len(chunk) * lane_bytes > _BATCH_BYTES",
         ("tests/test_explorer.py",),
-    ),
-    Mutant(
-        "run-mixes-lifetimes",
-        "src/tempvor/reach.py",
-        'attrgetter("tau")',
-        'attrgetter("n")',
-        ("tests/test_reach.py",),
     ),
     Mutant(
         "run-batches-two-byte-lanes",
         "src/tempvor/reach.py",
-        "if _horizon(g) + 1 >= 256:",
-        "if _horizon(g) + 1 > 256:",
+        "_horizon(g) + 1 >= 256 or",
+        "_horizon(g) + 1 > 256 or",
         ("tests/test_reach.py",),
     ),
     Mutant(
         "run-budget-without-edge-masks",
         "src/tempvor/reach.py",
-        "lane_bytes = g.n * (3 * g.n + g.tau * len(set().union(*g.layers)))",
+        "lane_bytes = g.n * (3 * g.n + g.tau * edges)",
         "lane_bytes = g.n * 3 * g.n",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "batch-reads-layers-cyclically",
+        "src/tempvor/reach.py",
+        "layer = h.layers[min(t, h.tau) - 1]",
+        "layer = h.layers[(t - 1) % h.tau]",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "batch-takes-the-first-lifetime",
+        "src/tempvor/reach.py",
+        "n, tau = g.n, max(h.tau for h in graphs)",
+        "n, tau = g.n, g.tau",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -476,9 +497,9 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "sweep-holds-the-runs-matrices",
-        "src/tempvor/explorer.py",
-        "pairs = zip(run, _all_pairs_run(run), strict=True)",
-        "pairs = zip(run, list(_all_pairs_run(run)), strict=True)",
+        "src/tempvor/games.py",
+        "for chunk, flat, sentinel in reach._all_pairs_run(part):",
+        "for chunk, flat, sentinel in list(reach._all_pairs_run(part)):",
         ("tests/test_explorer.py",),
     ),
     Mutant(

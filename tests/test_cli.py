@@ -144,6 +144,25 @@ def test_oversized_vertex_count_exits_3_without_traceback(tmp_path):
     assert proc.stderr.endswith("exceeds the limit of 2048\n")
 
 
+def test_stdout_closed_early_exits_141_without_traceback(tmp_path):
+    # the reader stops after 10 bytes, as ``| head -c 10`` does, of a report
+    # far larger than a pipe's buffer
+    path = tmp_path / "path300.json"
+    path.write_text(json.dumps({"n": 300, "layers": [[[v, v + 1] for v in range(1, 300)]]}))
+    src = os.path.dirname(os.path.dirname(tempvor.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen(
+        [sys.executable, "-m", "tempvor.cli", "distances", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert head == b'{\n  "comma'
+    assert (code, err) == (141, "")
+
+
 def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     path = tmp_path / "nested.json"
     path.write_text("[" * 100_000)

@@ -13,6 +13,7 @@ from test_games import batch_sizes
 from test_sweep_pins import FAMILIES
 
 import tempvor.explorer
+import tempvor.games
 import tempvor.reach
 from tempvor import (
     FamilyBudgetError,
@@ -41,6 +42,7 @@ from tempvor.explorer import (
     _layer_chains,
     _Layers,
     _underlying_edge_sets,
+    _underlying_key,
 )
 from tempvor.graph import _clique_edges, _cycle_edges
 from tempvor.reach import _expanded_search
@@ -424,15 +426,28 @@ def _count_calls(monkeypatch, name):
 
 
 def test_sweep_budget_guard_fires_before_any_distance(monkeypatch):
-    runs = _count_calls(monkeypatch, "_all_pairs_run")
+    runs = _count_calls(monkeypatch, "_decide_run")
     labels = _count_calls(monkeypatch, "classify_underlying")
     spec = FamilySpec("cycle", (6, 8), (1, 2), "any", 2)
     for limit in (3, -2):
         with pytest.raises(FamilyBudgetError):
             sweep(spec, "rvor", limit=limit)
     assert runs == labels == []
-    sweep(FamilySpec("path", (3, 3), (1, 1)), "rvor", limit=1)
-    assert sum(len(run) for (run,) in runs) == len(labels) == 1
+    assert sweep(FamilySpec("path", (3, 3), (1, 1)), "rvor", limit=1).total == 1
+    assert len(runs) == len(labels) == 1
+
+
+def _recorded_chunks(monkeypatch):
+    """Each chunk the distance batch kernel gets, with the (flat, sentinel)
+    it returns, recorded as the kernel is called."""
+    batch, chunks = tempvor.reach._all_pairs_batch, []
+
+    def recording(chunk):
+        chunks.append((chunk, *batch(chunk)))
+        return chunks[-1][1:]
+
+    monkeypatch.setattr(tempvor.reach, "_all_pairs_batch", recording)
+    return chunks
 
 
 def test_sweep_passes_long_runs_in_chunks(monkeypatch):
@@ -441,21 +456,17 @@ def test_sweep_passes_long_runs_in_chunks(monkeypatch):
     # one byte short of 1,001 instances cuts the run into four chunks of 1,000
     # and one of 95.
     spec = FamilySpec("grid", (9, 9), (2, 2), "growing")
-    batch, chunks = tempvor.reach._all_pairs_batch, []
     monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 1000 * 459 + 458)
-
-    def recording(chunk):
-        chunks.append((chunk, list(batch(chunk))))
-        return iter(chunks[-1][1])
-
-    monkeypatch.setattr(tempvor.reach, "_all_pairs_batch", recording)
+    chunks = _recorded_chunks(monkeypatch)
     outcome = sweep(spec, "vor")
-    assert [len(chunk) for chunk, _ in chunks] == [1000] * 4 + [95]
-    graphs = [g for chunk, _ in chunks for g in chunk]
+    assert [len(chunk) for chunk, _, _ in chunks] == [1000] * 4 + [95]
+    graphs = [g for chunk, _, _ in chunks for g in chunk]
     assert graphs == [o.graph for o in outcome.outcomes] == list(generate_family(spec))
-    for chunk, ds in chunks:
-        for g, d in zip(chunk, ds, strict=True):
-            assert d._flat == all_pairs(g)._flat
+    for chunk, flat, sentinel in chunks:
+        assert sentinel == 2 + 9 + 1
+        for k, g in enumerate(chunk):
+            d = all_pairs(g)
+            assert flat[k * 81 : (k + 1) * 81] == d._flat
             assert list(d.rows) == _expanded_search(g, g.vertices)
 
 
@@ -490,23 +501,50 @@ def test_a_bad_spec_with_a_good_kind_is_a_spec_error():
 
 
 def test_sweep_decides_long_runs_in_chunks(monkeypatch):
-    # The equilibrium batch counts 4 * 81 + 512 = 836 bytes for each of the
-    # 4,095 growing 3 x 3 grids, so a budget one byte short of 1,001 instances
-    # cuts their run into four chunks of 1,000 and one of 95.
+    # The equilibrium batch decides the distance module's chunks: a budget
+    # one byte short of 1,001 growing 3 x 3 grids at 459 lane bytes each cuts
+    # their run of 4,095 into four chunks of 1,000 and one of 95, for both.
     spec = FamilySpec("grid", (9, 9), (2, 2), "growing")
-    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 1000 * 836 + 835)
-    chunks = batch_sizes(monkeypatch)
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 1000 * 459 + 458)
+    distances, chunks = _recorded_chunks(monkeypatch), batch_sizes(monkeypatch)
     outcome = sweep(spec, "rvor")
-    assert chunks == [1000] * 4 + [95]
+    assert chunks == [len(chunk) for chunk, _, _ in distances] == [1000] * 4 + [95]
     assert [o.graph for o in outcome.outcomes] == list(generate_family(spec))
     for o in outcome.outcomes:
         assert o.witness == first_nash(o.graph, all_pairs(o.graph), "rvor")
 
 
+def test_sweep_calls_the_per_instance_kernels_only_for_short_runs(monkeypatch):
+    # A small benchmark family of 14 (n, edge set) runs: 3 hold one instance
+    # (the empty edge sets, with tau = 1) and 2 more hold at most n. Only
+    # their instances reach first_nash, and only the lone ones all_pairs;
+    # every other run, its tau = 1 instance included, goes to the batches.
+    spec = FamilySpec("threshold", (2, 4), (1, 2), "any")
+    runs = [list(run) for _, run in groupby(generate_family(spec), _underlying_key)]
+    lone = [g for run in runs if len(run) == 1 for g in run]
+    short = [g for run in runs if len(run) <= run[0].n for g in run]
+    assert (len(runs), len(lone), len(short), sum(map(len, runs))) == (14, 3, 9, 1164)
+    singles, nash = [], []
+    all_pairs_, first_nash_ = tempvor.reach.all_pairs, tempvor.games.first_nash
+    monkeypatch.setattr(tempvor.reach, "all_pairs", lambda g: singles.append(g) or all_pairs_(g))
+    monkeypatch.setattr(
+        tempvor.games, "first_nash", lambda g, d, kind: nash.append(g) or first_nash_(g, d, kind)
+    )
+    for kind in ("vor", "rvor"):
+        singles.clear()
+        nash.clear()
+        assert sweep(spec, kind).total == 1164
+        assert (singles, nash) == (lone, short)
+
+
 def _distance_bytes() -> int:
-    """Traced bytes still held that ``tempvor.reach`` allocated."""
+    """Traced bytes still held that ``tempvor.reach`` or ``tempvor.games``
+    allocated: the chunks' arrays and the matrices sliced from them."""
     held = tracemalloc.take_snapshot().filter_traces(
-        [tracemalloc.Filter(True, tempvor.reach.__file__)]
+        [
+            tracemalloc.Filter(True, tempvor.reach.__file__),
+            tracemalloc.Filter(True, tempvor.games.__file__),
+        ]
     )
     return sum(stat.size for stat in held.statistics("filename"))
 
@@ -514,33 +552,31 @@ def _distance_bytes() -> int:
 def test_sweep_makes_per_instance_matrices_on_request(monkeypatch):
     # The 64 one-change paths with n = 33 form one run, which first_nash
     # decides one instance at a time; a small budget keeps the distance
-    # module's chunks at 4 instances. When the run's last matrix arrives, the
-    # earlier ones must be gone.
+    # module's chunks at 4 instances. When the run's last matrix is decided,
+    # the earlier chunks and matrices must be gone.
     spec = FamilySpec("path", (33, 33), (2, 2), "any", 1)
     graphs = list(generate_family(spec))
     monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 4 * 33 * (3 * 33 + 2 * 32))
-    real, last = tempvor.explorer._all_pairs_run, []
+    single, held = tempvor.games.first_nash, []
 
-    def reporting(run):
-        tracemalloc.start()
-        for i, d in enumerate(real(run), 1):
-            if i == len(run):
-                last.append(_distance_bytes())
-            yield d
-        tracemalloc.stop()
+    def reporting(g, d, kind):
+        held.append(_distance_bytes() if len(held) == len(graphs) - 1 else None)
+        return single(g, d, kind)
 
     try:
         tracemalloc.start()
-        ds = list(real(graphs))
+        chunks = list(tempvor.reach._all_pairs_run(graphs))
         together = _distance_bytes()
-        del ds
+        assert [len(chunk) for chunk, _, _ in chunks] == [4] * 16
+        del chunks
         tracemalloc.stop()
-        monkeypatch.setattr(tempvor.explorer, "_all_pairs_run", reporting)
+        monkeypatch.setattr(tempvor.games, "first_nash", reporting)
+        tracemalloc.start()
         assert sweep(spec, "vor").total == len(graphs) == 64
     finally:
         tracemalloc.stop()
-    assert len(last) == 1
-    assert last[0] < together / 4
+    assert len(held) == len(graphs)
+    assert held[-1] < together / 4
 
 
 @pytest.mark.parametrize(

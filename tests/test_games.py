@@ -43,7 +43,7 @@ from tempvor import (
 )
 from tempvor.builders import split_clique_partition
 from tempvor.explorer import BASE_CLASSES, MONOTONICITY, _underlying_key
-from tempvor.games import GAME_KINDS, _column, _first_nash_batch, _first_nash_run, _packed
+from tempvor.games import GAME_KINDS, _column, _decide_run, _first_nash_batch, _packed
 from tempvor.instances import INSTANCE_NAMES
 from tempvor.randgen import random_temporal_graph
 from tempvor.reach import _all_pairs_run, _expanded_search
@@ -700,81 +700,90 @@ def test_clique_dynamics_on_split_instance_is_pinned():
 _DENSE = ("clique", "complete_k_partite", "split", "threshold")
 
 
-def _gate_runs(base):
-    """Every (n, edge set) run of ``base`` x each monotonicity with n <= 5 and
-    tau <= 2, as (graphs, matrices) with the matrices a sweep makes."""
+def _gate_chunks(base):
+    """The chunks a sweep's distance module makes, as (graphs, flat,
+    sentinel), for every (n, edge set) run of ``base`` x each monotonicity
+    with n <= 5 and tau <= 2."""
     for mono in MONOTONICITY:
         top = 4 if base in _DENSE and mono == "any" else 5
         family = generate_family(FamilySpec(base, (1, top), (1, 2), mono))
         for _, run in groupby(family, _underlying_key):
-            run = list(run)
-            yield run, list(_all_pairs_run(run))
+            yield from _all_pairs_run(run)
 
 
 @pytest.mark.parametrize("base", BASE_CLASSES)
 def test_batch_equilibria_match_first_nash_on_every_run(base):
-    # and, on one run in 20, one instance against the brute-force profiles
+    # and, on one chunk in 20, one instance against the brute-force profiles
     rng, mixed = random.Random(base), False
-    for run, ds in _gate_runs(base):
+    for chunk, flat, sentinel in _gate_chunks(base):
+        n, count = chunk[0].n, len(chunk)
+        ds = [all_pairs(g) for g in chunk]
         for kind in GAME_KINDS:
-            witnesses = _first_nash_batch(ds, kind)
-            assert witnesses == [first_nash(g, d, kind) for g, d in zip(run, ds)]
+            witnesses = _first_nash_batch(flat, n, count, kind)
+            assert witnesses == [first_nash(g, d, kind) for g, d in zip(chunk, ds)]
             if rng.random() < 0.05:
-                k = rng.randrange(len(run))
-                equilibria = brute_nash_profiles(ds[k].rows, kind, run[k].n)
+                k = rng.randrange(count)
+                equilibria = brute_nash_profiles(ds[k].rows, kind, n)
                 assert witnesses[k] == (equilibria or [None])[0]
-        mixed |= run[0].tau < run[-1].tau
+        mixed |= chunk[0].tau < chunk[-1].tau
     assert mixed
 
 
 @pytest.mark.parametrize("kind", GAME_KINDS)
 def test_batch_equilibria_of_one_vertex_and_lone_matrices(kind):
-    one = all_pairs(TemporalGraph(1, ((),)))
-    assert _first_nash_batch([one], kind) == _first_nash_batch([one, one], kind)[1:] == [(1, 1)]
+    one = all_pairs(TemporalGraph(1, ((),)))._flat
+    assert _first_nash_batch(one, 1, 1, kind) == [(1, 1)]
+    assert _first_nash_batch(one * 2, 1, 2, kind) == [(1, 1)] * 2
     for name in INSTANCE_NAMES:
         g, d = _ctx(name)
         if d._sentinel < 128:
-            assert _first_nash_batch([d], kind) == [first_nash(g, d, kind)]
+            assert _first_nash_batch(d._flat, d.n, 1, kind) == [first_nash(g, d, kind)]
 
 
 def batch_sizes(monkeypatch) -> list[int]:
-    """The size of each chunk ``_first_nash_run`` sends to the batch kernel,
-    recorded as the kernel is called."""
+    """The size of each chunk the equilibrium batch kernel decides, recorded
+    as the kernel is called."""
     sizes, batch = [], tempvor.games._first_nash_batch
 
-    def recording(ds, kind):
-        sizes.append(len(ds))
-        return batch(ds, kind)
+    def recording(flat, n, count, kind):
+        sizes.append(count)
+        return batch(flat, n, count, kind)
 
     monkeypatch.setattr(tempvor.games, "_first_nash_batch", recording)
     return sizes
 
 
 def _nash_routes(monkeypatch, graphs):
-    """Drain ``_first_nash_run`` over ``graphs`` and their matrices for each
+    """Drain ``_decide_run`` over each (n, edge set) run of ``graphs`` for each
     game, with both deciders recorded; check every witness against
-    ``first_nash`` and return, for one game, the chunk sizes the batch got
-    and the count of ``first_nash`` calls."""
+    ``first_nash`` and every connectivity flag against ``all_pairs``, and
+    return, for one game, the chunk sizes the batch got and the count of
+    ``first_nash`` calls."""
     chunks, singles, single = batch_sizes(monkeypatch), [], first_nash
     monkeypatch.setattr(
         tempvor.games, "first_nash", lambda g, d, kind: singles.append(g) or single(g, d, kind)
     )
     for kind in GAME_KINDS:
-        decided = list(_first_nash_run(zip(graphs, map(all_pairs, graphs)), kind))
+        decided = [x for _, run in groupby(graphs, _underlying_key) for x in _decide_run(run, kind)]
         assert [g for g, _, _ in decided] == graphs
+        assert [c for _, c, _ in decided] == [all_pairs(g).all_finite() for g in graphs]
         assert [w for _, _, w in decided] == [single(g, all_pairs(g), kind) for g in graphs]
     return chunks[: len(chunks) // 2], len(singles) // 2
 
 
 @pytest.mark.parametrize("kind", ["foo", "VOR"])
 def test_nash_run_rejects_an_unknown_game_kind(monkeypatch, kind):
-    # every instance of this run goes to the batch kernel
-    graphs = list(generate_family(FamilySpec("tree", (4, 4), (1, 2), "any")))
-    chunks = batch_sizes(monkeypatch)
+    # every instance of this run goes to the batch kernels
+    family = generate_family(FamilySpec("tree", (4, 4), (1, 2), "any"))
+    graphs = list(next(groupby(family, _underlying_key))[1])
+    chunks, distances = batch_sizes(monkeypatch), []
+    monkeypatch.setattr(tempvor.reach, "_all_pairs_run", lambda run: distances.append(run) or ())
     with pytest.raises(ValueError, match="unknown game kind"):
-        list(_first_nash_run(zip(graphs, map(all_pairs, graphs)), kind))
-    assert chunks == []
-    decided = list(_first_nash_run(zip(graphs, map(all_pairs, graphs)), "vor"))
+        list(_decide_run(graphs, kind))
+    assert chunks == distances == []
+    monkeypatch.undo()
+    chunks = batch_sizes(monkeypatch)
+    decided = list(_decide_run(graphs, "vor"))
     assert len(decided) == sum(chunks) == len(graphs)
 
 
@@ -789,13 +798,16 @@ def test_run_batches_chunks_of_more_than_n_instances(monkeypatch):
 
 
 def test_run_sends_times_from_128_to_first_nash(monkeypatch):
-    # tau + n + 1 = 127 leaves every time's top bit spare, 128 does not
+    # tau + n + 1 = 127 leaves every time's top bit spare, 128 does not. The
+    # ten instances form one run, one chunk for the distance module; the
+    # router splits it first, so the five below the bound keep the batch.
     path = ((1, 2), (2, 3), (3, 4))
     firsts = ((), path[:1], path[:2], path[1:], path[2:])
     graphs = [
         TemporalGraph(4, ((),) * (tau - 2) + (first, path)) for tau in (122, 123) for first in firsts
     ]
     assert [all_pairs(g)._sentinel for g in graphs] == [127] * 5 + [128] * 5
+    assert len({_underlying_key(g) for g in graphs}) == 1
     assert _nash_routes(monkeypatch, graphs) == ([5], 5)
 
 
@@ -806,27 +818,42 @@ def test_run_sends_more_than_20_vertices_to_first_nash(monkeypatch):
 
 
 def test_run_cuts_chunks_by_the_byte_budget(monkeypatch):
-    # an instance with n = 3 counts 4 * 9 + 512 bytes: four fit, so nine
-    # paths make two chunks of four and a lone ninth
-    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 5 * 548 - 1)
+    # the distance module's budget is the only one: a 3-vertex path with
+    # tau = 2 counts 3 * (3 * 3 + 2 * 2) = 39 lane bytes, so four fit and
+    # the nine paths make two chunks of four and a lone ninth
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 5 * 39 - 1)
     assert _nash_routes(monkeypatch, _PATHS_3) == ([4, 4], 1)
 
 
 @pytest.mark.parametrize("kind", GAME_KINDS)
 def test_a_full_batch_chunk_stays_within_the_byte_budget(monkeypatch, kind):
-    # growing 3 x 3 grids count 4 * 81 + 512 = 836 bytes each, so a 512 KiB
-    # budget takes them 627 at a time; the chunk's matrices, made one at a
-    # time as the run reads them, count in its peak
+    # Growing 3 x 3 grids count 9 * (3 * 9 + 2 * 12) = 459 lane bytes each,
+    # so a 512 KiB budget takes them 1,142 at a time. The distance kernel's
+    # traced peak, with its per-step gains and Python's int overheads, passes
+    # the budget but stays under twice it (see reach._BATCH_BYTES); the
+    # equilibrium batch of the same chunk, over the chunk's array, stays
+    # within it.
     budget = 1 << 19
     monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", budget)
-    graphs = list(generate_family(FamilySpec("grid", (9, 9), (2, 2), "growing")))[:627]
-    chunks = batch_sizes(monkeypatch)
+    graphs = list(generate_family(FamilySpec("grid", (9, 9), (2, 2), "growing")))[:1142]
+    chunks, peaks = batch_sizes(monkeypatch), []
+    decide = tempvor.games._first_nash_batch
+
+    def measured(flat, n, count, kind):
+        held, distances = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        witnesses = decide(flat, n, count, kind)
+        peaks.append((distances, tracemalloc.get_traced_memory()[1] - held))
+        return witnesses
+
+    monkeypatch.setattr(tempvor.games, "_first_nash_batch", measured)
     tracemalloc.start()
     try:
-        for _ in _first_nash_run(zip(graphs, map(all_pairs, graphs)), kind):
+        for _ in _decide_run(graphs, kind):
             pass
-        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunks == [627]
-    assert budget / 2 < peak < budget
+    assert chunks == [1142]
+    [(distances, equilibria)] = peaks
+    assert budget / 2 < distances < 2 * budget
+    assert budget / 4 < equilibria < budget

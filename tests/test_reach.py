@@ -297,17 +297,29 @@ def test_empty_distance_matrix_json_is_an_empty_list():
     assert DistanceMatrix(()).to_json_obj() == []
 
 
+def _chunk_matrices(graphs, flat, sentinel):
+    """The matrices that lie in a row in ``flat``, one per graph."""
+    size = graphs[0].n ** 2
+    return [
+        DistanceMatrix._of(g.n, flat[k * size : (k + 1) * size], sentinel)
+        for k, g in enumerate(graphs)
+    ]
+
+
 def _assert_batch_matches(graphs):
-    """The batch kernel on ``graphs`` against all_pairs of each instance, byte
-    for byte, and against one time-expanded search of each instance."""
-    batch = list(_all_pairs_batch(graphs))
-    assert len(batch) == len(graphs)
-    for g, d in zip(graphs, batch):
+    """The batch kernel on ``graphs`` against all_pairs of each instance and
+    against one time-expanded search of each instance. The batch's sentinel
+    is one past the horizon of the chunk's largest lifetime, so an instance
+    of that lifetime matches ``all_pairs`` byte for byte."""
+    flat, sentinel = _all_pairs_batch(graphs)
+    n, tau = graphs[0].n, max(g.tau for g in graphs)
+    assert (flat.typecode, len(flat), sentinel) == ("B", len(graphs) * n * n, tau + n + 1)
+    for g, d in zip(graphs, _chunk_matrices(graphs, flat, sentinel), strict=True):
         single = all_pairs(g)
-        assert (d.n, d._sentinel) == (g.n, single._sentinel)
-        assert (d._flat.typecode, d._flat) == (single._flat.typecode, single._flat)
+        assert d.rows == single.rows
         assert list(d.rows) == _expanded_search(g, g.vertices)
-    return batch
+        if g.tau == tau:
+            assert d._flat == single._flat
 
 
 # Vertex ranges that keep every base class x monotonicity family with
@@ -326,10 +338,24 @@ _ORACLE_N = {
 
 @pytest.mark.parametrize("base", sorted(_ORACLE_N))
 def test_batch_kernel_matches_all_pairs_on_every_run(base):
+    # each (n, edge set) run in one batch, its lifetimes mixed
+    mixed = False
     for mono in MONOTONICITY:
         spec = FamilySpec(base, _ORACLE_N[base], (1, 3), mono)
-        for _, run in groupby(generate_family(spec), lambda g: (_underlying_key(g), g.tau)):
-            _assert_batch_matches(list(run))
+        for _, run in groupby(generate_family(spec), _underlying_key):
+            run = list(run)
+            _assert_batch_matches(run)
+            mixed |= run[0].tau < run[-1].tau
+    assert mixed
+
+
+def test_batch_kernel_mixes_lifetimes_in_one_run():
+    # one run of growing 4-vertex paths over lifetimes 1..3 in one batch:
+    # an instance past its own lifetime keeps its last layer
+    run = list(generate_family(FamilySpec("path", (4, 4), (1, 3), "growing")))
+    assert [g.tau for g in run] == [1] + [2] * 7 + [3] * 19
+    _assert_batch_matches(run)
+    _assert_batch_matches(run[::-1])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -351,11 +377,13 @@ def _kernel_calls(monkeypatch, graphs):
     """Drain ``_all_pairs_run(graphs)`` with both kernels stubbed out; return
     the chunks the batch kernel got and the count of all_pairs calls."""
     chunks, singles = [], []
-    monkeypatch.setattr(tempvor.reach, "all_pairs", singles.append)
     monkeypatch.setattr(
-        tempvor.reach, "_all_pairs_batch", lambda chunk: chunks.append(chunk) or chunk
+        tempvor.reach, "all_pairs", lambda g: singles.append(g) or DistanceMatrix(())
     )
-    assert len(list(_all_pairs_run(graphs))) == len(graphs)
+    monkeypatch.setattr(
+        tempvor.reach, "_all_pairs_batch", lambda chunk: chunks.append(chunk) or (None, None)
+    )
+    assert [g for chunk, _, _ in _all_pairs_run(graphs) for g in chunk] == graphs
     return [len(chunk) for chunk in chunks], len(singles)
 
 
@@ -381,9 +409,10 @@ def test_run_sends_two_byte_lanes_to_all_pairs(monkeypatch, n, tau, batched):
     assert _kernel_calls(monkeypatch, graphs) == (([3], 0) if batched else ([], 3))
 
 
-def test_run_splits_an_edge_set_run_by_lifetime(monkeypatch):
+def test_run_mixes_lifetimes_until_two_byte_lanes(monkeypatch):
     # growing paths on 4 vertices over lifetimes 1..4, then two lifetimes
-    # whose times need two-byte lanes (tau + n + 1 = 255 and 256)
+    # whose times need one byte and two (tau + n + 1 = 255 and 256): the
+    # first five lifetimes share one chunk, the last three go alone
     graphs = list(generate_family(FamilySpec("path", (4, 4), (1, 4), "growing")))
     path = ((1, 2), (2, 3), (3, 4))
     for tau in (250, 251):
@@ -393,16 +422,13 @@ def test_run_splits_an_edge_set_run_by_lifetime(monkeypatch):
         tempvor.reach, "_all_pairs_batch", lambda chunk: chunks.append(chunk) or batch(chunk)
     )
     run = list(_all_pairs_run(graphs))
-    assert len(run) == len(graphs)
-    for g, d in zip(graphs, run):
-        single = all_pairs(g)
-        assert (d._sentinel, d._flat.typecode, d._flat) == (
-            single._sentinel,
-            single._flat.typecode,
-            single._flat,
-        )
-    assert [len({g.tau for g in chunk}) for chunk in chunks] == [1] * 4
-    assert sorted(chunk[0].tau for chunk in chunks) == [2, 3, 4, 250]
+    assert [len(chunk) for chunk, _, _ in run] == [len(graphs) - 3, 1, 1, 1]
+    assert [chunk for chunk, _, _ in run[:1]] == chunks
+    assert sorted({g.tau for g in chunks[0]}) == [1, 2, 3, 4, 250]
+    for chunk, flat, sentinel in run:
+        for g, d in zip(chunk, _chunk_matrices(chunk, flat, sentinel), strict=True):
+            assert d.rows == all_pairs(g).rows
+    assert [sentinel for _, _, sentinel in run] == [255, 256, 256, 256]
 
 
 # Claim 13 must still name a kernel that disagrees with the time-expanded
