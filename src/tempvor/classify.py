@@ -181,14 +181,8 @@ class ClassReport:
         }
 
 
-def _flags(g: TemporalGraph, connected: bool) -> tuple[bool, bool, bool]:
-    """(temporally connected, growing, shrinking): the report of g, given
-    whether all its distances are finite, but for the labels of its union."""
-    return (connected, *is_monotone(g))
-
-
 def build_class_report(g: TemporalGraph, d: DistanceMatrix) -> ClassReport:
     if d.n != g.n:
         raise ValueError("distance matrix does not match graph size")
     labels = tuple(sorted(classify_underlying(underlying(g))))
-    return ClassReport(*_flags(g, d.all_finite()), labels)
+    return ClassReport(d.all_finite(), *is_monotone(g), labels)

@@ -14,63 +14,60 @@ multiset for complete multipartite graphs, every distinct clique-to-independent
 connection pattern for split graphs, and all creation sequences for threshold
 graphs; labeled trees run over all Pruefer codes. The edge sets come from the
 class constructions in :mod:`tempvor.graph`, which :mod:`tempvor.randgen`
-draws from too. Layer sequences come from a depth-first walk that enters
-only branches which can still end in an instance, so its work follows the
-instances it yields. The walk holds each layer as an int bitmask over the
-edge set's sorted edges: a toggle is a sum of single-bit ints, and sizes
-come from ``int.bit_count``. Cycle instances are additionally deduplicated
-up to rotation and reflection of the labeling: an instance is kept only when
-no image of it has lexicographically smaller layers, each image's masks made
-by bit rotation (and bit reversal, for a reflection) in the cycle's edge
-order, and the check stops at the first image that does. Other classes get no
-isomorphism reduction. Streams are lazy and deterministic: two sweeps of one
-spec produce identical output bytes.
+draws from too. Cycle instances are additionally deduplicated up to rotation
+and reflection of the labeling: an instance is kept only when no image of it
+has lexicographically smaller layers, each image's masks made by bit rotation
+(and bit reversal, for a reflection) in the cycle's edge order, and the check
+stops at the first image that does. Other classes get no isomorphism
+reduction. Streams are lazy and deterministic: two sweeps of one spec
+produce identical output bytes.
 
-Each edge set is checked once, by the public :class:`TemporalGraph`
-constructor on its one-layer graph, and the walk runs over the checked,
-sorted edges. Every layer it yields is a subset of them, so each instance
-is made by the private ``TemporalGraph._of`` with no normalisation, sort or
-check of its own. Each distinct layer of an edge set is one sorted tuple
-of the edge set's own edge tuples, shared by every instance that holds it
-and found by its mask in one dict per edge set.
+A sweep passes one private run per edge set from the walk to the writer:
+the vertex count, the edge set's sorted edges, checked once by the public
+:class:`TemporalGraph` constructor on its one-layer graph, and the chains of
+its instances' layers, each layer an int whose bit i holds edge i. The
+chains come from a depth-first walk that enters only branches which can
+still end in an instance, so its work follows the instances it yields: a
+toggle is a sum of single-bit ints, and sizes come from ``int.bit_count``.
+:func:`generate_family` makes each chain a graph by the private
+``TemporalGraph._of``, with no check of its own, each distinct layer of an
+edge set one shared tuple found by its mask.
 
-:func:`sweep` checks its limit and game kind before it generates anything,
-takes at most ``limit + 1`` instances from the stream and raises the budget
-error before it computes any distance or class label. The stream
-emits all instances over one edge set in a row, and within that run all of
-one lifetime in a row. So :func:`sweep` decides the class labels once per
-underlying graph (vertex count and edge set), not once per instance, keeps
-one class report object per distinct report of that run, and passes each
-(vertex count, edge set) run to the game module. That cuts the run into
-chunks once, by the distance module's byte budget, decides each chunk that
-pays in one equilibrium batch over the chunk's flat array of distances, and
-reads each instance's temporal connectivity from that array; the other
-instances get one matrix at a time, each freed before the next.
+:func:`sweep` takes at most ``limit + 1`` chains and raises the budget
+error before it computes any distance or class label. It decides the class
+labels once per run and the run's chains in the game module's chunks, each
+instance's temporal connectivity read from its chunk's flat array of
+distances. A chain is growing when no step drops an edge (``a & ~b == 0``
+for each consecutive pair of masks) and shrinking when no step adds one.
+No batched instance becomes a graph, a matrix or an :class:`InstanceOutcome`:
+:class:`SearchOutcome` holds the decided runs, and builds ``outcomes`` and
+the summary's counterexamples when they are read.
 
 :func:`write_outcome` frames each JSON-lines record from text pieces, in
-sorted key order: the game encoded once per sweep, each distinct class
-report once, and each distinct layer tuple once by the compact JSON encoder,
-its fragment kept for the records that share it. The lines are written as
-they are made, so writing holds one line and at most ``_FRAGMENTS`` layer
-fragments, never the whole file. The bytes equal those of the record as a
-dict encoded with sorted keys and compact separators.
+sorted key order: the game and each distinct class report encoded once by
+the compact JSON encoder, and each distinct layer of a run framed once from
+its edges' texts, kept by mask for the records that share it. The lines are
+written as they are made, so writing holds one line and at most
+``_FRAGMENTS`` layer fragments, never the whole file. The bytes equal those
+of the record as a dict encoded with sorted keys and compact separators.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, groupby, islice, product
+from itertools import combinations, islice, pairwise, product
 from pathlib import Path
 from typing import Iterator
 
-from .classify import ClassReport, _flags, classify_underlying
+from .classify import ClassReport, classify_underlying
 from .games import GameKind, Profile, _check_kind, _decide_run
 from .graph import (
     _MAX_VERTICES,
     Edge,
     StaticGraph,
     TemporalGraph,
+    _Layers,
     _clique_edges,
     _cycle_edges,
     _grid_edges,
@@ -299,43 +296,38 @@ def _is_cycle_canonical(n: int, chain: tuple[int, ...]) -> bool:
     return True
 
 
-class _Layers(dict):
-    """Edge mask -> the one sorted tuple of the edge set's own edge tuples
-    that its bits hold, made on first use."""
+def _family_runs(
+    spec: FamilySpec,
+) -> Iterator[tuple[int, tuple[Edge, ...], Iterator[tuple[int, ...]]]]:
+    """(n, edges, chains) for each edge set of the family in stream order: the
+    checked, sorted edges and a lazy stream of the family's masks over them."""
+    _check_spec(spec)
+    for n in range(spec.n_range[0], spec.n_range[1] + 1):
+        for edge_set in _underlying_edge_sets(spec.base_class, n):
+            # the one check: every layer of a chain is a subset of these edges
+            (edges,) = TemporalGraph(n, (edge_set,)).layers
+            yield n, edges, _kept_chains(spec, n, edges)
 
-    def __init__(self, edges: tuple[Edge, ...]):
-        super().__init__()
-        self.edges = edges
 
-    def __missing__(self, mask: int) -> tuple[Edge, ...]:
-        layer = self[mask] = tuple([e for i, e in enumerate(self.edges) if mask >> i & 1])
-        return layer
+def _kept_chains(spec: FamilySpec, n: int, edges: tuple[Edge, ...]) -> Iterator[tuple[int, ...]]:
+    t_lo, t_hi = spec.tau_range
+    # past tau = 1 a minimal instance changes an edge: it needs one and a budget
+    top = t_hi if edges and spec.max_edge_changes != 0 else 1
+    for tau in range(t_lo, top + 1):
+        for chain in _layer_chains(edges, tau, spec.monotonicity, spec.max_edge_changes):
+            if spec.base_class != "cycle" or _is_cycle_canonical(n, chain):
+                yield chain
 
 
 def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
     """Lazy, deterministic stream of every instance in the described family."""
-    _check_spec(spec)
-    n_lo, n_hi = spec.n_range
-    t_lo, t_hi = spec.tau_range
-    for n in range(n_lo, n_hi + 1):
-        for edge_set in _underlying_edge_sets(spec.base_class, n):
-            # the one check: every layer below is a subset of these edges
-            (edges,) = TemporalGraph(n, (edge_set,)).layers
-            layers = _Layers(edges)
-            # past tau = 1 a minimal instance changes an edge: it needs one and a budget
-            top = t_hi if edges and spec.max_edge_changes != 0 else 1
-            for tau in range(t_lo, top + 1):
-                for chain in _layer_chains(edges, tau, spec.monotonicity, spec.max_edge_changes):
-                    if spec.base_class != "cycle" or _is_cycle_canonical(n, chain):
-                        yield TemporalGraph._of(n, tuple([layers[m] for m in chain]))
+    for n, edges, chains in _family_runs(spec):
+        layers = _Layers(edges)
+        for chain in chains:
+            yield layers.graph(n, chain)
 
 
 # --- sweeping -----------------------------------------------------------------
-
-
-def _underlying_key(g: TemporalGraph) -> tuple[int, frozenset[Edge]]:
-    """(n, edge set): what the instances of one class-label decision share."""
-    return g.n, frozenset().union(*g.layers)
 
 
 @dataclass(frozen=True)
@@ -351,48 +343,57 @@ class InstanceOutcome:
 
 @dataclass(frozen=True)
 class SearchOutcome:
+    """The decided runs of a sweep in stream order, each (n, edges, chains,
+    witnesses, reports): the instances' layer masks over ``edges`` and, per
+    chain, its witness and class report. ``outcomes`` and the summary's
+    counterexamples make their graphs on each read."""
+
     spec: FamilySpec
     kind: GameKind
-    outcomes: tuple[InstanceOutcome, ...]
+    runs: tuple[tuple, ...]
+
+    @property
+    def outcomes(self) -> tuple[InstanceOutcome, ...]:
+        return tuple(
+            InstanceOutcome(layers.graph(n, chain), report, witness)
+            for n, edges, chains, witnesses, reports in self.runs
+            for layers in (_Layers(edges),)
+            for chain, witness, report in zip(chains, witnesses, reports)
+        )
 
     @property
     def total(self) -> int:
-        return len(self.outcomes)
+        return sum(len(run[2]) for run in self.runs)
 
     @property
     def with_nash(self) -> int:
-        return self._tally()[0]
+        return self.total - self.without_nash
 
     @property
     def without_nash(self) -> int:
-        return self.total - self.with_nash
+        return sum(run[3].count(None) for run in self.runs)
 
     def min_counterexample_n(self) -> int | None:
-        return self._tally()[1]
-
-    def _tally(self) -> tuple[int, int | None, list[TemporalGraph]]:
-        """(instances with an equilibrium, the least n without one, the
-        graphs without one at that n in stream order), in one pass."""
-        with_nash, min_n, minimal = 0, None, []
-        for o in self.outcomes:
-            if o.witness is not None:
-                with_nash += 1
-            elif min_n is None or o.graph.n < min_n:
-                min_n, minimal = o.graph.n, [o.graph]
-            elif o.graph.n == min_n:
-                minimal.append(o.graph)
-        return with_nash, min_n, minimal
+        return min((run[0] for run in self.runs if None in run[3]), default=None)
 
     def summary_obj(self) -> dict:
-        with_nash, min_n, minimal = self._tally()
+        min_n, without_nash = self.min_counterexample_n(), self.without_nash
+        minimal = [
+            to_json_obj(layers.graph(n, chain))
+            for n, edges, chains, witnesses, _ in self.runs
+            if n == min_n
+            for layers in (_Layers(edges),)
+            for chain, witness in zip(chains, witnesses)
+            if witness is None
+        ]
         return {
             "spec": self.spec.to_json_obj(),
             "game": self.kind,
             "instances": self.total,
-            "with_nash": with_nash,
-            "without_nash": self.total - with_nash,
+            "with_nash": self.total - without_nash,
+            "without_nash": without_nash,
             "min_counterexample_n": min_n,
-            "minimal_counterexamples": [to_json_obj(g) for g in minimal],
+            "minimal_counterexamples": minimal,
         }
 
 
@@ -413,22 +414,33 @@ def sweep(
     if type(limit) is not int:  # exact type: bool is rejected too
         raise ValueError(f"instance limit {limit!r} is not an integer")
     _check_kind(kind)
-    bound = max(limit, 0)
-    graphs = list(islice(generate_family(spec), bound + 1))
-    if len(graphs) > bound:
-        raise FamilyBudgetError(limit)
-    # the stream emits each (n, edge set) as one run, in ascending tau
-    outcomes = []
-    for (n, edges), run in groupby(graphs, _underlying_key):
+    left = max(limit, 0) + 1  # chains the guard may still take
+    walked = []
+    for n, edges, chains in _family_runs(spec):
+        chains = tuple(islice(chains, left))
+        left -= len(chains)
+        if not left:
+            raise FamilyBudgetError(limit)
+        if chains:
+            walked.append((n, edges, chains))
+    runs = []
+    for n, edges, chains in walked:
         labels = tuple(sorted(classify_underlying(StaticGraph(n, edges))))
         reports: dict[tuple[bool, bool, bool], ClassReport] = {}  # one per distinct report
-        for g, connected, witness in _decide_run(run, kind):
-            flags = _flags(g, connected)
+        witnesses, run_reports = [], []
+        for chain, (connected, witness) in zip(chains, _decide_run(n, edges, chains, kind)):
+            lost = gained = 0  # the edges some step drops and adds
+            for a, b in pairwise(chain):
+                lost |= a & ~b
+                gained |= b & ~a
+            flags = (connected, not lost, not gained)
             report = reports.get(flags)
             if report is None:
                 report = reports[flags] = ClassReport(*flags, labels)
-            outcomes.append(InstanceOutcome(g, report, witness))
-    return SearchOutcome(spec, kind, tuple(outcomes))
+            witnesses.append(witness)
+            run_reports.append(report)
+        runs.append((n, edges, chains, tuple(witnesses), tuple(run_reports)))
+    return SearchOutcome(spec, kind, tuple(runs))
 
 
 _FRAGMENTS = 1024  # layer fragments held while writing: about 130 KB
@@ -438,42 +450,44 @@ def _record_lines(outcome: SearchOutcome) -> Iterator[str]:
     """One JSON line per instance, framed in sorted key order:
     ``{"game":..,"graph":{"layers":..,"n":..},"has_nash":..,"n":..,
     "report":{..},"tau":..,"witness":..}``. The game is encoded once per
-    sweep, each distinct report once, and each distinct layer tuple once by
-    the compact encoder; a record's layers join those fragments. Layers are
-    keyed by identity, which is safe while ``outcome`` keeps every tuple
-    alive, and instances of one edge set share their layer tuples. The
-    fragments are dropped whenever ``_FRAGMENTS`` of them are held.
+    sweep and each distinct report once by the compact encoder. Each edge's
+    text is made once per run, and each distinct layer of a run once, as the
+    texts of the edges its mask holds joined in brackets; a record's layers
+    join those fragments. Fragments are keyed by mask within a run, dropped
+    when the run ends and whenever ``_FRAGMENTS`` of them are held.
     """
     encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
     head = '{"game":' + encode(outcome.kind) + ',"graph":{"layers":['
     reports: dict[ClassReport, str] = {}
-    layers: dict[int, str] = {}  # id of a layer tuple -> its JSON text
-    for o in outcome.outcomes:
-        g, r, w = o.graph, o.report, o.witness
-        fragments = []
-        for layer in g.layers:
-            fragment = layers.get(id(layer))
-            if fragment is None:
-                if len(layers) == _FRAGMENTS:
-                    layers.clear()
-                fragment = layers[id(layer)] = encode(layer)
-            fragments.append(fragment)
-        report = reports.get(r)
-        if report is None:
-            report = reports[r] = encode(
-                {
-                    "monotone_growing": r.monotone_growing,
-                    "monotone_shrinking": r.monotone_shrinking,
-                    "temporally_connected": r.temporally_connected,
-                    "underlying_class": r.underlying_class,
-                }
+    for n, edges, chains, witnesses, run_reports in outcome.runs:
+        texts = list(enumerate(f"[{u},{v}]" for u, v in edges))  # edge i's JSON text
+        layers: dict[int, str] = {}  # mask -> its JSON text
+        for chain, w, r in zip(chains, witnesses, run_reports):
+            fragments = []
+            for mask in chain:
+                fragment = layers.get(mask)
+                if fragment is None:
+                    if len(layers) == _FRAGMENTS:
+                        layers.clear()
+                    held = [text for i, text in texts if mask >> i & 1]
+                    fragment = layers[mask] = "[" + ",".join(held) + "]"
+                fragments.append(fragment)
+            report = reports.get(r)
+            if report is None:
+                report = reports[r] = encode(
+                    {
+                        "monotone_growing": r.monotone_growing,
+                        "monotone_shrinking": r.monotone_shrinking,
+                        "temporally_connected": r.temporally_connected,
+                        "underlying_class": r.underlying_class,
+                    }
+                )
+            yield (
+                f'{head}{",".join(fragments)}],"n":{n}}},'
+                f'"has_nash":{"false" if w is None else "true"},"n":{n},'
+                f'"report":{report},"tau":{len(chain)},'
+                f'"witness":{"null" if w is None else f"[{w[0]},{w[1]}]"}}}\n'
             )
-        yield (
-            f'{head}{",".join(fragments)}],"n":{g.n}}},'
-            f'"has_nash":{"false" if w is None else "true"},"n":{g.n},'
-            f'"report":{report},"tau":{g.tau},'
-            f'"witness":{"null" if w is None else f"[{w[0]},{w[1]}]"}}}\n'
-        )
 
 
 def write_outcome(outcome: SearchOutcome, outdir: str | Path) -> tuple[Path, Path]:

@@ -34,11 +34,12 @@ query computes only the columns it reads.
 
 A sweep asks only ``first_nash``, of many small instances over one edge set,
 where the interpreter's per-query work costs more than the bit operations. The
-private ``_decide_run`` sends each of the distance module's chunks that pays
-to ``_first_nash_batch``, which decides it in one SWAR pass over the chunk's
-flat array with a one-byte lane per instance and gives the witness
-``first_nash`` gives, with no matrix object or payoff table. Other instances
-get one matrix at a time.
+private ``_decide_run`` takes such a run as the edge set's edges and each
+instance's chain of layer masks, and sends each of the distance module's
+chunks that pays to ``_first_nash_batch``, which decides it in one SWAR pass
+over the chunk's flat array with a one-byte lane per instance and gives the
+witness ``first_nash`` gives, with no graph, matrix object or payoff table.
+Other instances get one graph and one matrix at a time.
 
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
@@ -54,7 +55,7 @@ from itertools import groupby
 from typing import Iterable, Iterator, Literal, Sequence
 
 from . import reach
-from .graph import TemporalGraph, _check_vertex
+from .graph import Edge, TemporalGraph, _check_vertex, _Layers
 from .reach import DistanceMatrix
 
 GameKind = Literal["vor", "rvor"]
@@ -291,21 +292,21 @@ def first_nash(g: TemporalGraph, d: DistanceMatrix, kind: GameKind) -> Profile |
 
 
 def _decide_run(
-    graphs: Iterable[TemporalGraph], kind: str
-) -> Iterator[tuple[TemporalGraph, bool, Profile | None]]:
-    """(g, connected, witness) for each of ``graphs``, which share n and edge
-    set and come in ascending tau, in order: whether all of g's distances are
-    finite, and ``first_nash`` of g. An unknown ``kind`` raises ValueError
-    before any distance is computed.
+    n: int, edges: tuple[Edge, ...], chains: Iterable[tuple[int, ...]], kind: str
+) -> Iterator[tuple[bool, Profile | None]]:
+    """(connected, witness) for each of ``chains``, the layer masks over
+    ``edges`` of instances on 1..n in ascending tau, in order: whether all of
+    the instance's distances are finite, and its ``first_nash``. An unknown
+    ``kind`` raises ValueError before any distance is computed.
 
     The run is split at n <= 20 and tau + n + 1 < 128 first, so instances
     below that bound keep the batch when a run crosses it; each part is cut
     into chunks by ``reach._all_pairs_run`` alone. Per instance, the distance
-    kernel peaks at its budgeted n(3n + tau*|E|) bytes of lane ints plus up to
-    2n|E| in one step's gains; the equilibrium batch, given a chunk of the
-    first part with more than n instances, at the chunk's n^2 bytes of times
-    plus about 3n^2 in packed rows, ``vor``'s transposed copy and reply lanes.
-    Other chunks get one matrix at a time for ``first_nash``.
+    kernel peaks at its budgeted n(3n + tau*|E| + 2|E|) bytes of lane ints;
+    the equilibrium batch, given a chunk of the first part with more than n
+    instances, at the chunk's n^2 bytes of times plus about 3n^2 in packed
+    rows, ``vor``'s transposed copy and reply lanes. Other chunks get one
+    graph and one matrix at a time for ``first_nash``.
 
     Time, batch over ``all_pairs``, per instance of runs of paths, cycles,
     trees, grids and cliques: 0.10-0.54 at tau = 2 and n = 9..250, 0.49-0.93
@@ -323,18 +324,19 @@ def _decide_run(
     cliques at n = 64..120.
     """
     _check_kind(kind)
-    for batched, part in groupby(graphs, lambda g: g.n <= 20 and g.tau + g.n + 1 < 128):
-        for chunk, flat, sentinel in reach._all_pairs_run(part):
-            n, count = chunk[0].n, len(chunk)
-            size = n * n
+    layers, size = _Layers(edges), n * n
+    for batched, part in groupby(chains, lambda chain: n <= 20 and len(chain) + n + 1 < 128):
+        for chunk, flat, sentinel in reach._all_pairs_run(n, edges, part):
+            count = len(chunk)
             batch = _first_nash_batch(flat, n, count, kind) if batched and count > n else None
-            for k, g in enumerate(chunk):
+            for k, chain in enumerate(chunk):
                 times = flat[k * size : (k + 1) * size]
                 if batch is None:
-                    witness = first_nash(g, DistanceMatrix._of(n, times, sentinel), kind)
+                    d = DistanceMatrix._of(n, times, sentinel)
+                    witness = first_nash(layers.graph(n, chain), d, kind)
                 else:
                     witness = batch[k]
-                yield g, sentinel not in times, witness
+                yield sentinel not in times, witness
 
 
 def _first_nash_batch(flat: array, n: int, count: int, kind: str) -> list[Profile | None]:

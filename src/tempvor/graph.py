@@ -113,6 +113,23 @@ class TemporalGraph:
         return self.layers[min(t, self.tau) - 1]
 
 
+class _Layers(dict):
+    """Edge mask -> the one tuple of the checked, sorted ``edges``' own edge
+    tuples that its bits hold (bit i holds ``edges[i]``), made on first use."""
+
+    def __init__(self, edges: tuple[Edge, ...]):
+        super().__init__()
+        self.edges = edges
+
+    def __missing__(self, mask: int) -> tuple[Edge, ...]:
+        layer = self[mask] = tuple([e for i, e in enumerate(self.edges) if mask >> i & 1])
+        return layer
+
+    def graph(self, n: int, chain: Sequence[int]) -> TemporalGraph:
+        """The instance on 1..n whose layer t is mask ``chain[t-1]``."""
+        return TemporalGraph._of(n, tuple([self[m] for m in chain]))
+
+
 @dataclass(frozen=True)
 class StaticGraph:
     """Simple undirected graph; the time-collapsed view of a temporal graph.

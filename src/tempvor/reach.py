@@ -19,14 +19,16 @@ itself.
 
 Sweeps decide many small instances over one edge set, and there the
 interpreter's per-call and per-bit work costs more than the bit operations.
-``_all_pairs_run`` cuts such a run into chunks, and the private
-``_all_pairs_batch`` runs the same sweep once per chunk, lifetimes mixed:
-each vertex holds one int with a one-byte lane per (instance, source), edges
-are masked by the instances that hold them, and arrival times are lane
-counters whose bytes become the columns of the chunk's matrices, in a row in
-one flat array that the game module reads in place. It spends 8 bits per
-source where ``all_pairs`` spends 1, which pays for two or more instances
-whose times fit in one byte (tau + n + 1 < 256).
+``_all_pairs_run`` takes such a run as the edge set's sorted edges and each
+instance's chain of layer masks (bit j holds edge j), cuts it into chunks,
+and the private ``_all_pairs_batch`` runs the same sweep once per chunk,
+lifetimes mixed, with no graph object: each vertex holds one int with a
+one-byte lane per (instance, source), each edge is masked by the lanes of
+the instances whose mask at the step holds its bit, and arrival times are
+lane counters whose bytes become the columns of the chunk's matrices, in a
+row in one flat array that the game module reads in place. It spends 8 bits
+per source where ``all_pairs`` spends 1, which pays for two or more
+instances whose times fit in one byte (tau + n + 1 < 256).
 
 The independent check, ``oracle_arrivals``, searches the time-expanded graph
 instead: one state graph per instance on integer ids for (vertex, time)
@@ -41,7 +43,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import starmap
 from struct import Struct
 
-from .graph import Edge, TemporalGraph, _check_vertex
+from .graph import Edge, TemporalGraph, _check_vertex, _Layers
 
 INF = math.inf
 
@@ -224,94 +226,92 @@ def all_pairs(g: TemporalGraph) -> DistanceMatrix:
 
 
 # Bytes of lane ints one batch sweep may hold; it alone sizes a chunk.
-# Traced peaks of full chunks were 7-9 MiB at n = 64..250 and 13-16 MB for
-# runs of 59,048 instances at n = 5..8, with Python's int and tuple overheads;
-# one ``all_pairs`` of a graph with n = 1,024 peaks at 10 MiB.
+# Traced peaks of full chunks, with Python's int and tuple overheads, are
+# 5.0-7.5 MiB at n = 64..250 and 8.7-10.1 MiB for runs of 59,048 instances
+# at n = 5 and 11 (11.9-15.6 MiB before the gains were counted); one
+# ``all_pairs`` of a graph with n = 1,024 peaks at 10 MiB.
 _BATCH_BYTES = 8 << 20
 
 
 def _all_pairs_run(
-    graphs: Iterable[TemporalGraph],
-) -> Iterator[tuple[list[TemporalGraph], array, int]]:
-    """(chunk, flat, sentinel) for consecutive chunks of ``graphs``, which
-    share n and edge set and come in ascending tau, each computed on request:
-    ``flat`` holds the chunk's matrices in a row, ``sentinel`` standing for
-    ``INF`` in all of them, and their rows equal those of ``all_pairs``.
+    n: int, edges: tuple[Edge, ...], chains: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[list[tuple[int, ...]], array, int]]:
+    """(chunk, flat, sentinel) for consecutive chunks of ``chains``, the
+    layer masks over ``edges`` of instances on 1..n in ascending tau, each
+    computed on request: ``flat`` holds the chunk's matrices in a row,
+    ``sentinel`` standing for ``INF`` in all of them, and their rows equal
+    those of ``all_pairs``.
 
     An instance whose sentinel needs two bytes (tau + n + 1 >= 256) goes
     alone. The others, lifetimes mixed, are cut into chunks whose lane ints
     fit in ``_BATCH_BYTES``: an instance adds n bytes to each of the n
-    reached sets, the n counters, the n matrix columns and at most tau*|E|
-    edge masks, tau being the chunk's largest. A lone instance goes to
-    ``all_pairs``; ``games._decide_run`` gives the measured times.
+    reached sets, the n counters, the n matrix columns, at most tau*|E| edge
+    masks and the 2|E| gains of one step, tau being the chunk's largest. A
+    lone instance is made a graph for ``all_pairs``; ``games._decide_run``
+    gives the measured times.
     """
-    chunk: list[TemporalGraph] = []
-    for g in graphs:
-        if not chunk:
-            edges = len(set().union(*g.layers))  # the size of the run's edge set
-        lane_bytes = g.n * (3 * g.n + g.tau * edges)
-        if chunk and (_horizon(g) + 1 >= 256 or (len(chunk) + 1) * lane_bytes > _BATCH_BYTES):
-            yield _chunk_distances(chunk)
+    chunk: list[tuple[int, ...]] = []
+    for chain in chains:
+        lane_bytes = n * (3 * n + (len(chain) + 2) * len(edges))
+        if chunk and (len(chain) + n + 1 >= 256 or (len(chunk) + 1) * lane_bytes > _BATCH_BYTES):
+            yield _chunk_distances(n, edges, chunk)
             chunk = []
-        chunk.append(g)
+        chunk.append(chain)
     if chunk:
-        yield _chunk_distances(chunk)
+        yield _chunk_distances(n, edges, chunk)
 
 
-def _chunk_distances(chunk: list[TemporalGraph]) -> tuple[list[TemporalGraph], array, int]:
+def _chunk_distances(
+    n: int, edges: tuple[Edge, ...], chunk: list[tuple[int, ...]]
+) -> tuple[list[tuple[int, ...]], array, int]:
     if len(chunk) == 1:
-        d = all_pairs(chunk[0])
+        d = all_pairs(_Layers(edges).graph(n, chunk[0]))
         return chunk, d._flat, d._sentinel
-    return (chunk, *_all_pairs_batch(chunk))
+    return (chunk, *_all_pairs_batch(n, edges, chunk))
 
 
-def _all_pairs_batch(graphs: Sequence[TemporalGraph]) -> tuple[array, int]:
-    """(flat, sentinel): the ``all_pairs`` matrices of ``graphs``, which
-    share n and edge set, in a row in one one-byte array from one layer
-    sweep; tau + n + 1 is the sentinel for their largest tau, below 256.
+def _all_pairs_batch(
+    n: int, edges: tuple[Edge, ...], chains: Sequence[tuple[int, ...]]
+) -> tuple[array, int]:
+    """(flat, sentinel): the ``all_pairs`` matrices of the instances on 1..n
+    whose layer masks over ``edges`` are ``chains``, in a row in one
+    one-byte array from one layer sweep; tau + n + 1 is the sentinel for
+    their largest tau, below 256.
 
-    Lane (k, s), byte k*n + s-1, belongs to source s of graphs[k], which
-    holds its layer min(t, tau_k) at step t. reached[v] holds the lanes that
-    have reached v, as a 1 in each lane's low bit. An edge is offered only to
-    the lanes of the instances that hold it in the layer (``mask``, None when
-    every instance does). Arrival times build up lazily as lane counters:
-    when reached[w] changes at step t, every lane still outside it has been
-    unreached through steps last[w]+1..t, so cnt[w] += (t - last[w]) *
-    (lanes ^ old) makes a lane reached at step t read t. Unreached lanes end
-    at the sentinel, which fits in a byte, so lanes never carry into each
-    other. Counter w is column w of every instance: its bytes fill a strided
-    slice of one buffer that holds the flat matrices of all the graphs in a
-    row.
+    Lane (k, s), byte k*n + s-1, belongs to source s of instance k, which
+    holds the edges of its mask min(t, tau_k) at step t: bit j of the mask
+    holds ``edges[j]``. reached[v] holds the lanes that have reached v, as a
+    1 in each lane's low bit. An edge is offered only to the lanes of the
+    instances that hold it in the layer (``mask``, None when every instance
+    does). Arrival times build up lazily as lane counters: when reached[w]
+    changes at step t, every lane still outside it has been unreached
+    through steps last[w]+1..t, so cnt[w] += (t - last[w]) * (lanes ^ old)
+    makes a lane reached at step t read t. Unreached lanes end at the
+    sentinel, which fits in a byte, so lanes never carry into each other.
+    Counter w is column w of every instance: its bytes fill a strided slice
+    of one buffer that holds the flat matrices of all the instances in a row.
     """
-    g, count = graphs[0], len(graphs)
-    n, tau = g.n, max(h.tau for h in graphs)
+    count, tau, width = len(chains), max(map(len, chains)), len(edges)
     sentinel = tau + n + 1
     lanes = int.from_bytes(b"\1" * (count * n), "little")  # the low bit of every lane
     instance0 = int.from_bytes(b"\1" * n, "little")  # the low bits of instance 0's lanes
-    edges = sorted(set().union(*g.layers))
-    index = {e: j for j, e in enumerate(edges)}
-    # Row k of a layer's held matrix marks the edges graphs[k] holds in it;
-    # column j, a strided slice, marks the instances that hold edges[j].
-    # Steps whose held matrices are equal share one list of masked edges.
-    rows: dict[tuple[Edge, ...], bytearray] = {}
-    masked_by_held: dict[bytes, list[tuple[int, int, int | None]]] = {}
+    # Row k of a step's held matrix spreads the bits of instance k's mask
+    # over |E| bytes; column j, a strided slice, marks the instances that
+    # hold edges[j]. Steps whose masks are equal share one list of masked
+    # edges.
+    rows: dict[int, bytes] = {}
+    masked_by_held: dict[tuple[int, ...], list[tuple[int, int, int | None]]] = {}
     layers = []
-    for t in range(1, tau + 1):
-        held = bytearray()
-        for h in graphs:
-            layer = h.layers[min(t, h.tau) - 1]
-            row = rows.get(layer)
-            if row is None:
-                row = rows[layer] = bytearray(len(edges))
-                for e in layer:
-                    row[index[e]] = 1
-            held += row
-        held = bytes(held)
+    for t in range(tau):
+        held = tuple([chain[t] if t < len(chain) else chain[-1] for chain in chains])
         masked = masked_by_held.get(held)
         if masked is None:
             masked = masked_by_held[held] = []
+            for m in set(held).difference(rows):
+                rows[m] = bytes([m >> j & 1 for j in range(width)])
+            matrix = b"".join([rows[m] for m in held])
             for j, (u, v) in enumerate(edges):
-                column = held[j :: len(edges)]
+                column = matrix[j::width]
                 if 0 not in column:
                     masked.append((u, v, None))
                 elif 1 in column:

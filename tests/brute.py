@@ -371,6 +371,16 @@ def oracle_tree_profile(s: StaticGraph) -> tuple[int, int]:
     return p1, min(w for w, size in branch_sizes(p1).items() if size == loads[p1])
 
 
+def mask_run(graphs):
+    """(n, edges, chains) of instances on one vertex set, as the sweep's
+    kernels take them: the sorted union of their edges, and each instance's
+    layers as masks over it, bit i holding edges[i]."""
+    edges = tuple(sorted({e for g in graphs for layer in g.layers for e in layer}))
+    bit = {e: 1 << i for i, e in enumerate(edges)}
+    chains = [tuple(sum(bit[e] for e in layer) for layer in g.layers) for g in graphs]
+    return graphs[0].n, edges, chains
+
+
 def oracle_record_line(o, kind: str) -> str:
     """The record line of one sweep instance (an ``InstanceOutcome``) without
     its newline: the record as a dict, encoded by ``json.dumps`` with sorted

@@ -110,15 +110,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "decide-run-batches-21-vertices",
         "src/tempvor/games.py",
-        "g.n <= 20 and g.tau + g.n + 1 < 128",
-        "g.n <= 21 and g.tau + g.n + 1 < 128",
+        "n <= 20 and len(chain) + n + 1 < 128",
+        "n <= 21 and len(chain) + n + 1 < 128",
         ("tests/test_games.py",),
     ),
     Mutant(
         "decide-run-batches-times-of-128",
         "src/tempvor/games.py",
-        "g.n <= 20 and g.tau + g.n + 1 < 128",
-        "g.n <= 20 and g.tau + g.n + 1 <= 128",
+        "n <= 20 and len(chain) + n + 1 < 128",
+        "n <= 20 and len(chain) + n + 1 <= 128",
         ("tests/test_games.py",),
     ),
     Mutant(
@@ -138,16 +138,23 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "decide-run-accepts-any-kind",
         "src/tempvor/games.py",
-        "    _check_kind(kind)\n    for batched, part in groupby(",
-        "    for batched, part in groupby(",
+        "    _check_kind(kind)\n    layers, size = ",
+        "    layers, size = ",
         ("tests/test_games.py",),
     ),
     Mutant(
         "decide-run-connected-reads-the-whole-chunk",
         "src/tempvor/games.py",
-        "yield g, sentinel not in times, witness",
-        "yield g, sentinel not in flat, witness",
+        "yield sentinel not in times, witness",
+        "yield sentinel not in flat, witness",
         ("tests/test_games.py",),
+    ),
+    Mutant(
+        "decide-run-connected-reads-the-next-instance",
+        "src/tempvor/games.py",
+        "yield sentinel not in times, witness",
+        "yield sentinel not in flat[(k + 1) * size : (k + 2) * size], witness",
+        ("tests/test_explorer.py",),
     ),
     Mutant(
         "packed-rvor-reads-rows",
@@ -281,8 +288,8 @@ MUTANTS: tuple[Mutant, ...] = (
         "src/tempvor/reach.py",
         "masked = masked_by_held.get(held)\n        if masked is None:\n"
         "            masked = masked_by_held[held] = []",
-        "masked = masked_by_held.get(held[: len(edges)])\n        if masked is None:\n"
-        "            masked = masked_by_held[held[: len(edges)]] = []",
+        "masked = masked_by_held.get(held[:1])\n        if masked is None:\n"
+        "            masked = masked_by_held[held[:1]] = []",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -295,29 +302,29 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "run-batches-two-byte-lanes",
         "src/tempvor/reach.py",
-        "_horizon(g) + 1 >= 256 or",
-        "_horizon(g) + 1 > 256 or",
+        "len(chain) + n + 1 >= 256 or",
+        "len(chain) + n + 1 > 256 or",
         ("tests/test_reach.py",),
     ),
     Mutant(
         "run-budget-without-edge-masks",
         "src/tempvor/reach.py",
-        "lane_bytes = g.n * (3 * g.n + g.tau * edges)",
-        "lane_bytes = g.n * 3 * g.n",
+        "lane_bytes = n * (3 * n + (len(chain) + 2) * len(edges))",
+        "lane_bytes = n * 3 * n",
         ("tests/test_reach.py",),
     ),
     Mutant(
         "batch-reads-layers-cyclically",
         "src/tempvor/reach.py",
-        "layer = h.layers[min(t, h.tau) - 1]",
-        "layer = h.layers[(t - 1) % h.tau]",
+        "held = tuple([chain[t] if t < len(chain) else chain[-1] for chain in chains])",
+        "held = tuple([chain[t % len(chain)] for chain in chains])",
         ("tests/test_reach.py",),
     ),
     Mutant(
         "batch-takes-the-first-lifetime",
         "src/tempvor/reach.py",
-        "n, tau = g.n, max(h.tau for h in graphs)",
-        "n, tau = g.n, g.tau",
+        "count, tau, width = len(chains), max(map(len, chains)), len(edges)",
+        "count, tau, width = len(chains), len(chains[0]), len(edges)",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -462,7 +469,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "generated-layers-unsorted",
-        "src/tempvor/explorer.py",
+        "src/tempvor/graph.py",
         "tuple([e for i, e in enumerate(self.edges) if mask >> i & 1])",
         "tuple([e for i, e in enumerate(self.edges) if mask >> i & 1][::-1])",
         ("tests/test_explorer.py",),
@@ -476,9 +483,9 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "generated-layers-not-shared",
-        "src/tempvor/explorer.py",
-        "tuple([layers[m] for m in chain])",
-        "tuple([layers.__missing__(m) for m in chain])",
+        "src/tempvor/graph.py",
+        "tuple([self[m] for m in chain])",
+        "tuple([self.__missing__(m) for m in chain])",
         ("tests/test_explorer.py",),
     ),
     Mutant(
@@ -498,41 +505,64 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "sweep-holds-the-runs-matrices",
         "src/tempvor/games.py",
-        "for chunk, flat, sentinel in reach._all_pairs_run(part):",
-        "for chunk, flat, sentinel in list(reach._all_pairs_run(part)):",
+        "for chunk, flat, sentinel in reach._all_pairs_run(n, edges, part):",
+        "for chunk, flat, sentinel in list(reach._all_pairs_run(n, edges, part)):",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "sweep-monotone-flags-swapped",
+        "src/tempvor/explorer.py",
+        "flags = (connected, not lost, not gained)",
+        "flags = (connected, not gained, not lost)",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "sweep-monotone-skips-the-last-pair",
+        "src/tempvor/explorer.py",
+        "for a, b in pairwise(chain):",
+        "for a, b in pairwise(chain[:-1]):",
         ("tests/test_explorer.py",),
     ),
     Mutant(
         "record-monotone-flags-swapped",
         "src/tempvor/explorer.py",
         '"monotone_growing": r.monotone_growing,\n'
-        '                    "monotone_shrinking": r.monotone_shrinking,',
+        '                        "monotone_shrinking": r.monotone_shrinking,',
         '"monotone_growing": r.monotone_shrinking,\n'
-        '                    "monotone_shrinking": r.monotone_growing,',
+        '                        "monotone_shrinking": r.monotone_growing,',
         ("tests/test_explorer.py",),
     ),
     Mutant(
         "record-report-cached-on-labels",
         "src/tempvor/explorer.py",
-        "report = reports.get(r)\n        if report is None:\n            report = reports[r] =",
+        "report = reports.get(r)\n            if report is None:\n                report = reports[r] =",
         "report = reports.get(r.underlying_class)\n"
-        "        if report is None:\n"
-        "            report = reports[r.underlying_class] =",
+        "            if report is None:\n"
+        "                report = reports[r.underlying_class] =",
         ("tests/test_explorer.py",),
     ),
     Mutant(
         "record-layer-fragments-keyed-by-length",
         "src/tempvor/explorer.py",
-        "fragment = layers.get(id(layer))\n"
-        "            if fragment is None:\n"
-        "                if len(layers) == _FRAGMENTS:\n"
-        "                    layers.clear()\n"
-        "                fragment = layers[id(layer)] =",
-        "fragment = layers.get(len(layer))\n"
-        "            if fragment is None:\n"
-        "                if len(layers) == _FRAGMENTS:\n"
-        "                    layers.clear()\n"
-        "                fragment = layers[len(layer)] =",
+        "fragment = layers.get(mask)\n"
+        "                if fragment is None:\n"
+        "                    if len(layers) == _FRAGMENTS:\n"
+        "                        layers.clear()\n"
+        "                    held = [text for i, text in texts if mask >> i & 1]\n"
+        "                    fragment = layers[mask] =",
+        "fragment = layers.get(mask.bit_count())\n"
+        "                if fragment is None:\n"
+        "                    if len(layers) == _FRAGMENTS:\n"
+        "                        layers.clear()\n"
+        "                    held = [text for i, text in texts if mask >> i & 1]\n"
+        "                    fragment = layers[mask.bit_count()] =",
+        ("tests/test_explorer.py",),
+    ),
+    Mutant(
+        "record-layer-edges-unsorted",
+        "src/tempvor/explorer.py",
+        "held = [text for i, text in texts if mask >> i & 1]",
+        "held = [text for i, text in texts if mask >> i & 1][::-1]",
         ("tests/test_explorer.py",),
     ),
     Mutant(

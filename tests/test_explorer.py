@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from itertools import combinations, groupby, islice, product
 
 import pytest
@@ -39,10 +43,10 @@ from tempvor import (
 from tempvor.explorer import (
     BASE_CLASSES,
     MONOTONICITY,
+    _family_runs,
     _layer_chains,
     _Layers,
     _underlying_edge_sets,
-    _underlying_key,
 )
 from tempvor.graph import _clique_edges, _cycle_edges
 from tempvor.reach import _expanded_search
@@ -401,7 +405,7 @@ def test_spec_ranges_must_be_pairs(spec, field):
 
 @pytest.mark.parametrize("limit", [2.5, 3.0, True, False, "3", None], ids=repr)
 def test_sweep_limit_must_be_an_exact_int(monkeypatch, limit):
-    generated = _count_calls(monkeypatch, "generate_family")
+    generated = _count_calls(monkeypatch, "_family_runs")
     with pytest.raises(ValueError, match="instance limit .* is not an integer"):
         sweep(FamilySpec("path", (3, 3), (1, 1)), "vor", limit=limit)
     assert generated == []
@@ -411,6 +415,37 @@ def test_sweep_budget_guard_raises():
     spec = FamilySpec("cycle", (6, 8), (1, 2), "any", 2)
     with pytest.raises(FamilyBudgetError):
         sweep(spec, "rvor", limit=3)
+
+
+# The guard past 20,000 six-vertex cliques with tau <= 2, in a fresh process:
+# prints how far ru_maxrss (KiB on Linux, bytes on macOS) rose above its value
+# after the import.
+_GUARD_SCRIPT = """
+import resource, sys
+from tempvor import FamilyBudgetError, FamilySpec, sweep
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    sweep(FamilySpec("clique", (6, 6), (1, 2)), "rvor", limit=20_000)
+except FamilyBudgetError:
+    rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base
+    print(rise // 1024 if sys.platform == "darwin" else rise)
+"""
+
+
+def test_sweep_budget_guard_holds_masks_not_graphs():
+    # 20,001 instances held as graphs took 6.3 MB; as mask chains, 1.8 MB
+    pytest.importorskip("resource")
+    src = str(Path(tempvor.explorer.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _GUARD_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 4 * 1024
 
 
 def _count_calls(monkeypatch, name):
@@ -438,12 +473,13 @@ def test_sweep_budget_guard_fires_before_any_distance(monkeypatch):
 
 
 def _recorded_chunks(monkeypatch):
-    """Each chunk the distance batch kernel gets, with the (flat, sentinel)
-    it returns, recorded as the kernel is called."""
+    """Each chunk the distance batch kernel gets, as its graphs, with the
+    (flat, sentinel) it returns, recorded as the kernel is called."""
     batch, chunks = tempvor.reach._all_pairs_batch, []
 
-    def recording(chunk):
-        chunks.append((chunk, *batch(chunk)))
+    def recording(n, edges, chunk):
+        graphs = [_Layers(edges).graph(n, chain) for chain in chunk]
+        chunks.append((graphs, *batch(n, edges, chunk)))
         return chunks[-1][1:]
 
     monkeypatch.setattr(tempvor.reach, "_all_pairs_batch", recording)
@@ -452,11 +488,11 @@ def _recorded_chunks(monkeypatch):
 
 def test_sweep_passes_long_runs_in_chunks(monkeypatch):
     # 4,095 growing 3 x 3 grids share one edge set and tau: one run. Each
-    # instance's lane ints take 9 * (3 * 9 + 2 * 12) = 459 bytes, so a budget
-    # one byte short of 1,001 instances cuts the run into four chunks of 1,000
-    # and one of 95.
+    # instance's lane ints take 9 * (3 * 9 + (2 + 2) * 12) = 675 bytes, so a
+    # budget one byte short of 1,001 instances cuts the run into four chunks
+    # of 1,000 and one of 95.
     spec = FamilySpec("grid", (9, 9), (2, 2), "growing")
-    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 1000 * 459 + 458)
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 1000 * 675 + 674)
     chunks = _recorded_chunks(monkeypatch)
     outcome = sweep(spec, "vor")
     assert [len(chunk) for chunk, _, _ in chunks] == [1000] * 4 + [95]
@@ -489,7 +525,7 @@ def test_sweep_rejects_an_unknown_game_kind(monkeypatch, kind):
     ids=["empty", "past-the-guard"],
 )
 def test_sweep_checks_the_game_kind_before_generating(monkeypatch, spec):
-    generated = _count_calls(monkeypatch, "generate_family")
+    generated = _count_calls(monkeypatch, "_family_runs")
     with pytest.raises(ValueError, match="unknown game kind 'xx'"):
         sweep(spec, "xx", limit=3)
     assert generated == []
@@ -502,10 +538,10 @@ def test_a_bad_spec_with_a_good_kind_is_a_spec_error():
 
 def test_sweep_decides_long_runs_in_chunks(monkeypatch):
     # The equilibrium batch decides the distance module's chunks: a budget
-    # one byte short of 1,001 growing 3 x 3 grids at 459 lane bytes each cuts
+    # one byte short of 1,001 growing 3 x 3 grids at 675 lane bytes each cuts
     # their run of 4,095 into four chunks of 1,000 and one of 95, for both.
     spec = FamilySpec("grid", (9, 9), (2, 2), "growing")
-    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 1000 * 459 + 458)
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 1000 * 675 + 674)
     distances, chunks = _recorded_chunks(monkeypatch), batch_sizes(monkeypatch)
     outcome = sweep(spec, "rvor")
     assert chunks == [len(chunk) for chunk, _, _ in distances] == [1000] * 4 + [95]
@@ -519,8 +555,10 @@ def test_sweep_calls_the_per_instance_kernels_only_for_short_runs(monkeypatch):
     # (the empty edge sets, with tau = 1) and 2 more hold at most n. Only
     # their instances reach first_nash, and only the lone ones all_pairs;
     # every other run, its tau = 1 instance included, goes to the batches.
+    # Only the graphs those two take are made, and no instance outcome until
+    # the outcomes are read.
     spec = FamilySpec("threshold", (2, 4), (1, 2), "any")
-    runs = [list(run) for _, run in groupby(generate_family(spec), _underlying_key)]
+    runs = [[_Layers(edges).graph(n, c) for c in chains] for n, edges, chains in _family_runs(spec)]
     lone = [g for run in runs if len(run) == 1 for g in run]
     short = [g for run in runs if len(run) <= run[0].n for g in run]
     assert (len(runs), len(lone), len(short), sum(map(len, runs))) == (14, 3, 9, 1164)
@@ -530,11 +568,24 @@ def test_sweep_calls_the_per_instance_kernels_only_for_short_runs(monkeypatch):
     monkeypatch.setattr(
         tempvor.games, "first_nash", lambda g, d, kind: nash.append(g) or first_nash_(g, d, kind)
     )
+    built, of = [], TemporalGraph._of
+    monkeypatch.setattr(TemporalGraph, "_of", staticmethod(lambda *a: built.append(a) or of(*a)))
+    outcomes, outcome_ = [], tempvor.explorer.InstanceOutcome
+    monkeypatch.setattr(
+        tempvor.explorer, "InstanceOutcome", lambda *a: outcomes.append(a) or outcome_(*a)
+    )
     for kind in ("vor", "rvor"):
         singles.clear()
         nash.clear()
-        assert sweep(spec, kind).total == 1164
+        built.clear()
+        outcome = sweep(spec, kind)
+        assert outcome.total == 1164
         assert (singles, nash) == (lone, short)
+        assert len(built) == len(lone) + len(short)
+        assert outcomes == []
+        assert [o.graph for o in outcome.outcomes] == [g for run in runs for g in run]
+        assert len(outcomes) == 1164
+        outcomes.clear()
 
 
 def _distance_bytes() -> int:
@@ -556,7 +607,8 @@ def test_sweep_makes_per_instance_matrices_on_request(monkeypatch):
     # the earlier chunks and matrices must be gone.
     spec = FamilySpec("path", (33, 33), (2, 2), "any", 1)
     graphs = list(generate_family(spec))
-    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 4 * 33 * (3 * 33 + 2 * 32))
+    [(n, edges, chains)] = [(n, edges, list(chains)) for n, edges, chains in _family_runs(spec)]
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 4 * 33 * (3 * 33 + (2 + 2) * 32))
     single, held = tempvor.games.first_nash, []
 
     def reporting(g, d, kind):
@@ -565,7 +617,7 @@ def test_sweep_makes_per_instance_matrices_on_request(monkeypatch):
 
     try:
         tracemalloc.start()
-        chunks = list(tempvor.reach._all_pairs_run(graphs))
+        chunks = list(tempvor.reach._all_pairs_run(n, edges, chains))
         together = _distance_bytes()
         assert [len(chunk) for chunk, _, _ in chunks] == [4] * 16
         del chunks
@@ -732,18 +784,48 @@ def test_written_records_equal_the_oracle_encoding(tmp_path):
     assert cases == {"n=1", "one-edge layer", "no witness", "n>=10", "budgeted tau=3", "empty"}
 
 
+_DENSE = ("clique", "complete_k_partite", "split", "threshold")
+
+
+@pytest.mark.parametrize("base", BASE_CLASSES)
+def test_mask_flags_and_records_match_the_instances(tmp_path, base):
+    # every monotonicity and budget at tau <= 3: each record's monotone flags
+    # are those of the instance generate_family makes, and the written lines
+    # those of the outcomes built on request
+    for mono, budget in product(MONOTONICITY, (None, 0, 1, 2)):
+        top = 4 if base in _DENSE else 5
+        if (mono, budget) == ("any", None) and (base == "tree" or base in _DENSE):
+            top -= 1  # past 10^5 instances at tau = 3 otherwise
+        spec = FamilySpec(base, (1, top), (1, 3), mono, budget)
+        outcome = sweep(spec, "vor")
+        records, _ = write_outcome(outcome, tmp_path / f"{mono}.{budget}")
+        lines = records.read_text(encoding="utf-8").splitlines()
+        flags = [json.loads(line)["report"] for line in lines]
+        assert [(r["monotone_growing"], r["monotone_shrinking"]) for r in flags] == [
+            is_monotone(g) for g in generate_family(spec)
+        ], spec
+        assert lines == [oracle_record_line(o, "vor") for o in outcome.outcomes], spec
+
+
 def test_writing_streams_the_records(tmp_path):
-    outcome = sweep(FamilySpec("tree", (2, 5), (1, 2), "any"), "rvor")
-    assert outcome.total == 10_587
-    tracemalloc.start()
-    try:
-        records, _ = write_outcome(outcome, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert records.stat().st_size > 2_500_000
-    # one line at a time: the file is ten times this bound
-    assert peak < 256 * 1024
+    cases = [
+        (FamilySpec("tree", (2, 5), (1, 2), "any"), 10_587, 2_500_000),
+        # one run of 4,096 distinct layers: the fragments must be dropped
+        (FamilySpec("grid", (9, 9), (1, 2), "growing"), 4_096, 1_250_000),
+    ]
+    for spec, total, size in cases:
+        outcome = sweep(spec, "rvor")
+        assert outcome.total == total
+        tracemalloc.start()
+        try:
+            records, _ = write_outcome(outcome, tmp_path / spec.base_class)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records.stat().st_size > size
+        # one line and at most _FRAGMENTS layers at a time: the file is five
+        # or ten times this bound
+        assert peak < 256 * 1024, spec
 
 
 def test_summary_counts_agree_with_the_outcomes():

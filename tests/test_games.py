@@ -7,7 +7,7 @@ import json
 import random
 import re
 import tracemalloc
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from brute import (
     brute_dynamics,
     brute_nash_profiles,
     brute_payoff_sets,
+    mask_run,
     oracle_column,
     walk_distances,
 )
@@ -42,8 +43,9 @@ from tempvor import (
     underlying,
 )
 from tempvor.builders import split_clique_partition
-from tempvor.explorer import BASE_CLASSES, MONOTONICITY, _underlying_key
+from tempvor.explorer import BASE_CLASSES, MONOTONICITY, _family_runs
 from tempvor.games import GAME_KINDS, _column, _decide_run, _first_nash_batch, _packed
+from tempvor.graph import _Layers
 from tempvor.instances import INSTANCE_NAMES
 from tempvor.randgen import random_temporal_graph
 from tempvor.reach import _all_pairs_run, _expanded_search
@@ -706,9 +708,9 @@ def _gate_chunks(base):
     with n <= 5 and tau <= 2."""
     for mono in MONOTONICITY:
         top = 4 if base in _DENSE and mono == "any" else 5
-        family = generate_family(FamilySpec(base, (1, top), (1, 2), mono))
-        for _, run in groupby(family, _underlying_key):
-            yield from _all_pairs_run(run)
+        for n, edges, chains in _family_runs(FamilySpec(base, (1, top), (1, 2), mono)):
+            for chunk, flat, sentinel in _all_pairs_run(n, edges, chains):
+                yield [_Layers(edges).graph(n, chain) for chain in chunk], flat, sentinel
 
 
 @pytest.mark.parametrize("base", BASE_CLASSES)
@@ -754,37 +756,46 @@ def batch_sizes(monkeypatch) -> list[int]:
 
 
 def _nash_routes(monkeypatch, graphs):
-    """Drain ``_decide_run`` over each (n, edge set) run of ``graphs`` for each
-    game, with both deciders recorded; check every witness against
-    ``first_nash`` and every connectivity flag against ``all_pairs``, and
-    return, for one game, the chunk sizes the batch got and the count of
-    ``first_nash`` calls."""
+    """Drain ``_decide_run`` over the masks of each (n, edge set) run of
+    ``graphs`` for each game, with both deciders recorded; check every
+    witness against ``first_nash`` and every connectivity flag against
+    ``all_pairs``, and return, for one game, the chunk sizes the batch got
+    and the ``first_nash`` calls, which must each get the graph decided."""
     chunks, singles, single = batch_sizes(monkeypatch), [], first_nash
     monkeypatch.setattr(
         tempvor.games, "first_nash", lambda g, d, kind: singles.append(g) or single(g, d, kind)
     )
+    runs = [mask_run(list(run)) for _, run in groupby(graphs, _edge_set)]
     for kind in GAME_KINDS:
-        decided = [x for _, run in groupby(graphs, _underlying_key) for x in _decide_run(run, kind)]
-        assert [g for g, _, _ in decided] == graphs
-        assert [c for _, c, _ in decided] == [all_pairs(g).all_finite() for g in graphs]
-        assert [w for _, _, w in decided] == [single(g, all_pairs(g), kind) for g in graphs]
-    return chunks[: len(chunks) // 2], len(singles) // 2
+        singles.clear()
+        decided = [x for run in runs for x in _decide_run(*run, kind)]
+        assert [c for c, _ in decided] == [all_pairs(g).all_finite() for g in graphs]
+        assert [w for _, w in decided] == [single(g, all_pairs(g), kind) for g in graphs]
+        assert all(g in graphs for g in singles)
+    return chunks[: len(chunks) // 2], len(singles)
+
+
+def _edge_set(g):
+    """(n, edge set): what the instances of one sweep run share."""
+    return g.n, frozenset().union(*g.layers)
 
 
 @pytest.mark.parametrize("kind", ["foo", "VOR"])
 def test_nash_run_rejects_an_unknown_game_kind(monkeypatch, kind):
     # every instance of this run goes to the batch kernels
-    family = generate_family(FamilySpec("tree", (4, 4), (1, 2), "any"))
-    graphs = list(next(groupby(family, _underlying_key))[1])
+    n, edges, chains = next(_family_runs(FamilySpec("tree", (4, 4), (1, 2), "any")))
+    chains = list(chains)
     chunks, distances = batch_sizes(monkeypatch), []
-    monkeypatch.setattr(tempvor.reach, "_all_pairs_run", lambda run: distances.append(run) or ())
+    monkeypatch.setattr(
+        tempvor.reach, "_all_pairs_run", lambda n, edges, run: distances.append(run) or ()
+    )
     with pytest.raises(ValueError, match="unknown game kind"):
-        list(_decide_run(graphs, kind))
+        list(_decide_run(n, edges, chains, kind))
     assert chunks == distances == []
     monkeypatch.undo()
     chunks = batch_sizes(monkeypatch)
-    decided = list(_decide_run(graphs, "vor"))
-    assert len(decided) == sum(chunks) == len(graphs)
+    decided = list(_decide_run(n, edges, chains, "vor"))
+    assert len(decided) == sum(chunks) == len(chains)
 
 
 _PATHS_3 = list(generate_family(FamilySpec("path", (3, 3), (1, 2), "any")))
@@ -807,7 +818,7 @@ def test_run_sends_times_from_128_to_first_nash(monkeypatch):
         TemporalGraph(4, ((),) * (tau - 2) + (first, path)) for tau in (122, 123) for first in firsts
     ]
     assert [all_pairs(g)._sentinel for g in graphs] == [127] * 5 + [128] * 5
-    assert len({_underlying_key(g) for g in graphs}) == 1
+    assert len({_edge_set(g) for g in graphs}) == 1
     assert _nash_routes(monkeypatch, graphs) == ([5], 5)
 
 
@@ -819,23 +830,24 @@ def test_run_sends_more_than_20_vertices_to_first_nash(monkeypatch):
 
 def test_run_cuts_chunks_by_the_byte_budget(monkeypatch):
     # the distance module's budget is the only one: a 3-vertex path with
-    # tau = 2 counts 3 * (3 * 3 + 2 * 2) = 39 lane bytes, so four fit and
-    # the nine paths make two chunks of four and a lone ninth
-    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 5 * 39 - 1)
+    # tau = 2 counts 3 * (3 * 3 + (2 + 2) * 2) = 51 lane bytes, so four fit
+    # and the nine paths make two chunks of four and a lone ninth
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 5 * 51 - 1)
     assert _nash_routes(monkeypatch, _PATHS_3) == ([4, 4], 1)
 
 
 @pytest.mark.parametrize("kind", GAME_KINDS)
 def test_a_full_batch_chunk_stays_within_the_byte_budget(monkeypatch, kind):
-    # Growing 3 x 3 grids count 9 * (3 * 9 + 2 * 12) = 459 lane bytes each,
-    # so a 512 KiB budget takes them 1,142 at a time. The distance kernel's
-    # traced peak, with its per-step gains and Python's int overheads, passes
-    # the budget but stays under twice it (see reach._BATCH_BYTES); the
-    # equilibrium batch of the same chunk, over the chunk's array, stays
-    # within it.
+    # Growing 3 x 3 grids count 9 * (3 * 9 + (2 + 2) * 12) = 675 lane bytes
+    # each, so a 512 KiB budget takes them 776 at a time. The distance
+    # kernel's traced peak, with Python's int overheads, passes the budget
+    # by less than a tenth (1.08-1.09 times it, measured with the gains
+    # counted; see reach._BATCH_BYTES); the equilibrium batch of the same
+    # chunk, over the chunk's array, stays within it.
     budget = 1 << 19
     monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", budget)
-    graphs = list(generate_family(FamilySpec("grid", (9, 9), (2, 2), "growing")))[:1142]
+    n, edges, chains = next(_family_runs(FamilySpec("grid", (9, 9), (2, 2), "growing")))
+    chains = list(islice(chains, 776))
     chunks, peaks = batch_sizes(monkeypatch), []
     decide = tempvor.games._first_nash_batch
 
@@ -849,11 +861,11 @@ def test_a_full_batch_chunk_stays_within_the_byte_budget(monkeypatch, kind):
     monkeypatch.setattr(tempvor.games, "_first_nash_batch", measured)
     tracemalloc.start()
     try:
-        for _ in _decide_run(graphs, kind):
+        for _ in _decide_run(n, edges, chains, kind):
             pass
     finally:
         tracemalloc.stop()
-    assert chunks == [1142]
+    assert chunks == [776]
     [(distances, equilibria)] = peaks
-    assert budget / 2 < distances < 2 * budget
+    assert budget / 2 < distances < 1.1 * budget
     assert budget / 4 < equilibria < budget

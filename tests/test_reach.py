@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import random
-from itertools import groupby
 
 import pytest
 
-from brute import enumerate_walk_arrivals, sweep_arrivals
+from brute import enumerate_walk_arrivals, mask_run, sweep_arrivals
 
 from tempvor import (
     INF,
@@ -23,7 +22,8 @@ from tempvor import (
     to_canonical_json,
 )
 from tempvor import FamilySpec, generate_family, reproduce
-from tempvor.explorer import MONOTONICITY, _underlying_key
+from tempvor.explorer import MONOTONICITY, _family_runs
+from tempvor.graph import _Layers
 from tempvor.randgen import random_temporal_graph
 import tempvor.reach
 from tempvor.reach import _all_pairs_batch, _all_pairs_run, _expanded_search
@@ -297,24 +297,22 @@ def test_empty_distance_matrix_json_is_an_empty_list():
     assert DistanceMatrix(()).to_json_obj() == []
 
 
-def _chunk_matrices(graphs, flat, sentinel):
-    """The matrices that lie in a row in ``flat``, one per graph."""
-    size = graphs[0].n ** 2
-    return [
-        DistanceMatrix._of(g.n, flat[k * size : (k + 1) * size], sentinel)
-        for k, g in enumerate(graphs)
-    ]
+def _chunk_matrices(n, chunk, flat, sentinel):
+    """The matrices that lie in a row in ``flat``, one per chain of ``chunk``."""
+    size = n * n
+    return [DistanceMatrix._of(n, flat[k * size : (k + 1) * size], sentinel) for k in range(len(chunk))]
 
 
-def _assert_batch_matches(graphs):
-    """The batch kernel on ``graphs`` against all_pairs of each instance and
+def _assert_batch_matches(n, edges, chains):
+    """The batch kernel on ``chains`` against all_pairs of each instance and
     against one time-expanded search of each instance. The batch's sentinel
     is one past the horizon of the chunk's largest lifetime, so an instance
     of that lifetime matches ``all_pairs`` byte for byte."""
-    flat, sentinel = _all_pairs_batch(graphs)
-    n, tau = graphs[0].n, max(g.tau for g in graphs)
+    flat, sentinel = _all_pairs_batch(n, edges, chains)
+    graphs = [_Layers(edges).graph(n, chain) for chain in chains]
+    tau = max(g.tau for g in graphs)
     assert (flat.typecode, len(flat), sentinel) == ("B", len(graphs) * n * n, tau + n + 1)
-    for g, d in zip(graphs, _chunk_matrices(graphs, flat, sentinel), strict=True):
+    for g, d in zip(graphs, _chunk_matrices(n, chains, flat, sentinel), strict=True):
         single = all_pairs(g)
         assert d.rows == single.rows
         assert list(d.rows) == _expanded_search(g, g.vertices)
@@ -342,10 +340,10 @@ def test_batch_kernel_matches_all_pairs_on_every_run(base):
     mixed = False
     for mono in MONOTONICITY:
         spec = FamilySpec(base, _ORACLE_N[base], (1, 3), mono)
-        for _, run in groupby(generate_family(spec), _underlying_key):
-            run = list(run)
-            _assert_batch_matches(run)
-            mixed |= run[0].tau < run[-1].tau
+        for n, edges, chains in _family_runs(spec):
+            chains = list(chains)
+            _assert_batch_matches(n, edges, chains)
+            mixed |= len(chains[0]) < len(chains[-1])
     assert mixed
 
 
@@ -354,36 +352,42 @@ def test_batch_kernel_mixes_lifetimes_in_one_run():
     # an instance past its own lifetime keeps its last layer
     run = list(generate_family(FamilySpec("path", (4, 4), (1, 3), "growing")))
     assert [g.tau for g in run] == [1] + [2] * 7 + [3] * 19
-    _assert_batch_matches(run)
-    _assert_batch_matches(run[::-1])
+    _assert_batch_matches(*mask_run(run))
+    _assert_batch_matches(*mask_run(run[::-1]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_batch_kernel_on_empty_edge_sets(n):
     # the stream emits an empty edge set only with tau = 1, as a run of one
     for tau in (1, 3):
-        _assert_batch_matches([TemporalGraph(n, ((),) * tau)] * 3)
+        _assert_batch_matches(*mask_run([TemporalGraph(n, ((),) * tau)] * 3))
 
 
 def test_batch_kernel_runs_past_gain_free_steps_before_tau():
     # no instance gains at steps 1 and 2, yet both gain at step 3
     a, b = (1, 2), (2, 3)
     _assert_batch_matches(
-        [TemporalGraph(3, ((), (), (a,), (a, b))), TemporalGraph(3, ((), (), (a, b), (b,)))]
+        *mask_run(
+            [TemporalGraph(3, ((), (), (a,), (a, b))), TemporalGraph(3, ((), (), (a, b), (b,)))]
+        )
     )
 
 
 def _kernel_calls(monkeypatch, graphs):
-    """Drain ``_all_pairs_run(graphs)`` with both kernels stubbed out; return
-    the chunks the batch kernel got and the count of all_pairs calls."""
+    """Drain ``_all_pairs_run`` over the masks of ``graphs`` with both
+    kernels stubbed out; return the chunks the batch kernel got and the count
+    of all_pairs calls."""
     chunks, singles = [], []
     monkeypatch.setattr(
         tempvor.reach, "all_pairs", lambda g: singles.append(g) or DistanceMatrix(())
     )
     monkeypatch.setattr(
-        tempvor.reach, "_all_pairs_batch", lambda chunk: chunks.append(chunk) or (None, None)
+        tempvor.reach,
+        "_all_pairs_batch",
+        lambda n, edges, chunk: chunks.append(chunk) or (None, None),
     )
-    assert [g for chunk, _, _ in _all_pairs_run(graphs) for g in chunk] == graphs
+    n, edges, chains = mask_run(graphs)
+    assert [c for chunk, _, _ in _all_pairs_run(n, edges, chains) for c in chunk] == chains
     return [len(chunk) for chunk in chunks], len(singles)
 
 
@@ -393,12 +397,12 @@ def test_run_sends_a_lone_instance_to_all_pairs(monkeypatch):
 
 def test_run_caps_chunks_by_lane_bytes_at_large_n(monkeypatch):
     # 199 growing paths with n = 200: each instance's lane ints take
-    # 200 * (3 * 200 + 2 * 199) bytes, so 42 of them fit in the budget
+    # 200 * (3 * 200 + (2 + 2) * 199) bytes, so 30 of them fit in the budget
     spec = FamilySpec("path", (200, 200), (2, 2), "growing", 1)
     graphs = list(generate_family(spec))
-    lane_bytes = 200 * (3 * 200 + 2 * 199)
-    assert 42 * lane_bytes <= tempvor.reach._BATCH_BYTES < 43 * lane_bytes
-    assert _kernel_calls(monkeypatch, graphs) == ([42] * 4 + [31], 0)
+    lane_bytes = 200 * (3 * 200 + (2 + 2) * 199)
+    assert 30 * lane_bytes <= tempvor.reach._BATCH_BYTES < 31 * lane_bytes
+    assert _kernel_calls(monkeypatch, graphs) == ([30] * 6 + [19], 0)
 
 
 @pytest.mark.parametrize("n,tau,batched", [(4, 250, True), (4, 251, False), (1024, 2, False)])
@@ -419,15 +423,18 @@ def test_run_mixes_lifetimes_until_two_byte_lanes(monkeypatch):
         graphs += [TemporalGraph(4, ((),) * (tau - 2) + (path[:k], path)) for k in (0, 1, 2)]
     chunks, batch = [], tempvor.reach._all_pairs_batch
     monkeypatch.setattr(
-        tempvor.reach, "_all_pairs_batch", lambda chunk: chunks.append(chunk) or batch(chunk)
+        tempvor.reach,
+        "_all_pairs_batch",
+        lambda n, edges, chunk: chunks.append(chunk) or batch(n, edges, chunk),
     )
-    run = list(_all_pairs_run(graphs))
+    n, edges, chains = mask_run(graphs)
+    run = list(_all_pairs_run(n, edges, chains))
     assert [len(chunk) for chunk, _, _ in run] == [len(graphs) - 3, 1, 1, 1]
     assert [chunk for chunk, _, _ in run[:1]] == chunks
-    assert sorted({g.tau for g in chunks[0]}) == [1, 2, 3, 4, 250]
+    assert sorted({len(chain) for chain in chunks[0]}) == [1, 2, 3, 4, 250]
     for chunk, flat, sentinel in run:
-        for g, d in zip(chunk, _chunk_matrices(chunk, flat, sentinel), strict=True):
-            assert d.rows == all_pairs(g).rows
+        for chain, d in zip(chunk, _chunk_matrices(n, chunk, flat, sentinel), strict=True):
+            assert d.rows == all_pairs(_Layers(edges).graph(n, chain)).rows
     assert [sentinel for _, _, sentinel in run] == [255, 256, 256, 256]
 
 
