@@ -449,14 +449,14 @@ _FRAGMENTS = 1024  # layer fragments held while writing: about 130 KB
 def _record_lines(outcome: SearchOutcome) -> Iterator[str]:
     """One JSON line per instance, framed in sorted key order:
     ``{"game":..,"graph":{"layers":..,"n":..},"has_nash":..,"n":..,
-    "report":{..},"tau":..,"witness":..}``. The game is encoded once per
-    sweep and each distinct report once by the compact encoder. Each edge's
+    "report":{..},"tau":..,"witness":..}``. The compact encoder, keys sorted,
+    encodes the game once per sweep and each distinct report once. Each edge's
     text is made once per run, and each distinct layer of a run once, as the
     texts of the edges its mask holds joined in brackets; a record's layers
     join those fragments. Fragments are keyed by mask within a run, dropped
     when the run ends and whenever ``_FRAGMENTS`` of them are held.
     """
-    encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True, check_circular=False).encode
     head = '{"game":' + encode(outcome.kind) + ',"graph":{"layers":['
     reports: dict[ClassReport, str] = {}
     for n, edges, chains, witnesses, run_reports in outcome.runs:
@@ -474,14 +474,7 @@ def _record_lines(outcome: SearchOutcome) -> Iterator[str]:
                 fragments.append(fragment)
             report = reports.get(r)
             if report is None:
-                report = reports[r] = encode(
-                    {
-                        "monotone_growing": r.monotone_growing,
-                        "monotone_shrinking": r.monotone_shrinking,
-                        "temporally_connected": r.temporally_connected,
-                        "underlying_class": r.underlying_class,
-                    }
-                )
+                report = reports[r] = encode(r.to_json_obj())
             yield (
                 f'{head}{",".join(fragments)}],"n":{n}}},'
                 f'"has_nash":{"false" if w is None else "true"},"n":{n},'

@@ -18,9 +18,9 @@ vertex against an opponent at ``fixed``. It reads the packed view of
 ``_packed(d, kind)``, which packs each view row into one int with a spare
 guard bit atop every field, so one subtraction, one AND and one
 ``bit_count`` compare two whole rows (SWAR: Lamport, CACM 18(8), 1975;
-Fisher & Dietz, LCPC 1998). One-byte storage whose sentinel is below 128
-is packed as it stands, one ``int.from_bytes`` per row; otherwise each time
-is replaced by its rank among the matrix's distinct times.
+Fisher & Dietz, LCPC 1998). One-byte storage whose sentinel leaves the top
+bit spare is packed as it stands, one ``int.from_bytes`` per row; otherwise
+each time is replaced by its rank among the matrix's distinct times.
 
 Every query reads the matrix's payoff table for its game. The tables live in
 the matrix's private ``_tables`` dict, empty until the first game query, and
@@ -37,9 +37,9 @@ where the interpreter's per-query work costs more than the bit operations. The
 private ``_decide_run`` takes such a run as the edge set's edges and each
 instance's chain of layer masks, and sends each of the distance module's
 chunks that pays to ``_first_nash_batch``, which decides it in one SWAR pass
-over the chunk's flat array with a one-byte lane per instance and gives the
-witness ``first_nash`` gives, with no graph, matrix object or payoff table.
-Other instances get one graph and one matrix at a time.
+over the chunk's flat array, widened to fields with a spare guard bit, and
+gives the witness ``first_nash`` gives, with no graph, matrix object or
+payoff table. Other instances get one graph and one matrix at a time.
 
 Ties (including infinity vs infinity) claim nothing, so every profile splits
 the vertex set into U_1, U_2 and an unclaimed rest. Both players may pick the
@@ -49,9 +49,9 @@ are desk-scale by design.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Iterator, Literal, Sequence
 
 from . import reach
@@ -145,14 +145,14 @@ def _packed(d: DistanceMatrix, kind: str) -> tuple[list[int], int, int]:
     of every field spare above the largest value. G holds that guard bit in
     every field and U a 1 in every field.
 
-    One-byte storage with a sentinel below 128 already is that packing, so
-    each row is one ``int.from_bytes`` of a slice of the array's bytes. Other
-    one-byte storage with at most 128 distinct times turns into ranks by one
-    ``bytes.translate``. Otherwise each row's times map through a dict to
-    their rank fields.
+    One-byte storage whose sentinel leaves the top bit spare (a one-byte
+    ``reach._storage(2 * sentinel)``) already is that packing, so each row is
+    one ``int.from_bytes`` of a slice of the array's bytes. Other one-byte
+    storage with one-byte ranks turns into them by one ``bytes.translate``.
+    Otherwise each row's times map through a dict to their rank fields.
     """
     n, flat = d.n, d._flat
-    if flat.itemsize == 1 and d._sentinel < 128:
+    if reach._storage(2 * d._sentinel).itemsize == flat.itemsize == 1:
         size, lines = 1, _lines(flat.tobytes(), n, kind, range(n))
     else:
         times = sorted(set(flat))
@@ -299,79 +299,88 @@ def _decide_run(
     the instance's distances are finite, and its ``first_nash``. An unknown
     ``kind`` raises ValueError before any distance is computed.
 
-    The run is split at n <= 20 and tau + n + 1 < 128 first, so instances
-    below that bound keep the batch when a run crosses it; each part is cut
-    into chunks by ``reach._all_pairs_run`` alone. Per instance, the distance
-    kernel peaks at its budgeted n(3n + tau*|E| + 2|E|) bytes of lane ints;
-    the equilibrium batch, given a chunk of the first part with more than n
-    instances, at the chunk's n^2 bytes of times plus about 3n^2 in packed
-    rows, ``vor``'s transposed copy and reply lanes. Other chunks get one
-    graph and one matrix at a time for ``first_nash``.
+    A lone chunk of ``reach._all_pairs_run`` gets one graph and one matrix
+    from ``all_pairs``. Other chunks get their distances from
+    ``reach._all_pairs_batch``; with n <= 20 and more than n instances,
+    ``_first_nash_batch`` (peak: about 4n^2 fields per instance) decides
+    them, and otherwise each instance gets a graph for ``first_nash``.
 
     Time, batch over ``all_pairs``, per instance of runs of paths, cycles,
     trees, grids and cliques: 0.10-0.54 at tau = 2 and n = 9..250, 0.49-0.93
-    at tau = 100..200. For a lone instance: 0.6-1.0 on random graphs with
-    n = 150..220 and tau <= 8, 1.8-2.2 on random graphs with n <= 9 and trees
-    with n <= 5, 25-53 on sparse random graphs with n = 60..90 and
-    tau = 100..150. Time, batch over ``first_nash``, on the longest run of
-    each base class x monotonicity, both games, worst case per n: 0.64-0.98
-    for chunks of n instances and 0.40-0.74 for chunks of 2n at n = 2..22,
-    but 1.8-7.9 for a lone instance and 1.05-4.0 for chunks of two at
-    n = 3..16, where the chunk's fixed costs (``vor``'s n^2 slice copies, a
-    pass over all lanes per column) are not paid back. Past n = 20 the gain
-    goes: 0.88-0.98 at n = 24 and 2.3-2.5 at n = 32 on growing cycles, whose
-    ``rvor`` lanes reach different replies; 1.2-4.5 on paths, cycles and
-    cliques at n = 64..120.
+    at tau = 100..200, 0.31-0.50 in two-byte lanes (tau = 240..256). For a
+    lone instance: 0.6-1.0 on random graphs with n = 150..220 and tau <= 8,
+    1.8-2.2 on random graphs with n <= 9 and trees with n <= 5, 25-53 on
+    sparse random graphs with n = 60..90 and tau = 100..150, and both
+    batches over both kernels 1.5-1.7 on trees with n <= 7. Time, batch over
+    ``first_nash``, on the longest run of each base class x monotonicity,
+    both games, worst case per n: 0.64-0.98 for chunks of n instances and
+    0.40-0.74 for chunks of 2n at n = 2..22, 0.12-0.15 in two-byte fields
+    (paths, tau = 120..126), but 1.8-7.9 for a lone instance and 1.05-4.0
+    for chunks of two at n = 3..16, where the chunk's fixed costs are not
+    paid back. Past n = 20 the gain goes: 0.88-0.98 at n = 24 and 2.3-2.5
+    at n = 32 on growing cycles; 1.2-4.5 on paths, cycles and cliques at
+    n = 64..120.
     """
     _check_kind(kind)
-    layers, size = _Layers(edges), n * n
-    for batched, part in groupby(chains, lambda chain: n <= 20 and len(chain) + n + 1 < 128):
-        for chunk, flat, sentinel in reach._all_pairs_run(n, edges, part):
-            count = len(chunk)
-            batch = _first_nash_batch(flat, n, count, kind) if batched and count > n else None
-            for k, chain in enumerate(chunk):
-                times = flat[k * size : (k + 1) * size]
-                if batch is None:
-                    d = DistanceMatrix._of(n, times, sentinel)
-                    witness = first_nash(layers.graph(n, chain), d, kind)
-                else:
-                    witness = batch[k]
-                yield sentinel not in times, witness
+    layers, size, batched = _Layers(edges), n * n, n <= 20
+    for chunk in reach._all_pairs_run(n, edges, chains):
+        count = len(chunk)
+        if count == 1:
+            g = layers.graph(n, chunk[0])
+            d = reach.all_pairs(g)
+            yield d.all_finite(), first_nash(g, d, kind)
+            continue
+        flat, sentinel = reach._all_pairs_batch(n, edges, chunk)
+        batch = _first_nash_batch(flat, sentinel, n, count, kind) if batched and count > n else None
+        for k, chain in enumerate(chunk):
+            times = flat[k * size : (k + 1) * size]
+            if batch is None:
+                d = DistanceMatrix._of(n, times, sentinel)
+                witness = first_nash(layers.graph(n, chain), d, kind)
+            else:
+                witness = batch[k]
+            yield sentinel not in times, witness
 
 
-def _first_nash_batch(flat: array, n: int, count: int, kind: str) -> list[Profile | None]:
+def _first_nash_batch(
+    flat: array, sentinel: int, n: int, count: int, kind: str
+) -> list[Profile | None]:
     """``first_nash`` of each of the ``count`` n x n matrices that lie in a
-    row in the one-byte array ``flat``, with one sentinel below 128, from one
-    SWAR pass over all of them.
+    row in ``flat`` with ``sentinel`` for ``INF``, from one SWAR pass over
+    all of them; payoffs, at most n, must fit in 7 bits.
 
-    View row p becomes one int whose byte k*n + v-1 holds entry v of row p of
-    matrix k's view. As in ``_column``, one subtraction and one AND against
-    the row of b leave the guard bit in each field a player at a wins against
-    b. Shifted to the field's low bit and multiplied by ``window``, a 1 in
-    each of n bytes, the won fields of each instance sum into its last byte (a
-    payoff is at most n, so nothing carries), and a strided slice of the bytes
-    gives ``pays[a]``: one byte per instance, its lane. A lane-wise max and a
-    guard-bit compare against it (payoffs, at most n, leave the guard bit
-    spare) give ``replies[b][a]``, whose lane k keeps its guard bit iff a+1 is
-    a best reply to b+1 in matrix k. The walk visits the profiles in
-    lexicographic order and gives each lane still ``undecided`` the first
-    profile of mutual best replies, as ``_equilibria`` does, adding its two
-    vertices into the lane's byte of ``first`` and ``second``; it computes the
+    View row p becomes one int whose field k*n + v-1 holds entry v of row p
+    of matrix k's view, in ``reach._storage(2 * sentinel)``'s ``size``
+    bytes, the fewest that leave a guard bit spare above the sentinel. As in
+    ``_column``, one subtraction and one AND against the row of b leave the
+    guard bit in each field a player at a wins against b. Shifted to the
+    field's low bit and multiplied by ``window``, a 1 in each of n fields,
+    the won fields of each instance sum into its last field, and a strided
+    slice of their low bytes gives ``pays[a]``: one byte per instance, its
+    lane. A lane-wise max and a guard-bit compare against it give
+    ``replies[b][a]``, whose lane k keeps its guard bit iff a+1 is a best
+    reply to b+1 in matrix k. The walk visits the profiles in lexicographic
+    order and gives each lane still ``undecided`` the first profile of
+    mutual best replies, as ``_equilibria`` does, adding its two vertices
+    into the lane's byte of ``first`` and ``second``; it computes the
     replies to b on first need.
     """
     view = flat
     if kind == "vor":
         # rvor's view of the transposed matrices is vor's view
-        view = array("B", [0]) * len(flat)
+        view = array(flat.typecode, [0]) * len(flat)
         for p in range(n):
             for v in range(n):
                 view[v * n + p :: n * n] = flat[p * n + v :: n * n]
+    view = array(reach._storage(2 * sentinel).typecode, view)  # a copy, in the fields' width
+    if sys.byteorder == "big":  # fields are read as little-endian ints
+        view.byteswap()
     packed = [int.from_bytes(view[p::n], "little") for p in range(n)]
+    width, size, top_bit = count * n, view.itemsize, 8 * view.itemsize - 1
     del view
-    width = count * n
-    ones = int.from_bytes(b"\1" * width, "little")
-    guard = ones << 7
-    window = int.from_bytes(b"\1" * n, "little")
+    ones = int.from_bytes((1).to_bytes(size, "little") * width, "little")
+    guard = ones << top_bit
+    window = int.from_bytes((1).to_bytes(size, "little") * n, "little")
     lane_guard = int.from_bytes(b"\x80" * count, "little")
     replies: list[list[int] | None] = [None] * n
 
@@ -380,8 +389,9 @@ def _first_nash_batch(flat: array, n: int, count: int, kind: str) -> list[Profil
             top = (packed[b] | guard) - ones
             pays = []
             for mine in packed:
-                sums = ((((top - mine) & guard) >> 7) * window).to_bytes(width + n, "little")
-                pays.append(int.from_bytes(sums[n - 1 :: n], "little"))
+                won = ((top - mine) & guard) >> top_bit
+                sums = (won * window).to_bytes((width + n) * size, "little")
+                pays.append(int.from_bytes(sums[(n - 1) * size :: n * size], "little"))
             best = pays[0]
             for pay in pays[1:]:
                 keep = ((best | lane_guard) - pay) & lane_guard  # lanes where best >= pay

@@ -19,16 +19,15 @@ itself.
 
 Sweeps decide many small instances over one edge set, and there the
 interpreter's per-call and per-bit work costs more than the bit operations.
-``_all_pairs_run`` takes such a run as the edge set's sorted edges and each
-instance's chain of layer masks (bit j holds edge j), cuts it into chunks,
+``_all_pairs_run`` cuts such a run, the edge set's sorted edges and each
+instance's chain of layer masks (bit j holds edge j), into chunks by bytes,
 and the private ``_all_pairs_batch`` runs the same sweep once per chunk,
 lifetimes mixed, with no graph object: each vertex holds one int with a
-one-byte lane per (instance, source), each edge is masked by the lanes of
-the instances whose mask at the step holds its bit, and arrival times are
-lane counters whose bytes become the columns of the chunk's matrices, in a
-row in one flat array that the game module reads in place. It spends 8 bits
-per source where ``all_pairs`` spends 1, which pays for two or more
-instances whose times fit in one byte (tau + n + 1 < 256).
+lane per (instance, source), as wide as an item of the chunk's flat array;
+an edge that only some instances hold at a step is masked by their lanes;
+and arrival times are lane counters that become the columns of the chunk's
+matrices, in a row in that array. It spends a lane where ``all_pairs``
+spends a bit, which pays for two or more instances.
 
 The independent check, ``oracle_arrivals``, searches the time-expanded graph
 instead: one state graph per instance on integer ids for (vertex, time)
@@ -38,12 +37,13 @@ pairs, searched by plain BFS from each source, with no bitsets.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import starmap
 from struct import Struct
 
-from .graph import Edge, TemporalGraph, _check_vertex, _Layers
+from .graph import Edge, TemporalGraph, _check_vertex
 
 INF = math.inf
 
@@ -235,102 +235,96 @@ _BATCH_BYTES = 8 << 20
 
 def _all_pairs_run(
     n: int, edges: tuple[Edge, ...], chains: Iterable[tuple[int, ...]]
-) -> Iterator[tuple[list[tuple[int, ...]], array, int]]:
-    """(chunk, flat, sentinel) for consecutive chunks of ``chains``, the
-    layer masks over ``edges`` of instances on 1..n in ascending tau, each
-    computed on request: ``flat`` holds the chunk's matrices in a row,
-    ``sentinel`` standing for ``INF`` in all of them, and their rows equal
-    those of ``all_pairs``.
-
-    An instance whose sentinel needs two bytes (tau + n + 1 >= 256) goes
-    alone. The others, lifetimes mixed, are cut into chunks whose lane ints
-    fit in ``_BATCH_BYTES``: an instance adds n bytes to each of the n
-    reached sets, the n counters, the n matrix columns, at most tau*|E| edge
-    masks and the 2|E| gains of one step, tau being the chunk's largest. A
-    lone instance is made a graph for ``all_pairs``; ``games._decide_run``
-    gives the measured times.
-    """
+) -> Iterator[list[tuple[int, ...]]]:
+    """Consecutive chunks of ``chains``, the layer masks over ``edges`` of
+    instances on 1..n in ascending tau, whose lane ints fit in
+    ``_BATCH_BYTES``, lifetimes mixed: an instance adds n lanes of
+    ``_storage(tau + n + 1).itemsize`` bytes, tau being the chunk's largest,
+    to each of the n reached sets, the n counters, the n matrix columns, at
+    most tau*|E| edge masks and the 2|E| gains of one step."""
     chunk: list[tuple[int, ...]] = []
+    tau = 0
     for chain in chains:
-        lane_bytes = n * (3 * n + (len(chain) + 2) * len(edges))
-        if chunk and (len(chain) + n + 1 >= 256 or (len(chunk) + 1) * lane_bytes > _BATCH_BYTES):
-            yield _chunk_distances(n, edges, chunk)
+        if len(chain) != tau:
+            tau = len(chain)
+            lane_bytes = _storage(tau + n + 1).itemsize * n * (3 * n + (tau + 2) * len(edges))
+        if chunk and (len(chunk) + 1) * lane_bytes > _BATCH_BYTES:
+            yield chunk
             chunk = []
         chunk.append(chain)
     if chunk:
-        yield _chunk_distances(n, edges, chunk)
-
-
-def _chunk_distances(
-    n: int, edges: tuple[Edge, ...], chunk: list[tuple[int, ...]]
-) -> tuple[list[tuple[int, ...]], array, int]:
-    if len(chunk) == 1:
-        d = all_pairs(_Layers(edges).graph(n, chunk[0]))
-        return chunk, d._flat, d._sentinel
-    return (chunk, *_all_pairs_batch(n, edges, chunk))
+        yield chunk
 
 
 def _all_pairs_batch(
     n: int, edges: tuple[Edge, ...], chains: Sequence[tuple[int, ...]]
 ) -> tuple[array, int]:
     """(flat, sentinel): the ``all_pairs`` matrices of the instances on 1..n
-    whose layer masks over ``edges`` are ``chains``, in a row in one
-    one-byte array from one layer sweep; tau + n + 1 is the sentinel for
-    their largest tau, below 256.
+    whose layer masks over ``edges`` are ``chains``, in a row in one array
+    from one layer sweep; tau + n + 1 is the sentinel for their largest tau,
+    and ``flat`` has the typecode ``all_pairs`` gives that sentinel.
 
-    Lane (k, s), byte k*n + s-1, belongs to source s of instance k, which
-    holds the edges of its mask min(t, tau_k) at step t: bit j of the mask
-    holds ``edges[j]``. reached[v] holds the lanes that have reached v, as a
-    1 in each lane's low bit. An edge is offered only to the lanes of the
-    instances that hold it in the layer (``mask``, None when every instance
-    does). Arrival times build up lazily as lane counters: when reached[w]
-    changes at step t, every lane still outside it has been unreached
-    through steps last[w]+1..t, so cnt[w] += (t - last[w]) * (lanes ^ old)
-    makes a lane reached at step t read t. Unreached lanes end at the
-    sentinel, which fits in a byte, so lanes never carry into each other.
-    Counter w is column w of every instance: its bytes fill a strided slice
-    of one buffer that holds the flat matrices of all the instances in a row.
+    Lane (k, s), as wide as an item of ``flat`` and at item k*n + s-1,
+    belongs to source s of instance k, which holds the edges of its mask
+    min(t, tau_k) at step t: bit j of the mask holds ``edges[j]``.
+    reached[v] holds the lanes that have reached v, as a 1 in each lane's
+    low bit. An edge every instance holds is swept as ``_sweep`` sweeps it;
+    any other edge offers only the lanes of the instances that hold it
+    (``mask``). Arrival times build up lazily as lane counters: when
+    reached[w] changes at step t, every lane still outside it has been
+    unreached through steps last[w]+1..t, so cnt[w] += (t - last[w]) *
+    (lanes ^ old) makes a lane reached at step t read t. Unreached lanes end
+    at the sentinel, which fits in a lane, so lanes never carry into each
+    other. Counter w is column w of every instance: its lanes fill a strided
+    slice of one array that holds the flat matrices of all the instances in
+    a row.
     """
     count, tau, width = len(chains), max(map(len, chains)), len(edges)
     sentinel = tau + n + 1
-    lanes = int.from_bytes(b"\1" * (count * n), "little")  # the low bit of every lane
-    instance0 = int.from_bytes(b"\1" * n, "little")  # the low bits of instance 0's lanes
+    typecode = _storage(sentinel).typecode
+    size = array(typecode).itemsize
+    lane = b"\1".ljust(size, b"\0")  # a 1 in a lane's low bit
+    lanes = int.from_bytes(lane * (count * n), "little")
+    instance0 = int.from_bytes(lane * n, "little")  # the lanes of instance 0
     # Row k of a step's held matrix spreads the bits of instance k's mask
     # over |E| bytes; column j, a strided slice, marks the instances that
-    # hold edges[j]. Steps whose masks are equal share one list of masked
-    # edges.
+    # hold edges[j]. Steps whose masks are equal share one layer.
     rows: dict[int, bytes] = {}
-    masked_by_held: dict[tuple[int, ...], list[tuple[int, int, int | None]]] = {}
+    layer_by_held: dict[tuple[int, ...], tuple[list[Edge], list[tuple[int, int, int]]]] = {}
     layers = []
     for t in range(tau):
         held = tuple([chain[t] if t < len(chain) else chain[-1] for chain in chains])
-        masked = masked_by_held.get(held)
-        if masked is None:
-            masked = masked_by_held[held] = []
+        layer = layer_by_held.get(held)
+        if layer is None:
+            plain, masked = layer = layer_by_held[held] = [], []
             for m in set(held).difference(rows):
                 rows[m] = bytes([m >> j & 1 for j in range(width)])
             matrix = b"".join([rows[m] for m in held])
             for j, (u, v) in enumerate(edges):
                 column = matrix[j::width]
                 if 0 not in column:
-                    masked.append((u, v, None))
+                    plain.append((u, v))
                 elif 1 in column:
-                    spread = bytearray(count * n)
-                    spread[::n] = column
+                    spread = bytearray(count * n * size)
+                    spread[:: n * size] = column
                     masked.append((u, v, int.from_bytes(spread, "little") * instance0))
-        layers.append(masked)
-    source1 = int.from_bytes((b"\1" + bytes(n)[1:]) * count, "little")  # lanes (k, 1)
-    reached = [0] + [source1 << (8 * s) for s in range(n)]
+        layers.append(layer)
+    source1 = int.from_bytes(lane.ljust(n * size, b"\0") * count, "little")  # lanes (k, 1)
+    reached = [0] + [source1 << (8 * size * s) for s in range(n)]
     cnt, last = [0] * (n + 1), [0] * (n + 1)
     for t in range(1, tau + n + 1):
+        plain, masked = layers[min(t, tau) - 1]
         gains = []
-        for u, v, mask in layers[min(t, tau) - 1]:
+        for u, v in plain:
             ru, rv = reached[u], reached[v]
             if ru != rv:
-                diff = ru ^ rv if mask is None else (ru ^ rv) & mask
-                if diff:
-                    gains.append((v, ru & diff))
-                    gains.append((u, rv & diff))
+                gains.append((v, ru))
+                gains.append((u, rv))
+        for u, v, mask in masked:
+            ru, rv = reached[u] & mask, reached[v] & mask
+            if ru != rv:
+                gains.append((v, ru))
+                gains.append((u, rv))
         for w, new in gains:
             old = reached[w]
             merged = old | new
@@ -341,10 +335,12 @@ def _all_pairs_batch(
                 reached[w] = merged
         if t >= tau and not gains:
             break
-    flat = array("B", [0]) * (count * n * n)  # sized in place: no buffer to copy
+    flat = array(typecode, [0]) * (count * n * n)  # sized in place: no buffer to copy
     for w in range(1, n + 1):
         cnt[w] += (sentinel - last[w]) * (lanes ^ reached[w])
-        flat[w - 1 :: n] = array("B", cnt[w].to_bytes(count * n, "little"))
+        flat[w - 1 :: n] = array(typecode, cnt[w].to_bytes(count * n * size, "little"))
+    if sys.byteorder == "big":  # the lanes were read as little-endian items
+        flat.byteswap()
     return flat, sentinel
 
 

@@ -381,6 +381,20 @@ def mask_run(graphs):
     return graphs[0].n, edges, chains
 
 
+def lifetime_run(n: int, sentinels) -> list[TemporalGraph]:
+    """Five instances on the path 1..n per sentinel in ``sentinels``, all over
+    the path's edges: empty steps, then part of the path, then all of it.
+    Each instance's ``all_pairs`` sentinel, tau + n + 1, is its entry of
+    ``sentinels``, and their edge set is one sweep run."""
+    path = tuple((v, v + 1) for v in range(1, n))
+    firsts = ((), path[:1], path[:-1], path[1:], path[-1:])
+    return [
+        TemporalGraph(n, ((),) * (s - n - 3) + (first, path))
+        for s in sentinels
+        for first in firsts
+    ]
+
+
 def oracle_record_line(o, kind: str) -> str:
     """The record line of one sweep instance (an ``InstanceOutcome``) without
     its newline: the record as a dict, encoded by ``json.dumps`` with sorted

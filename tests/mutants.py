@@ -68,15 +68,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "packed-raw-bytes-up-to-255",
         "src/tempvor/games.py",
-        "if flat.itemsize == 1 and d._sentinel < 128:",
-        "if flat.itemsize == 1 and d._sentinel < 256:",
+        "reach._storage(2 * d._sentinel).itemsize == flat.itemsize == 1",
+        "reach._storage(d._sentinel).itemsize == flat.itemsize == 1",
         ("tests/test_games.py",),
     ),
     Mutant(
         "raw-bytes-take-a-sentinel-of-128",
         "src/tempvor/games.py",
-        "if flat.itemsize == 1 and d._sentinel < 128:",
-        "if flat.itemsize == 1 and d._sentinel <= 128:",
+        "reach._storage(2 * d._sentinel).itemsize == flat.itemsize == 1",
+        "reach._storage(2 * d._sentinel - 1).itemsize == flat.itemsize == 1",
         ("tests/test_games.py",),
     ),
     Mutant(
@@ -96,8 +96,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "nash-batch-window-of-n-minus-1-fields",
         "src/tempvor/games.py",
-        'window = int.from_bytes(b"\\1" * n, "little")',
-        'window = int.from_bytes(b"\\1" * (n - 1), "little")',
+        'window = int.from_bytes((1).to_bytes(size, "little") * n, "little")',
+        'window = int.from_bytes((1).to_bytes(size, "little") * (n - 1), "little")',
         ("tests/test_games.py",),
     ),
     Mutant(
@@ -110,22 +110,15 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "decide-run-batches-21-vertices",
         "src/tempvor/games.py",
-        "n <= 20 and len(chain) + n + 1 < 128",
-        "n <= 21 and len(chain) + n + 1 < 128",
-        ("tests/test_games.py",),
-    ),
-    Mutant(
-        "decide-run-batches-times-of-128",
-        "src/tempvor/games.py",
-        "n <= 20 and len(chain) + n + 1 < 128",
-        "n <= 20 and len(chain) + n + 1 <= 128",
+        "layers, size, batched = _Layers(edges), n * n, n <= 20",
+        "layers, size, batched = _Layers(edges), n * n, n <= 21",
         ("tests/test_games.py",),
     ),
     Mutant(
         "decide-run-batches-a-lone-chunk",
         "src/tempvor/games.py",
-        "if batched and count > n else None",
-        "if batched and count > 0 else None",
+        "yield d.all_finite(), first_nash(g, d, kind)",
+        "yield d.all_finite(), _first_nash_batch(d._flat, d._sentinel, n, 1, kind)[0]",
         ("tests/test_games.py",),
     ),
     Mutant(
@@ -138,8 +131,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "decide-run-accepts-any-kind",
         "src/tempvor/games.py",
-        "    _check_kind(kind)\n    layers, size = ",
-        "    layers, size = ",
+        "    _check_kind(kind)\n    layers, size, batched = ",
+        "    layers, size, batched = ",
         ("tests/test_games.py",),
     ),
     Mutant(
@@ -251,8 +244,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "batch-drops-the-instance-mask",
         "src/tempvor/reach.py",
-        "diff = ru ^ rv if mask is None else (ru ^ rv) & mask",
-        "diff = ru ^ rv",
+        "ru, rv = reached[u] & mask, reached[v] & mask",
+        "ru, rv = reached[u], reached[v]",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -272,8 +265,8 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "batch-lanes-seven-bits-apart",
         "src/tempvor/reach.py",
-        "source1 << (8 * s)",
-        "source1 << (7 * s)",
+        "source1 << (8 * size * s)",
+        "source1 << ((8 * size - 1) * s)",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -286,10 +279,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "batch-masks-cached-by-first-row",
         "src/tempvor/reach.py",
-        "masked = masked_by_held.get(held)\n        if masked is None:\n"
-        "            masked = masked_by_held[held] = []",
-        "masked = masked_by_held.get(held[:1])\n        if masked is None:\n"
-        "            masked = masked_by_held[held[:1]] = []",
+        "layer = layer_by_held.get(held)\n        if layer is None:\n"
+        "            plain, masked = layer = layer_by_held[held] = [], []",
+        "layer = layer_by_held.get(held[:1])\n        if layer is None:\n"
+        "            plain, masked = layer = layer_by_held[held[:1]] = [], []",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -300,17 +293,10 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_explorer.py",),
     ),
     Mutant(
-        "run-batches-two-byte-lanes",
-        "src/tempvor/reach.py",
-        "len(chain) + n + 1 >= 256 or",
-        "len(chain) + n + 1 > 256 or",
-        ("tests/test_reach.py",),
-    ),
-    Mutant(
         "run-budget-without-edge-masks",
         "src/tempvor/reach.py",
-        "lane_bytes = n * (3 * n + (len(chain) + 2) * len(edges))",
-        "lane_bytes = n * 3 * n",
+        "* n * (3 * n + (tau + 2) * len(edges))",
+        "* n * 3 * n",
         ("tests/test_reach.py",),
     ),
     Mutant(
@@ -329,10 +315,38 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "run-batches-a-lone-instance",
-        "src/tempvor/reach.py",
-        "if len(chunk) == 1:",
-        "if not chunk:",
+        "src/tempvor/games.py",
+        "if count == 1:",
+        "if count == 0:",
         ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "run-counts-one-byte-lanes",
+        "src/tempvor/reach.py",
+        "lane_bytes = _storage(tau + n + 1).itemsize * n *",
+        "lane_bytes = n *",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "batch-lanes-a-typecode-too-narrow",
+        "src/tempvor/reach.py",
+        "typecode = _storage(sentinel).typecode",
+        "typecode = _storage(sentinel - 1).typecode",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "batch-drops-partial-edges",
+        "src/tempvor/reach.py",
+        "for u, v, mask in masked:",
+        "for u, v, mask in ():",
+        ("tests/test_reach.py",),
+    ),
+    Mutant(
+        "nash-batch-fields-without-a-guard-bit",
+        "src/tempvor/games.py",
+        "view = array(reach._storage(2 * sentinel).typecode, view)",
+        "view = array(reach._storage(sentinel).typecode, view)",
+        ("tests/test_games.py",),
     ),
     Mutant(
         "matrix-accepts-bool-entries",
@@ -505,8 +519,10 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "sweep-holds-the-runs-matrices",
         "src/tempvor/games.py",
-        "for chunk, flat, sentinel in reach._all_pairs_run(n, edges, part):",
-        "for chunk, flat, sentinel in list(reach._all_pairs_run(n, edges, part)):",
+        # every chunk's array kept, under a key no mask takes, for the whole run
+        "flat, sentinel = reach._all_pairs_batch(n, edges, chunk)\n",
+        "flat, sentinel = reach._all_pairs_batch(n, edges, chunk)\n"
+        "        layers[len(layers) + 0.5] = flat\n",
         ("tests/test_explorer.py",),
     ),
     Mutant(
@@ -526,10 +542,12 @@ MUTANTS: tuple[Mutant, ...] = (
     Mutant(
         "record-monotone-flags-swapped",
         "src/tempvor/explorer.py",
-        '"monotone_growing": r.monotone_growing,\n'
-        '                        "monotone_shrinking": r.monotone_shrinking,',
-        '"monotone_growing": r.monotone_shrinking,\n'
-        '                        "monotone_shrinking": r.monotone_growing,',
+        "report = reports[r] = encode(r.to_json_obj())",
+        "report = reports[r] = encode(\n"
+        "                    r.to_json_obj()\n"
+        '                    | {"monotone_growing": r.monotone_shrinking,'
+        ' "monotone_shrinking": r.monotone_growing}\n'
+        "                )",
         ("tests/test_explorer.py",),
     ),
     Mutant(

@@ -555,8 +555,8 @@ def test_sweep_calls_the_per_instance_kernels_only_for_short_runs(monkeypatch):
     # (the empty edge sets, with tau = 1) and 2 more hold at most n. Only
     # their instances reach first_nash, and only the lone ones all_pairs;
     # every other run, its tau = 1 instance included, goes to the batches.
-    # Only the graphs those two take are made, and no instance outcome until
-    # the outcomes are read.
+    # Only the graphs first_nash takes are made, each once, and no instance
+    # outcome until the outcomes are read.
     spec = FamilySpec("threshold", (2, 4), (1, 2), "any")
     runs = [[_Layers(edges).graph(n, c) for c in chains] for n, edges, chains in _family_runs(spec)]
     lone = [g for run in runs if len(run) == 1 for g in run]
@@ -581,7 +581,7 @@ def test_sweep_calls_the_per_instance_kernels_only_for_short_runs(monkeypatch):
         outcome = sweep(spec, kind)
         assert outcome.total == 1164
         assert (singles, nash) == (lone, short)
-        assert len(built) == len(lone) + len(short)
+        assert len(built) == len(short)
         assert outcomes == []
         assert [o.graph for o in outcome.outcomes] == [g for run in runs for g in run]
         assert len(outcomes) == 1164
@@ -618,8 +618,9 @@ def test_sweep_makes_per_instance_matrices_on_request(monkeypatch):
     try:
         tracemalloc.start()
         chunks = list(tempvor.reach._all_pairs_run(n, edges, chains))
+        assert [len(chunk) for chunk in chunks] == [4] * 16
+        chunks = [tempvor.reach._all_pairs_batch(n, edges, chunk) for chunk in chunks]
         together = _distance_bytes()
-        assert [len(chunk) for chunk, _, _ in chunks] == [4] * 16
         del chunks
         tracemalloc.stop()
         monkeypatch.setattr(tempvor.games, "first_nash", reporting)

@@ -16,6 +16,7 @@ from brute import (
     brute_dynamics,
     brute_nash_profiles,
     brute_payoff_sets,
+    lifetime_run,
     mask_run,
     oracle_column,
     walk_distances,
@@ -48,7 +49,7 @@ from tempvor.games import GAME_KINDS, _column, _decide_run, _first_nash_batch, _
 from tempvor.graph import _Layers
 from tempvor.instances import INSTANCE_NAMES
 from tempvor.randgen import random_temporal_graph
-from tempvor.reach import _all_pairs_run, _expanded_search
+from tempvor.reach import _all_pairs_batch, _all_pairs_run, _expanded_search
 
 
 @st.composite
@@ -703,14 +704,15 @@ _DENSE = ("clique", "complete_k_partite", "split", "threshold")
 
 
 def _gate_chunks(base):
-    """The chunks a sweep's distance module makes, as (graphs, flat,
-    sentinel), for every (n, edge set) run of ``base`` x each monotonicity
-    with n <= 5 and tau <= 2."""
+    """The chunks a sweep's distance module cuts, as (graphs, flat, sentinel)
+    from the distance batch, for every (n, edge set) run of ``base`` x each
+    monotonicity with n <= 5 and tau <= 2."""
     for mono in MONOTONICITY:
         top = 4 if base in _DENSE and mono == "any" else 5
         for n, edges, chains in _family_runs(FamilySpec(base, (1, top), (1, 2), mono)):
-            for chunk, flat, sentinel in _all_pairs_run(n, edges, chains):
-                yield [_Layers(edges).graph(n, chain) for chain in chunk], flat, sentinel
+            for chunk in _all_pairs_run(n, edges, chains):
+                graphs = [_Layers(edges).graph(n, chain) for chain in chunk]
+                yield (graphs, *_all_pairs_batch(n, edges, chunk))
 
 
 @pytest.mark.parametrize("base", BASE_CLASSES)
@@ -721,7 +723,7 @@ def test_batch_equilibria_match_first_nash_on_every_run(base):
         n, count = chunk[0].n, len(chunk)
         ds = [all_pairs(g) for g in chunk]
         for kind in GAME_KINDS:
-            witnesses = _first_nash_batch(flat, n, count, kind)
+            witnesses = _first_nash_batch(flat, sentinel, n, count, kind)
             assert witnesses == [first_nash(g, d, kind) for g, d in zip(chunk, ds)]
             if rng.random() < 0.05:
                 k = rng.randrange(count)
@@ -733,13 +735,12 @@ def test_batch_equilibria_match_first_nash_on_every_run(base):
 
 @pytest.mark.parametrize("kind", GAME_KINDS)
 def test_batch_equilibria_of_one_vertex_and_lone_matrices(kind):
-    one = all_pairs(TemporalGraph(1, ((),)))._flat
-    assert _first_nash_batch(one, 1, 1, kind) == [(1, 1)]
-    assert _first_nash_batch(one * 2, 1, 2, kind) == [(1, 1)] * 2
+    one = all_pairs(TemporalGraph(1, ((),)))
+    assert _first_nash_batch(one._flat, one._sentinel, 1, 1, kind) == [(1, 1)]
+    assert _first_nash_batch(one._flat * 2, one._sentinel, 1, 2, kind) == [(1, 1)] * 2
     for name in INSTANCE_NAMES:
         g, d = _ctx(name)
-        if d._sentinel < 128:
-            assert _first_nash_batch(d._flat, d.n, 1, kind) == [first_nash(g, d, kind)]
+        assert _first_nash_batch(d._flat, d._sentinel, d.n, 1, kind) == [first_nash(g, d, kind)]
 
 
 def batch_sizes(monkeypatch) -> list[int]:
@@ -747,9 +748,9 @@ def batch_sizes(monkeypatch) -> list[int]:
     as the kernel is called."""
     sizes, batch = [], tempvor.games._first_nash_batch
 
-    def recording(flat, n, count, kind):
+    def recording(flat, sentinel, n, count, kind):
         sizes.append(count)
-        return batch(flat, n, count, kind)
+        return batch(flat, sentinel, n, count, kind)
 
     monkeypatch.setattr(tempvor.games, "_first_nash_batch", recording)
     return sizes
@@ -808,18 +809,34 @@ def test_run_batches_chunks_of_more_than_n_instances(monkeypatch):
     assert _nash_routes(monkeypatch, _PATHS_3[:4]) == ([4], 0)
 
 
-def test_run_sends_times_from_128_to_first_nash(monkeypatch):
-    # tau + n + 1 = 127 leaves every time's top bit spare, 128 does not. The
-    # ten instances form one run, one chunk for the distance module; the
-    # router splits it first, so the five below the bound keep the batch.
-    path = ((1, 2), (2, 3), (3, 4))
-    firsts = ((), path[:1], path[:2], path[1:], path[2:])
-    graphs = [
-        TemporalGraph(4, ((),) * (tau - 2) + (first, path)) for tau in (122, 123) for first in firsts
-    ]
-    assert [all_pairs(g)._sentinel for g in graphs] == [127] * 5 + [128] * 5
+# Sentinels across the widths of the batches' fields: from 128 a time's top
+# bit is no longer spare in one byte, and from 256 a time needs two bytes.
+_WIDTHS = {"128": range(126, 130), "256": range(254, 259)}
+
+
+@pytest.mark.parametrize("width", sorted(_WIDTHS))
+def test_run_batches_every_lane_width(monkeypatch, width):
+    # one run of five instances per sentinel, in one chunk for both batches
+    graphs = lifetime_run(4, _WIDTHS[width])
+    assert [all_pairs(g)._sentinel for g in graphs] == [s for s in _WIDTHS[width] for _ in range(5)]
     assert len({_edge_set(g) for g in graphs}) == 1
-    assert _nash_routes(monkeypatch, graphs) == ([5], 5)
+    assert _nash_routes(monkeypatch, graphs) == ([len(graphs)], 0)
+    for s in _WIDTHS[width]:
+        alone = [g for g in graphs if g.tau + g.n + 1 == s]
+        assert _nash_routes(monkeypatch, alone) == ([5], 0)
+
+
+@pytest.mark.parametrize(
+    "spec,chunks",
+    [
+        (FamilySpec("path", (3, 4), (122, 125), "any", 1), [16, 24]),
+        (FamilySpec("path", (3, 3), (251, 254), "any", 1), [16]),
+        (FamilySpec("tree", (4, 4), (122, 125), "any", 1), [24] * 16),
+    ],
+    ids=["path-128", "path-256", "tree-128"],
+)
+def test_run_witnesses_match_first_nash_across_lane_widths(monkeypatch, spec, chunks):
+    assert _nash_routes(monkeypatch, list(generate_family(spec))) == (chunks, 0)
 
 
 def test_run_sends_more_than_20_vertices_to_first_nash(monkeypatch):
@@ -836,25 +853,21 @@ def test_run_cuts_chunks_by_the_byte_budget(monkeypatch):
     assert _nash_routes(monkeypatch, _PATHS_3) == ([4, 4], 1)
 
 
-@pytest.mark.parametrize("kind", GAME_KINDS)
-def test_a_full_batch_chunk_stays_within_the_byte_budget(monkeypatch, kind):
-    # Growing 3 x 3 grids count 9 * (3 * 9 + (2 + 2) * 12) = 675 lane bytes
-    # each, so a 512 KiB budget takes them 776 at a time. The distance
-    # kernel's traced peak, with Python's int overheads, passes the budget
-    # by less than a tenth (1.08-1.09 times it, measured with the gains
-    # counted; see reach._BATCH_BYTES); the equilibrium batch of the same
-    # chunk, over the chunk's array, stays within it.
-    budget = 1 << 19
+def _full_chunk_peaks(monkeypatch, budget, spec, count, kind):
+    """Decide the first ``count`` instances of ``spec``'s first run under
+    ``budget``; return the traced bytes the distance batch held at its
+    peak, and the peak of the equilibrium batch on the chunk. The run must
+    make one chunk, which the equilibrium batch takes."""
     monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", budget)
-    n, edges, chains = next(_family_runs(FamilySpec("grid", (9, 9), (2, 2), "growing")))
-    chains = list(islice(chains, 776))
+    n, edges, chains = next(_family_runs(spec))
+    chains = list(islice(chains, count))
     chunks, peaks = batch_sizes(monkeypatch), []
     decide = tempvor.games._first_nash_batch
 
-    def measured(flat, n, count, kind):
+    def measured(flat, sentinel, n, count, kind):
         held, distances = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        witnesses = decide(flat, n, count, kind)
+        witnesses = decide(flat, sentinel, n, count, kind)
         peaks.append((distances, tracemalloc.get_traced_memory()[1] - held))
         return witnesses
 
@@ -865,7 +878,29 @@ def test_a_full_batch_chunk_stays_within_the_byte_budget(monkeypatch, kind):
             pass
     finally:
         tracemalloc.stop()
-    assert chunks == [776]
+    assert chunks == [count]
     [(distances, equilibria)] = peaks
+    return distances, equilibria
+
+
+@pytest.mark.parametrize("kind", GAME_KINDS)
+def test_a_full_batch_chunk_stays_within_the_byte_budget(monkeypatch, kind):
+    # Growing 3 x 3 grids count 9 * (3 * 9 + (2 + 2) * 12) = 675 lane bytes
+    # each, so a 512 KiB budget takes them 776 at a time. The distance
+    # kernel's traced peak, with Python's int overheads, passes the budget
+    # by less than a tenth (1.08-1.09 times it, measured with the gains
+    # counted; see reach._BATCH_BYTES); the equilibrium batch of the same
+    # chunk, over the chunk's array, stays within it.
+    budget = 1 << 19
+    grids = FamilySpec("grid", (9, 9), (2, 2), "growing")
+    distances, equilibria = _full_chunk_peaks(monkeypatch, budget, grids, 776, kind)
     assert budget / 2 < distances < 1.1 * budget
     assert budget / 4 < equilibria < budget
+    # Growing 4-vertex paths with tau = 252 need two-byte lanes and count
+    # 2 * 4 * (3 * 4 + (252 + 2) * 3) = 6,192 lane bytes each, so 84 fit.
+    # Their steps share most edge masks: the distance kernel's traced peak
+    # is 0.27-0.29 times the budget, the equilibrium batch's about 0.02.
+    paths = FamilySpec("path", (4, 4), (252, 252), "growing", 2)
+    distances, equilibria = _full_chunk_peaks(monkeypatch, budget, paths, 84, kind)
+    assert budget / 5 < distances < budget / 2
+    assert budget / 64 < equilibria < budget / 32

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from brute import enumerate_walk_arrivals, mask_run, sweep_arrivals
+from brute import enumerate_walk_arrivals, lifetime_run, mask_run, sweep_arrivals
 
 from tempvor import (
     INF,
@@ -23,10 +23,11 @@ from tempvor import (
 )
 from tempvor import FamilySpec, generate_family, reproduce
 from tempvor.explorer import MONOTONICITY, _family_runs
+from tempvor.games import _decide_run
 from tempvor.graph import _Layers
 from tempvor.randgen import random_temporal_graph
 import tempvor.reach
-from tempvor.reach import _all_pairs_batch, _all_pairs_run, _expanded_search
+from tempvor.reach import _all_pairs_batch, _all_pairs_run, _expanded_search, _storage
 
 
 def test_growing_cycle_arrivals_from_vertex_5():
@@ -304,20 +305,23 @@ def _chunk_matrices(n, chunk, flat, sentinel):
 
 
 def _assert_batch_matches(n, edges, chains):
-    """The batch kernel on ``chains`` against all_pairs of each instance and
-    against one time-expanded search of each instance. The batch's sentinel
-    is one past the horizon of the chunk's largest lifetime, so an instance
-    of that lifetime matches ``all_pairs`` byte for byte."""
+    """The batch kernel on ``chains`` against all_pairs of each instance and,
+    with n <= 5, against one time-expanded search of each instance. The
+    batch's sentinel is one past the horizon of the chunk's largest
+    lifetime, so an instance of that lifetime matches ``all_pairs`` byte for
+    byte, typecode included."""
     flat, sentinel = _all_pairs_batch(n, edges, chains)
     graphs = [_Layers(edges).graph(n, chain) for chain in chains]
     tau = max(g.tau for g in graphs)
-    assert (flat.typecode, len(flat), sentinel) == ("B", len(graphs) * n * n, tau + n + 1)
+    assert (len(flat), sentinel) == (len(graphs) * n * n, tau + n + 1)
+    assert flat.typecode == _storage(sentinel).typecode
     for g, d in zip(graphs, _chunk_matrices(n, chains, flat, sentinel), strict=True):
         single = all_pairs(g)
         assert d.rows == single.rows
-        assert list(d.rows) == _expanded_search(g, g.vertices)
+        if n <= 5:
+            assert list(d.rows) == _expanded_search(g, g.vertices)
         if g.tau == tau:
-            assert d._flat == single._flat
+            assert d._flat.tobytes() == single._flat.tobytes()
 
 
 # Vertex ranges that keep every base class x monotonicity family with
@@ -373,69 +377,75 @@ def test_batch_kernel_runs_past_gain_free_steps_before_tau():
     )
 
 
+@pytest.mark.parametrize("sentinels", [range(126, 130), range(254, 259)], ids=["128", "256"])
+def test_batch_kernel_matches_all_pairs_across_lane_widths(sentinels):
+    # one-byte lanes up to a sentinel of 255, two bytes from 256, alone and mixed
+    graphs = lifetime_run(4, sentinels)
+    _assert_batch_matches(*mask_run(graphs))
+    _assert_batch_matches(*mask_run(graphs[::-1]))
+    for k in range(0, len(graphs), 5):
+        _assert_batch_matches(*mask_run(graphs[k : k + 5]))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("path", (3, 4), (122, 125), "any", 1),
+        FamilySpec("path", (3, 3), (251, 254), "any", 1),
+        FamilySpec("tree", (4, 4), (122, 125), "any", 1),
+        FamilySpec("clique", (8, 8), (247, 249), "growing", 1),
+    ],
+    ids=["path-128", "path-256", "tree-128", "clique-256"],
+)
+def test_batch_kernel_matches_all_pairs_on_runs_across_lane_widths(spec):
+    for n, edges, chains in _family_runs(spec):
+        _assert_batch_matches(n, edges, list(chains))
+
+
 def _kernel_calls(monkeypatch, graphs):
-    """Drain ``_all_pairs_run`` over the masks of ``graphs`` with both
-    kernels stubbed out; return the chunks the batch kernel got and the count
-    of all_pairs calls."""
-    chunks, singles = [], []
-    monkeypatch.setattr(
-        tempvor.reach, "all_pairs", lambda g: singles.append(g) or DistanceMatrix(())
-    )
+    """Decide one run of ``graphs`` with both distance kernels recorded;
+    return the chunk sizes the batch kernel got and the count of all_pairs
+    calls."""
+    chunks, singles, single, batch = [], [], all_pairs, _all_pairs_batch
+    monkeypatch.setattr(tempvor.reach, "all_pairs", lambda g: singles.append(g) or single(g))
     monkeypatch.setattr(
         tempvor.reach,
         "_all_pairs_batch",
-        lambda n, edges, chunk: chunks.append(chunk) or (None, None),
+        lambda n, edges, chunk: chunks.append(len(chunk)) or batch(n, edges, chunk),
     )
-    n, edges, chains = mask_run(graphs)
-    assert [c for chunk, _, _ in _all_pairs_run(n, edges, chains) for c in chunk] == chains
-    return [len(chunk) for chunk in chunks], len(singles)
+    decided = list(_decide_run(*mask_run(graphs), "vor"))
+    assert [c for c, _ in decided] == [single(g).all_finite() for g in graphs]
+    return chunks, len(singles)
 
 
 def test_run_sends_a_lone_instance_to_all_pairs(monkeypatch):
     assert _kernel_calls(monkeypatch, [TemporalGraph(3, (((1, 2),),))]) == ([], 1)
+    two = [TemporalGraph(3, (((1, 2),),)), TemporalGraph(3, ((), ((1, 2),)))]
+    assert _kernel_calls(monkeypatch, two) == ([2], 0)
 
 
-def test_run_caps_chunks_by_lane_bytes_at_large_n(monkeypatch):
+def test_run_caps_chunks_by_lane_bytes_at_large_n():
     # 199 growing paths with n = 200: each instance's lane ints take
     # 200 * (3 * 200 + (2 + 2) * 199) bytes, so 30 of them fit in the budget
     spec = FamilySpec("path", (200, 200), (2, 2), "growing", 1)
-    graphs = list(generate_family(spec))
+    [(n, edges, chains)] = _family_runs(spec)
     lane_bytes = 200 * (3 * 200 + (2 + 2) * 199)
     assert 30 * lane_bytes <= tempvor.reach._BATCH_BYTES < 31 * lane_bytes
-    assert _kernel_calls(monkeypatch, graphs) == ([30] * 6 + [19], 0)
+    assert [len(chunk) for chunk in _all_pairs_run(n, edges, chains)] == [30] * 6 + [19]
+    # one 1,024-vertex path passes the budget on its own, so each goes alone
+    path = tuple((v, v + 1) for v in range(1, 1024))
+    graphs = [TemporalGraph(1024, (path[:k], path)) for k in (0, 1, 2)]
+    assert [len(chunk) for chunk in _all_pairs_run(*mask_run(graphs))] == [1, 1, 1]
 
 
-@pytest.mark.parametrize("n,tau,batched", [(4, 250, True), (4, 251, False), (1024, 2, False)])
-def test_run_sends_two_byte_lanes_to_all_pairs(monkeypatch, n, tau, batched):
-    # tau + n + 1 = 255 still fits one-byte lanes, 256 does not
-    path = tuple((v, v + 1) for v in range(1, n))
-    graphs = [TemporalGraph(n, ((),) * (tau - 2) + (path[:k], path)) for k in (0, 1, 2)]
-    assert _kernel_calls(monkeypatch, graphs) == (([3], 0) if batched else ([], 3))
-
-
-def test_run_mixes_lifetimes_until_two_byte_lanes(monkeypatch):
-    # growing paths on 4 vertices over lifetimes 1..4, then two lifetimes
-    # whose times need one byte and two (tau + n + 1 = 255 and 256): the
-    # first five lifetimes share one chunk, the last three go alone
-    graphs = list(generate_family(FamilySpec("path", (4, 4), (1, 4), "growing")))
-    path = ((1, 2), (2, 3), (3, 4))
-    for tau in (250, 251):
-        graphs += [TemporalGraph(4, ((),) * (tau - 2) + (path[:k], path)) for k in (0, 1, 2)]
-    chunks, batch = [], tempvor.reach._all_pairs_batch
-    monkeypatch.setattr(
-        tempvor.reach,
-        "_all_pairs_batch",
-        lambda n, edges, chunk: chunks.append(chunk) or batch(n, edges, chunk),
-    )
-    n, edges, chains = mask_run(graphs)
-    run = list(_all_pairs_run(n, edges, chains))
-    assert [len(chunk) for chunk, _, _ in run] == [len(graphs) - 3, 1, 1, 1]
-    assert [chunk for chunk, _, _ in run[:1]] == chunks
-    assert sorted({len(chain) for chain in chunks[0]}) == [1, 2, 3, 4, 250]
-    for chunk, flat, sentinel in run:
-        for chain, d in zip(chunk, _chunk_matrices(n, chunk, flat, sentinel), strict=True):
-            assert d.rows == all_pairs(_Layers(edges).graph(n, chain)).rows
-    assert [sentinel for _, _, sentinel in run] == [255, 256, 256, 256]
+def test_run_counts_two_byte_lanes_twice(monkeypatch):
+    # Five 4-vertex paths with tau = 250, then five with tau = 251, whose
+    # times need two-byte lanes: 2 * 4 * (3 * 4 + (251 + 2) * 3) = 6,168
+    # bytes each. A budget one byte short of seven such instances cuts the
+    # run after six; counted at one byte, all ten would fit.
+    graphs = lifetime_run(4, [255, 256])
+    monkeypatch.setattr(tempvor.reach, "_BATCH_BYTES", 7 * 6168 - 1)
+    assert [len(chunk) for chunk in _all_pairs_run(*mask_run(graphs))] == [6, 4]
 
 
 # Claim 13 must still name a kernel that disagrees with the time-expanded

@@ -28,6 +28,11 @@ FAMILIES = {
     "tree_growing_budget2": FamilySpec("tree", (2, 4), (1, 3), "growing", 2),
     "path_shrinking_tau3": FamilySpec("path", (2, 5), (3, 3), "shrinking"),
     "clique_budget2": FamilySpec("clique", (3, 4), (1, 3), "any", 2),
+    # lifetimes whose sentinels tau + n + 1 cross 128 (126..129), where the
+    # equilibrium batch widens its fields, and 256 (255..258), where the
+    # distance batch widens its lanes
+    "path_tau_across_128": FamilySpec("path", (3, 4), (122, 125), "any", 1),
+    "path_tau_across_256": FamilySpec("path", (3, 3), (251, 254), "any", 1),
 }
 
 # (family, game) -> (records sha256, summary sha256)
@@ -127,6 +132,22 @@ PINS = {
     ("clique_budget2", "rvor"): (
         "87151e868625d04fb1ee1aea08d787e172ed1580e00ede6672570207878f7a86",
         "35407a1461bd22566a687105696df1b2c17bfd688616379e9b55b9cb792de8ae",
+    ),
+    ("path_tau_across_128", "vor"): (
+        "0749a043ce0337cd35ea13e8765b9b9746170861fe9d4118175ece3181f58e86",
+        "945096e2dc17340c7b23ab990702af4a37efe0995e7acb5b8615bce286d3298d",
+    ),
+    ("path_tau_across_128", "rvor"): (
+        "c3c8d63d83ebf073b83237c38f3719dff51e4f91aeb506571cca6177a5235a38",
+        "2114dd5b9a475a5d017c677b277c07bba52ef9892fd6fecda222220df18a9f12",
+    ),
+    ("path_tau_across_256", "vor"): (
+        "db667d6f646f7cf730cf932372f05c18babc5160629d6bb74c5ab51ba4b018ae",
+        "cbefa931bda7fd8bae0440f4689f480f2f694ad0d91885e4c751e9ee1d43c78f",
+    ),
+    ("path_tau_across_256", "rvor"): (
+        "d34e23adebe5f13c9d61de1d49a7ea617ac42482c7231d0736cb684f1fb3cdb9",
+        "2b472892d4806f3a5e604163fbbb4517ca266d6e95486b5e6179394401d951e9",
     ),
 }
 
