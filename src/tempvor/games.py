@@ -76,9 +76,12 @@ def _check_inputs(g: TemporalGraph, d: DistanceMatrix, kind: str) -> None:
 
 
 def _check_profile(g: TemporalGraph, d: DistanceMatrix, kind: str, s: Profile) -> Profile:
-    """``_check_inputs``, then both vertices of the profile ``s``, returned as (p1, p2)."""
+    """``_check_inputs``, then the profile ``s``, a pair of vertices, returned as (p1, p2)."""
     _check_inputs(g, d, kind)
-    p1, p2 = s
+    try:
+        p1, p2 = s
+    except (TypeError, ValueError):
+        raise ValueError(f"profile {s!r} is not a pair of vertices") from None
     _check_vertex(g.n, p1, "p1")
     _check_vertex(g.n, p2, "p2")
     return p1, p2
@@ -220,8 +223,8 @@ def best_responses(
     does not depend on which role responds.
     """
     _check_inputs(g, d, kind)
-    if role not in (1, 2):
-        raise ValueError(f"role must be 1 or 2, got {role}")
+    if type(role) is not int or role not in (1, 2):  # exact type: bool is rejected too
+        raise ValueError(f"role must be 1 or 2, got {role!r}")
     _check_vertex(g.n, fixed, "fixed vertex")
     return _table_entry(d, kind, fixed)[1:]
 
@@ -495,11 +498,13 @@ def best_response_dynamics(
     trace). Cycle detection keys on (profile, player to move): the same
     profile with a different mover is a different dynamics state, so the run
     ends within 2n^2 turns. ``allowed`` restricts both players' choices to a
-    vertex subset. ``max_steps`` bounds the number of moves and must be
-    positive; a turn without a move costs nothing. Only the payoff columns of
-    the opponents met are read.
+    vertex subset. ``max_steps`` bounds the number of moves and must be a
+    positive int; a turn without a move costs nothing. Only the payoff columns
+    of the opponents met are read.
     """
     p1, p2 = _check_profile(g, d, kind, start)
+    if type(max_steps) is not int:  # exact type: bool is rejected too
+        raise ValueError(f"max_steps {max_steps!r} is not an integer")
     if max_steps < 1:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
     if allowed is None:

@@ -47,13 +47,21 @@ def _reject(u, v) -> None:
 
 
 def _normalised(edges: Iterable[Sequence[int]]) -> list[Edge]:
-    """Each edge as (small, large); raises on the first with an endpoint that is
-    not an int (exact type: bool is rejected too)."""
-    return [
-        (u, v) if u <= v else (v, u)
-        for u, v in edges
-        if type(u) is int is type(v) or _reject(u, v)
-    ]
+    """Each edge as (small, large); raises GraphValidationError naming the first edge
+    that is not a pair or has an endpoint that is not an int (exact type: bool too)."""
+    try:
+        return [
+            (u, v) if u <= v else (v, u)
+            for u, v in edges
+            if type(u) is int is type(v) or _reject(u, v)
+        ]
+    except GraphValidationError:
+        raise
+    except (TypeError, ValueError):  # from unpacking: walk the edges again to name the culprit
+        for e in edges if isinstance(edges, Iterable) else ():
+            if not isinstance(e, Iterable) or len(tuple(e)) != 2:
+                raise GraphValidationError(f"edge {e!r} is not a pair of vertices") from None
+        raise GraphValidationError(f"edges {edges!r} are not pairs of vertices") from None
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ existence or absence on a bundled instance, the stated payoff sets and
 best-reply rows, the behaviour of the constructive builders on randomized
 families, oracle equivalence for reachability, and the one-edge-change cycle
 sweep. Randomized claims draw from a fixed default seed so reruns are
-deterministic; pass a different seed to re-roll them.
+deterministic; pass a different seed to re-roll them. A claim backed by a
+builder fails through the builder's own check (its ``RuntimeError``), and
+checks only what no builder does.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from operator import eq, le
 from typing import Callable
 
 from .builders import (
-    changed_distance,
     clique_completion,
     clique_dynamics,
     kpartite_completion,
@@ -175,20 +176,15 @@ def _potential_trace_ok(g: TemporalGraph, d: DistanceMatrix, start: Profile) -> 
 def _claim_split_dynamics(seed: int) -> str:
     g, d = _checked_fixture("shrink_split_8", "vor")
     profile = vor_split_shrink_ne(g)
-    _expect(bool(is_nash(g, d, "vor", profile)), f"builder output {profile} not an equilibrium")
     clique, _ = split_clique_partition(underlying(g))
     for start in permutations(sorted(clique), 2):
         _potential_trace_ok(g, d, start)
     rng = random.Random(f"{seed}:split")
     for _ in range(200):
         h = random_shrinking_split(rng)
-        prof = vor_split_shrink_ne(h)
-        dh = all_pairs(h)
-        _expect(
-            bool(is_nash(h, dh, "vor", prof)), f"random split instance: {prof} not an equilibrium"
-        )
+        vor_split_shrink_ne(h)
         start = tuple(sorted(split_clique_partition(underlying(h))[0])[:2])
-        _potential_trace_ok(h, dh, start)
+        _potential_trace_ok(h, all_pairs(h), start)
     return (
         f"(4,5) verified; builder returned {profile}; potential strictly increases on "
         "all clique starts and 200 random shrinking split instances"
@@ -251,10 +247,7 @@ def _claim_trees(seed: int) -> str:
     rng = random.Random(f"{seed}:trees")
     for _ in range(200):
         g = random_temporal_tree(rng)
-        profile = tree_ne(g)
-        d = all_pairs(g)
-        _expect(bool(is_nash(g, d, "rvor", profile)), f"{profile} not an equilibrium (n={g.n})")
-        result = payoff(g, d, "rvor", profile)
+        result = payoff(g, all_pairs(g), "rvor", tree_ne(g))
         if g.n >= 2:
             _expect(
                 2 * result.u1 >= g.n >= 2 * result.u2,
@@ -274,12 +267,7 @@ def _claim_kpartite_threshold(seed: int) -> str:
     for family, draw, build in families:
         rng = random.Random(f"{seed}:{family}")
         for i in range(200):
-            g = draw(rng, i)
-            profile = build(g)
-            _expect(
-                bool(is_nash(g, all_pairs(g), "rvor", profile)),
-                f"{family} profile {profile} not an equilibrium (n={g.n})",
-            )
+            build(draw(rng, i))
     return (
         "200 random shrinking complete k-partite (k in 2..4) and 200 threshold "
         "instances: builders return verified equilibria"
@@ -289,14 +277,12 @@ def _claim_kpartite_threshold(seed: int) -> str:
 def _claim_completions(seed: int) -> str:
     cycle7 = build_instance("grow_cycle_7").graph
     grid6 = build_instance("grow_grid_6").graph
-    cases = [(all_pairs(cycle7), "clique", clique_completion(cycle7))]
-    d6 = all_pairs(grid6)
-    cases += [(d6, f"complete_k_partite({k})", kpartite_completion(grid6, k)) for k in (2, 3, 4)]
-    for d, label, q in cases:
+    cases = [("clique", clique_completion(cycle7))]
+    cases += [(f"complete_k_partite({k})", kpartite_completion(grid6, k)) for k in (2, 3, 4)]
+    for label, q in cases:
         _expect(is_monotone(q)[0], f"{label} completion lost monotone growth")
         _expect(label in classify_underlying(underlying(q)), f"{label} completion has another class")
         dq = all_pairs(q)
-        _expect(changed_distance(d, dq) is None, f"{label} completion changed original distances")
         _expect(enumerate_nash(q, dq, "rvor") == [], f"{label} completion gained an equilibrium")
     return (
         "clique completion of the growing 7-cycle and k-partite completions "

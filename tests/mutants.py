@@ -597,6 +597,21 @@ MUTANTS: tuple[Mutant, ...] = (
         "ne_exists, witnesses)",
         ("tests/test_instances.py",),
     ),
+    # The builder-backed claims of ``reproduce`` rest on these two checks alone.
+    Mutant(
+        "builder-equilibrium-check-never-raises",
+        "src/tempvor/builders.py",
+        "    if not check:",
+        "    if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "completion-distance-check-never-raises",
+        "src/tempvor/builders.py",
+        "if changed := changed_distance(d, d_new):",
+        "if changed := None:",
+        ("tests/test_cli.py",),
+    ),
 )
 
 

@@ -17,6 +17,7 @@ from hypothesis import example, given, strategies as st
 import tempvor
 from tempvor import all_pairs, build_instance, cli, is_nash, reproduce, to_canonical_json
 from tempvor.cli import main
+from tempvor.games import Deviation, NashCheck
 from tempvor.instances import INSTANCE_NAMES
 from tempvor.reproduce import CLAIM_IDS, run_claim
 
@@ -243,11 +244,11 @@ def test_reproduce_empty_target_is_a_spec_error(capsys, option):
     assert captured.err == "error: no claims match ''\n"
 
 
-def _assert_claim_fails(capsys, claim_id: str) -> None:
+def _assert_claim_fails(capsys, claim_id: str, reason: str = "") -> None:
     assert not run_claim(claim_id).ok
     code, out = _run(capsys, ["reproduce", "--claim", claim_id])
     assert code == 1
-    assert out.startswith(f"FAIL {claim_id}: ")
+    assert out.startswith(f"FAIL {claim_id}: {reason}")
 
 
 def _metadata_entries():
@@ -279,6 +280,29 @@ def test_every_fixture_verdict_and_witness_can_fail(monkeypatch, capsys, claim_i
         reproduce, "build_instance", lambda n: broken if n == name else build_instance(n)
     )
     _assert_claim_fails(capsys, claim_id)
+
+
+# A failing stand-in for each builder check that a reproduction claim rests on.
+_FAILING_BUILDER_CHECKS = {
+    "is_nash": lambda g, d, kind, s: NashCheck(False, Deviation(1, 1, 0, 1)),
+    "changed_distance": lambda d, d_new: (1, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "claim_id, check",
+    [
+        ("shrink_split_8.vor.clique_dynamics", "is_nash"),
+        ("trees.rvor.centroid_equilibrium", "is_nash"),
+        ("shrinking.rvor.kpartite_threshold_equilibrium", "is_nash"),
+        ("completions.rvor.no_equilibrium", "changed_distance"),
+    ],
+)
+def test_every_builder_backed_claim_fails_through_its_builder_check(
+    monkeypatch, capsys, claim_id, check
+):
+    monkeypatch.setattr(tempvor.builders, check, _FAILING_BUILDER_CHECKS[check])
+    _assert_claim_fails(capsys, claim_id, "raised RuntimeError: ")
 
 
 _FIXTURE_ROWS = {claim_id: row for claim_id, *row in reproduce._FIXTURE_CLAIMS}

@@ -232,6 +232,30 @@ def test_every_vertex_argument_must_be_an_int_in_range(slot, bad):
         _VERTEX_SLOTS[slot](g, d, bad)
 
 
+# Every profile argument of the public game queries.
+_PROFILE_SLOTS = {
+    "payoff": lambda g, d, s: payoff(g, d, "vor", s),
+    "is_nash": lambda g, d, s: is_nash(g, d, "rvor", s),
+    "dynamics": lambda g, d, s: best_response_dynamics(g, d, "vor", s),
+}
+
+
+@pytest.mark.parametrize("bad", [5, None, (1,), (1, 2, 3), [], "1"], ids=repr)
+@pytest.mark.parametrize("slot", sorted(_PROFILE_SLOTS))
+def test_every_profile_argument_must_be_a_pair(slot, bad):
+    g, d = _ctx("grow_cycle_7")
+    message = f"profile {bad!r} is not a pair of vertices"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _PROFILE_SLOTS[slot](g, d, bad)
+
+
+@pytest.mark.parametrize("role", [True, False, 1.0, 2.0, "1", None, 0, 3], ids=repr)
+def test_best_responses_role_must_be_the_int_1_or_2(role):
+    g, d = _ctx("vor_grow_grid_12")
+    with pytest.raises(ValueError, match=re.escape(f"role must be 1 or 2, got {role!r}")):
+        best_responses(g, d, "vor", role, 1)
+
+
 def test_best_responses_on_large_grid_rows():
     g, d = _ctx("vor_grow_grid_12")
     assert best_responses(g, d, "vor", 2, 1) == ((6,), 10)
@@ -642,6 +666,14 @@ def test_dynamics_rejects_non_positive_budget(steps):
     g = TemporalGraph(2, (((1, 2),),))
     with pytest.raises(ValueError, match="max_steps must be positive"):
         best_response_dynamics(g, all_pairs(g), "vor", (1, 2), max_steps=steps)
+
+
+@pytest.mark.parametrize("steps", [2.5, 2.0, True, "2", None], ids=repr)
+def test_dynamics_rejects_a_budget_that_is_not_an_int(steps):
+    # a move count never equals 2.5, so from (1, 1) it would make all 6 moves to its cycle
+    g, d = _ctx("vor_grow_grid_12")
+    with pytest.raises(ValueError, match=re.escape(f"max_steps {steps!r} is not an integer")):
+        best_response_dynamics(g, d, "vor", (1, 1), max_steps=steps)
 
 
 def test_dynamics_restricted_to_allowed_set():

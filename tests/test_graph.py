@@ -184,11 +184,22 @@ def test_construction_names_the_first_non_int_edge(layers, message):
     assert str(excinfo.value) == f"{message} has an endpoint that is not an int"
 
 
-@pytest.mark.parametrize("edge", [(1, 2, 3), (1,), [1, 2, 3], ()])
-def test_an_edge_without_two_endpoints_is_a_plain_value_error(edge):
-    with pytest.raises(ValueError) as excinfo:
-        TemporalGraph(3, (((1, 2), edge),))
-    assert type(excinfo.value) is ValueError
+@pytest.mark.parametrize("edge", [(1, 2, 3), (1,), [1, 2, 3], (), 1, None])
+@pytest.mark.parametrize(
+    "make",
+    [lambda edges: TemporalGraph(3, (edges,)), lambda edges: StaticGraph(3, edges)],
+    ids=["TemporalGraph", "StaticGraph"],
+)
+def test_an_edge_that_is_not_a_pair_is_a_validation_error(make, edge):
+    with pytest.raises(GraphValidationError) as excinfo:
+        make([(1, 2), edge, (2, 3, 4)])
+    assert str(excinfo.value) == f"edge {edge!r} is not a pair of vertices"
+
+
+def test_a_layer_that_is_not_a_collection_of_edges_is_a_validation_error():
+    with pytest.raises(GraphValidationError) as excinfo:
+        TemporalGraph(3, (((1, 2),), 5))
+    assert str(excinfo.value) == "edges 5 are not pairs of vertices"
 
 
 def test_underlying_of_growing_cycle_is_the_full_cycle():
