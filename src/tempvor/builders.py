@@ -1,18 +1,18 @@
 """Constructive equilibrium builders and distance-preserving completions.
 
 The builders return a concrete equilibrium profile for graph classes where
-one is guaranteed; every builder re-checks its output with
-:func:`tempvor.games.is_nash` before returning, so a violated guarantee
-surfaces as an error instead of a wrong answer. The completions extend a
-temporally connected instance with late layers that cannot change any
-original distance (a walk finishing after the saturation time is never
-foremost).
+one is guaranteed, and the completions extend a temporally connected
+instance with late layers that cannot change any original distance (a walk
+finishing after the saturation time is never foremost). Each function checks
+what its docstring promises, once, before it returns (every profile with
+:func:`tempvor.games.is_nash`), so a violated guarantee raises
+``RuntimeError`` instead of giving a wrong answer.
 """
 
 from __future__ import annotations
 
 from .classify import _distances, is_threshold, is_tree, kpartite_parts, split_partition
-from .games import DynamicsResult, Profile, best_response_dynamics, enumerate_nash, is_nash
+from .games import Profile, best_response_dynamics, enumerate_nash, is_nash, payoff
 from .graph import StaticGraph, TemporalGraph, _clique_edges, is_monotone, underlying
 from .instances import build_instance
 from .reach import DistanceMatrix, all_pairs
@@ -40,7 +40,8 @@ def tree_ne(g: TemporalGraph) -> Profile:
     smallest-id neighbor lying in a maximum-size component of the tree minus
     the centroid. Every vertex outside that component reaches player 1
     strictly first, everything inside reaches player 2 first, which pins the
-    payoffs at u1 >= n/2 >= u2.
+    payoffs at u1 >= n/2 >= u2 for n >= 2. Raises ``ValueError`` unless g is a
+    temporally connected tree.
     """
     s = underlying(g)
     if not is_tree(s):
@@ -65,6 +66,9 @@ def tree_ne(g: TemporalGraph) -> Profile:
     p1 = min(g.vertices, key=lambda v: max(branch(v, w) for w in s.neighbors(v)))
     load = max(branch(p1, w) for w in s.neighbors(p1))
     p2 = min(w for w in s.neighbors(p1) if branch(p1, w) == load)
+    result = payoff(g, d, "rvor", (p1, p2))
+    if not 2 * result.u1 >= g.n >= 2 * result.u2:
+        raise RuntimeError(f"payoff bound violated on n={g.n}: u1={result.u1}, u2={result.u2}")
     return _verified(g, d, "rvor", (p1, p2))
 
 
@@ -74,7 +78,8 @@ def kpartite_shrink_ne(g: TemporalGraph) -> Profile:
     Shrinking forces layer 1 to equal the underlying graph, so the whole game
     is decided by first-layer adjacency: picking the smallest vertices of the
     first two parts (parts ordered by smallest member) leaves neither player
-    a profitable move.
+    a profitable move. Raises ``ValueError`` unless g is shrinking complete
+    k-partite with k >= 2.
     """
     parts = kpartite_parts(underlying(g))
     if parts is None or len(parts) < 2:
@@ -90,7 +95,8 @@ def threshold_shrink_ne(g: TemporalGraph) -> Profile:
     If the first layer is edgeless any profile works and (1,2) is returned;
     otherwise player 1 takes the smallest vertex dominating all non-isolated
     first-layer vertices (one always exists in a threshold graph) and player 2
-    the smallest other vertex.
+    the smallest other vertex. Raises ``ValueError`` unless g is a shrinking
+    threshold graph.
     """
     s = underlying(g)
     if not is_threshold(s):
@@ -141,11 +147,20 @@ def split_clique_partition(s: StaticGraph) -> tuple[frozenset[int], frozenset[in
     return clique | {v}, indep - {v}
 
 
-def clique_dynamics(
-    g: TemporalGraph, d: DistanceMatrix, clique: frozenset[int], start: Profile
-) -> DynamicsResult:
-    """Classic-game best-response dynamics from ``start`` with both players in ``clique``."""
-    return best_response_dynamics(g, d, "vor", start, max_steps=8 * (g.n + 2) ** 2, allowed=clique)
+def _settled_clique_dynamics(
+    g: TemporalGraph, d: DistanceMatrix, s: StaticGraph, clique: frozenset[int],
+    independent: frozenset[int], start: Profile
+) -> Profile:
+    """Endpoint of the classic-game dynamics from ``start`` within ``clique``; raises
+    ``RuntimeError`` unless they settle and :func:`split_potential` rises at each move."""
+    result = best_response_dynamics(g, d, "vor", start, max_steps=8 * (g.n + 2) ** 2, allowed=clique)
+    if result.status != "nash":
+        raise RuntimeError(f"clique dynamics from {start} did not settle: {result.status}")
+    path = [start] + [step.profile for step in result.trace]
+    phi = [split_potential(s, independent, *profile) for profile in path]
+    if any(a >= b for a, b in zip(phi, phi[1:])):
+        raise RuntimeError(f"split potential {phi} does not rise strictly along {path}")
+    return result.profile
 
 
 def vor_split_shrink_ne(g: TemporalGraph) -> Profile:
@@ -154,17 +169,17 @@ def vor_split_shrink_ne(g: TemporalGraph) -> Profile:
     Runs best-response dynamics restricted to the clique, starting from the
     two smallest clique vertices. Each improving move raises the potential of
     :func:`split_potential`, so the dynamics terminate; deviations into the
-    independent set pay exactly 1 and never beat a clique position.
+    independent set pay exactly 1 and never beat a clique position. Raises
+    ``ValueError`` unless g is a shrinking split graph with two clique vertices.
     """
     _require_shrinking(g)
-    clique, _ = split_clique_partition(underlying(g))
+    s = underlying(g)
+    clique, independent = split_clique_partition(s)
     if len(clique) < 2:
         raise ValueError("split graph has no two clique vertices to place players on")
     d = all_pairs(g)
-    result = clique_dynamics(g, d, clique, tuple(sorted(clique)[:2]))
-    if result.status != "nash":
-        raise RuntimeError(f"clique-restricted dynamics did not settle: {result.status}")
-    return _verified(g, d, "vor", result.profile)
+    start = tuple(sorted(clique)[:2])
+    return _verified(g, d, "vor", _settled_clique_dynamics(g, d, s, clique, independent, start))
 
 
 def changed_distance(d: DistanceMatrix, d_new: DistanceMatrix) -> tuple[int, int] | None:
@@ -194,7 +209,8 @@ def clique_completion(g: TemporalGraph) -> TemporalGraph:
     meets by time d, so a layer added at max(d, tau) + 1 cannot create a
     faster walk between original vertices: the underlying graph becomes a
     clique, monotone growth is preserved, and the distance matrix is
-    unchanged (re-checked before returning). Requires temporal connectivity.
+    unchanged (re-checked before returning). Raises ``ValueError`` unless g is
+    temporally connected.
     """
     d = all_pairs(g)
     if not d.all_finite():
@@ -210,13 +226,13 @@ def kpartite_completion(g: TemporalGraph, k: int) -> TemporalGraph:
     time, so distances among the six original vertices are untouched and the
     reverse game still has no equilibrium (both facts re-checked). Only the
     ``grow_grid_6`` instance is supported; the added edges are specific to
-    its bipartition.
+    its bipartition. Raises ``ValueError`` for any other g or k not an int >= 2.
     """
     base = build_instance("grow_grid_6").graph
     if g != base:
         raise ValueError("only the bundled grow_grid_6 instance can be completed")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    if type(k) is not int or k < 2:  # exact type: bool is rejected too
+        raise ValueError(f"k must be an int >= 2, got {k!r}")
     n_new = 4 + k
     final = set(g.layers[-1])
     final.update([(1, 6), (3, 4)])

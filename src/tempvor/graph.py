@@ -84,6 +84,8 @@ class TemporalGraph:
     layers: tuple[tuple[Edge, ...], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.layers, Iterable):
+            raise GraphValidationError(f"layers {self.layers!r} are not a collection of edge sets")
         norm = []
         for layer in self.layers:
             layer = tuple(sorted(_normalised(layer)))

@@ -80,6 +80,8 @@ class DistanceMatrix:
     __slots__ = ("n", "_flat", "_sentinel", "_tables")
 
     def __init__(self, rows: Sequence[Sequence[float]]) -> None:
+        if not isinstance(rows, Sequence) or not all(isinstance(row, Sequence) for row in rows):
+            raise ValueError(f"distance rows {rows!r} are not a sequence of sequences")
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError(f"distance rows do not form a {n} x {n} matrix")
@@ -120,15 +122,15 @@ class DistanceMatrix:
 
     def td(self, u: int, v: int) -> float:
         n = self.n
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise IndexError(f"pair ({u}, {v}) out of range 1..{n}")
+        if not (type(u) is int is type(v) and 1 <= u <= n and 1 <= v <= n):  # exact type: bool too
+            raise IndexError(f"pair ({u!r}, {v!r}) out of range 1..{n}")
         x = self._flat[(u - 1) * n + v - 1]
         return INF if x == self._sentinel else x
 
     def row(self, u: int) -> tuple[float, ...]:
         n, sentinel = self.n, self._sentinel
-        if not 1 <= u <= n:
-            raise IndexError(f"vertex {u} out of range 1..{n}")
+        if type(u) is not int or not 1 <= u <= n:  # exact type: bool is rejected too
+            raise IndexError(f"vertex {u!r} out of range 1..{n}")
         return tuple([INF if x == sentinel else x for x in self._flat[(u - 1) * n : u * n]])
 
     def all_finite(self) -> bool:

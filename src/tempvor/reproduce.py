@@ -6,8 +6,8 @@ best-reply rows, the behaviour of the constructive builders on randomized
 families, oracle equivalence for reachability, and the one-edge-change cycle
 sweep. Randomized claims draw from a fixed default seed so reruns are
 deterministic; pass a different seed to re-roll them. A claim backed by a
-builder fails through the builder's own check (its ``RuntimeError``), and
-checks only what no builder does.
+builder fails through the builder's own checks (its ``RuntimeError``) and
+checks only what no builder does, so each random instance is solved once.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from operator import eq, le
 from typing import Callable
 
 from .builders import (
+    _settled_clique_dynamics,
     clique_completion,
-    clique_dynamics,
     kpartite_completion,
     kpartite_shrink_ne,
     split_clique_partition,
-    split_potential,
     threshold_shrink_ne,
     tree_ne,
     vor_split_shrink_ne,
@@ -160,31 +159,22 @@ def _fixture_claim(claim_id: str, expectations: tuple[_Expectation, ...], detail
     return detail
 
 
-def _potential_trace_ok(g: TemporalGraph, d: DistanceMatrix, start: Profile) -> None:
-    """Clique-restricted dynamics from ``start`` must settle and raise the potential."""
-    s = underlying(g)
-    clique, indep = split_clique_partition(s)
-    result = clique_dynamics(g, d, clique, start)
-    _expect(result.status == "nash", f"dynamics from {start} ended in {result.status}")
-    phi = split_potential(s, indep, *start)
-    for step in result.trace:
-        nxt = split_potential(s, indep, *step.profile)
-        _expect(nxt > phi, f"potential did not increase at {step.profile}: {phi} -> {nxt}")
-        phi = nxt
+def _build_random(seed: int, *families: tuple) -> None:
+    """Build 200 instances of each (name, draw(rng, i), builder) from ``Random(f"{seed}:{name}")``."""
+    for family, draw, build in families:
+        rng = random.Random(f"{seed}:{family}")
+        for i in range(200):
+            build(draw(rng, i))
 
 
 def _claim_split_dynamics(seed: int) -> str:
     g, d = _checked_fixture("shrink_split_8", "vor")
     profile = vor_split_shrink_ne(g)
-    clique, _ = split_clique_partition(underlying(g))
+    s = underlying(g)
+    clique, indep = split_clique_partition(s)
     for start in permutations(sorted(clique), 2):
-        _potential_trace_ok(g, d, start)
-    rng = random.Random(f"{seed}:split")
-    for _ in range(200):
-        h = random_shrinking_split(rng)
-        vor_split_shrink_ne(h)
-        start = tuple(sorted(split_clique_partition(underlying(h))[0])[:2])
-        _potential_trace_ok(h, all_pairs(h), start)
+        _settled_clique_dynamics(g, d, s, clique, indep, start)
+    _build_random(seed, ("split", lambda rng, i: random_shrinking_split(rng), vor_split_shrink_ne))
     return (
         f"(4,5) verified; builder returned {profile}; potential strictly increases on "
         "all clique starts and 200 random shrinking split instances"
@@ -244,15 +234,7 @@ def _claim_grid_12_cycle(seed: int) -> str:
 
 
 def _claim_trees(seed: int) -> str:
-    rng = random.Random(f"{seed}:trees")
-    for _ in range(200):
-        g = random_temporal_tree(rng)
-        result = payoff(g, all_pairs(g), "rvor", tree_ne(g))
-        if g.n >= 2:
-            _expect(
-                2 * result.u1 >= g.n >= 2 * result.u2,
-                f"payoff bound violated on n={g.n}: u1={result.u1}, u2={result.u2}",
-            )
+    _build_random(seed, ("trees", lambda rng, i: random_temporal_tree(rng), tree_ne))
     return (
         "200 random temporally connected trees: centroid profile is an equilibrium "
         "with u1 >= n/2 >= u2"
@@ -260,14 +242,11 @@ def _claim_trees(seed: int) -> str:
 
 
 def _claim_kpartite_threshold(seed: int) -> str:
-    families = (
+    _build_random(
+        seed,
         ("kpartite", lambda rng, i: random_shrinking_kpartite(rng, k=2 + i % 3), kpartite_shrink_ne),
         ("threshold", lambda rng, i: random_shrinking_threshold(rng), threshold_shrink_ne),
     )
-    for family, draw, build in families:
-        rng = random.Random(f"{seed}:{family}")
-        for i in range(200):
-            build(draw(rng, i))
     return (
         "200 random shrinking complete k-partite (k in 2..4) and 200 threshold "
         "instances: builders return verified equilibria"

@@ -597,7 +597,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "ne_exists, witnesses)",
         ("tests/test_instances.py",),
     ),
-    # The builder-backed claims of ``reproduce`` rest on these two checks alone.
+    # The builder-backed claims of ``reproduce`` rest on these four checks alone.
     Mutant(
         "builder-equilibrium-check-never-raises",
         "src/tempvor/builders.py",
@@ -611,6 +611,20 @@ MUTANTS: tuple[Mutant, ...] = (
         "if changed := changed_distance(d, d_new):",
         "if changed := None:",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "split-potential-check-never-raises",
+        "src/tempvor/builders.py",
+        "    if any(a >= b for a, b in zip(phi, phi[1:])):",
+        "    if False:",
+        ("tests/test_builders.py", "tests/test_cli.py"),
+    ),
+    Mutant(
+        "tree-payoff-bound-never-raises",
+        "src/tempvor/builders.py",
+        "    if not 2 * result.u1 >= g.n >= 2 * result.u2:",
+        "    if False:",
+        ("tests/test_builders.py", "tests/test_cli.py"),
     ),
 )
 

@@ -28,7 +28,9 @@ from tempvor import (
     underlying,
     vor_split_shrink_ne,
 )
+import tempvor.builders
 from tempvor.builders import split_clique_partition
+from tempvor.games import DynamicsResult, PayoffResult
 from tempvor.explorer import FamilySpec, generate_family
 from tempvor.randgen import (
     random_shrinking_kpartite,
@@ -52,6 +54,13 @@ def test_tree_ne_on_star():
 
 def test_tree_ne_on_path_breaks_tie_to_smallest():
     assert tree_ne(PATH3) == (2, 1)
+
+
+def test_tree_ne_raises_when_the_payoff_bound_fails(monkeypatch):
+    no_win = PayoffResult(frozenset(), frozenset({1}), frozenset({2, 3, 4, 5}))
+    monkeypatch.setattr(tempvor.builders, "payoff", lambda g, d, kind, profile: no_win)
+    with pytest.raises(RuntimeError, match="payoff bound violated on n=5: u1=0, u2=1"):
+        tree_ne(STAR)
 
 
 def test_tree_ne_single_vertex():
@@ -207,6 +216,34 @@ def test_vor_split_builder_randomized_with_potential():
         assert set(profile) <= clique
 
 
+# A shrinking split graph whose dynamics from the two smallest clique
+# vertices take one move, (1, 2) -> (4, 2).
+SPLIT6 = TemporalGraph(
+    6,
+    (
+        ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 6), (3, 4), (3, 6), (4, 5)),
+        ((2, 4), (2, 6), (3, 4), (3, 6), (4, 5)),
+        ((2, 4), (3, 4), (3, 6), (4, 5)),
+        ((2, 4), (3, 4), (3, 6), (4, 5)),
+    ),
+)
+
+
+def test_vor_split_builder_raises_when_the_potential_does_not_rise(monkeypatch):
+    assert vor_split_shrink_ne(SPLIT6) == (4, 2)
+    monkeypatch.setattr(tempvor.builders, "split_potential", lambda s, independent, v, w: 0)
+    with pytest.raises(RuntimeError) as excinfo:
+        vor_split_shrink_ne(SPLIT6)
+    assert str(excinfo.value) == "split potential [0, 0] does not rise strictly along [(1, 2), (4, 2)]"
+
+
+def test_vor_split_builder_raises_when_the_dynamics_do_not_settle(monkeypatch):
+    cycling = DynamicsResult("cycle", (1, 2), (), ())
+    monkeypatch.setattr(tempvor.builders, "best_response_dynamics", lambda *a, **k: cycling)
+    with pytest.raises(RuntimeError, match=r"clique dynamics from \(1, 2\) did not settle: cycle"):
+        vor_split_shrink_ne(SPLIT6)
+
+
 def test_split_potential_values():
     s = underlying(build_instance("shrink_split_8").graph)
     _, indep = split_clique_partition(s)
@@ -285,3 +322,9 @@ def test_kpartite_completion_rejects_other_inputs():
         kpartite_completion(build_instance("grow_cycle_7").graph, 2)
     with pytest.raises(ValueError):
         kpartite_completion(build_instance("grow_grid_6").graph, 1)
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, "3", True, None], ids=repr)
+def test_kpartite_completion_rejects_a_k_that_is_not_an_int(k):
+    with pytest.raises(ValueError, match=f"k must be an int >= 2, got {k!r}"):
+        kpartite_completion(build_instance("grow_grid_6").graph, k)

@@ -17,7 +17,7 @@ from hypothesis import example, given, strategies as st
 import tempvor
 from tempvor import all_pairs, build_instance, cli, is_nash, reproduce, to_canonical_json
 from tempvor.cli import main
-from tempvor.games import Deviation, NashCheck
+from tempvor.games import Deviation, NashCheck, PayoffResult
 from tempvor.instances import INSTANCE_NAMES
 from tempvor.reproduce import CLAIM_IDS, run_claim
 
@@ -286,6 +286,8 @@ def test_every_fixture_verdict_and_witness_can_fail(monkeypatch, capsys, claim_i
 _FAILING_BUILDER_CHECKS = {
     "is_nash": lambda g, d, kind, s: NashCheck(False, Deviation(1, 1, 0, 1)),
     "changed_distance": lambda d, d_new: (1, 1),
+    "split_potential": lambda s, independent, v, w: 0,
+    "payoff": lambda g, d, kind, profile: PayoffResult(frozenset(), frozenset(), frozenset()),
 }
 
 
@@ -296,6 +298,8 @@ _FAILING_BUILDER_CHECKS = {
         ("trees.rvor.centroid_equilibrium", "is_nash"),
         ("shrinking.rvor.kpartite_threshold_equilibrium", "is_nash"),
         ("completions.rvor.no_equilibrium", "changed_distance"),
+        ("shrink_split_8.vor.clique_dynamics", "split_potential"),
+        ("trees.rvor.centroid_equilibrium", "payoff"),
     ],
 )
 def test_every_builder_backed_claim_fails_through_its_builder_check(
@@ -303,6 +307,26 @@ def test_every_builder_backed_claim_fails_through_its_builder_check(
 ):
     monkeypatch.setattr(tempvor.builders, check, _FAILING_BUILDER_CHECKS[check])
     _assert_claim_fails(capsys, claim_id, "raised RuntimeError: ")
+
+
+@pytest.mark.parametrize(
+    "claim_id, in_builders, in_claim",
+    [
+        ("shrink_split_8.vor.clique_dynamics", 201, 1),  # the claim's one is the fixture's
+        ("trees.rvor.centroid_equilibrium", 200, 0),
+        ("shrinking.rvor.kpartite_threshold_equilibrium", 400, 0),
+    ],
+)
+def test_each_random_claim_instance_is_solved_once(monkeypatch, claim_id, in_builders, in_claim):
+    calls = {}
+    for module in (tempvor.builders, reproduce):
+        def counted(g, module=module):
+            calls[module] = calls.get(module, 0) + 1
+            return all_pairs(g)
+        monkeypatch.setattr(module, "all_pairs", counted)
+    assert run_claim(claim_id).ok
+    assert calls.get(tempvor.builders, 0) == in_builders
+    assert calls.get(reproduce, 0) == in_claim
 
 
 _FIXTURE_ROWS = {claim_id: row for claim_id, *row in reproduce._FIXTURE_CLAIMS}

@@ -196,6 +196,13 @@ def test_an_edge_that_is_not_a_pair_is_a_validation_error(make, edge):
     assert str(excinfo.value) == f"edge {edge!r} is not a pair of vertices"
 
 
+@pytest.mark.parametrize("layers", [None, 5])
+def test_layers_that_are_not_a_collection_are_a_validation_error(layers):
+    with pytest.raises(GraphValidationError) as excinfo:
+        TemporalGraph(3, layers)
+    assert str(excinfo.value) == f"layers {layers!r} are not a collection of edge sets"
+
+
 def test_a_layer_that_is_not_a_collection_of_edges_is_a_validation_error():
     with pytest.raises(GraphValidationError) as excinfo:
         TemporalGraph(3, (((1, 2),), 5))

@@ -247,6 +247,20 @@ def test_matrix_rejects_ragged_rows_and_out_of_range_pairs():
         all_pairs(TemporalGraph(2, ((),))).td(1, 3)
 
 
+@pytest.mark.parametrize("rows", [5, [5], None, [(0,), None]], ids=repr)
+def test_matrix_rejects_rows_that_are_not_sequences(rows):
+    with pytest.raises(ValueError, match="not a sequence of sequences"):
+        DistanceMatrix(rows)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, "1", None], ids=repr)
+def test_matrix_accessors_take_only_int_vertices(bad):
+    d = DistanceMatrix(((0, 1), (1, 0)))
+    for access in (lambda: d.td(bad, 1), lambda: d.td(1, bad), lambda: d.row(bad)):
+        with pytest.raises(IndexError, match=f"{bad!r}.* out of range 1..2"):
+            access()
+
+
 @pytest.mark.parametrize("bad", [-1, 1.0, 0.5, "1", True, None, -INF, float("nan")], ids=repr)
 def test_matrix_rejects_entries_that_are_not_times(bad):
     with pytest.raises(ValueError, match="neither a non-negative int nor INF"):
