@@ -39,9 +39,9 @@ labels once per run and the run's chains in the game module's chunks, each
 instance's temporal connectivity read from its chunk's flat array of
 distances. A chain is growing when no step drops an edge (``a & ~b == 0``
 for each consecutive pair of masks) and shrinking when no step adds one.
-No batched instance becomes a graph, a matrix or an :class:`InstanceOutcome`:
-:class:`SearchOutcome` holds the decided runs, and builds ``outcomes`` and
-the summary's counterexamples when they are read.
+No batched instance becomes a graph or a matrix: :class:`SearchOutcome`
+holds the decided runs, and the records written from them are the sweep's
+per-instance output.
 
 :func:`write_outcome` frames each JSON-lines record from text pieces, in
 sorted key order: the game and each distinct class report encoded once by
@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .classify import ClassReport, classify_underlying
-from .games import GameKind, Profile, _check_kind, _decide_run
+from .games import GameKind, _check_kind, _decide_run
 from .graph import (
     _MAX_VERTICES,
     Edge,
@@ -331,53 +331,28 @@ def generate_family(spec: FamilySpec) -> Iterator[TemporalGraph]:
 
 
 @dataclass(frozen=True)
-class InstanceOutcome:
-    graph: TemporalGraph
-    report: ClassReport
-    witness: Profile | None
-
-    @property
-    def has_nash(self) -> bool:
-        return self.witness is not None
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
     """The decided runs of a sweep in stream order, each (n, edges, chains,
     witnesses, reports): the instances' layer masks over ``edges`` and, per
-    chain, its witness and class report. ``outcomes`` and the summary's
-    counterexamples make their graphs on each read."""
+    chain, its witness and class report. No instance becomes a graph here:
+    :func:`write_outcome` frames each record from the masks, and only the
+    summary's counterexamples are made graphs, when it is built."""
 
     spec: FamilySpec
     kind: GameKind
     runs: tuple[tuple, ...]
 
     @property
-    def outcomes(self) -> tuple[InstanceOutcome, ...]:
-        return tuple(
-            InstanceOutcome(layers.graph(n, chain), report, witness)
-            for n, edges, chains, witnesses, reports in self.runs
-            for layers in (_Layers(edges),)
-            for chain, witness, report in zip(chains, witnesses, reports)
-        )
-
-    @property
     def total(self) -> int:
         return sum(len(run[2]) for run in self.runs)
-
-    @property
-    def with_nash(self) -> int:
-        return self.total - self.without_nash
 
     @property
     def without_nash(self) -> int:
         return sum(run[3].count(None) for run in self.runs)
 
-    def min_counterexample_n(self) -> int | None:
-        return min((run[0] for run in self.runs if None in run[3]), default=None)
-
     def summary_obj(self) -> dict:
-        min_n, without_nash = self.min_counterexample_n(), self.without_nash
+        min_n = min((run[0] for run in self.runs if None in run[3]), default=None)
+        without_nash = self.without_nash
         minimal = [
             to_json_obj(layers.graph(n, chain))
             for n, edges, chains, witnesses, _ in self.runs

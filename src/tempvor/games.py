@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Collection
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence
 
@@ -498,9 +499,10 @@ def best_response_dynamics(
     trace). Cycle detection keys on (profile, player to move): the same
     profile with a different mover is a different dynamics state, so the run
     ends within 2n^2 turns. ``allowed`` restricts both players' choices to a
-    vertex subset. ``max_steps`` bounds the number of moves and must be a
-    positive int; a turn without a move costs nothing. Only the payoff columns
-    of the opponents met are read.
+    vertex subset; anything but a collection of vertices that holds the start
+    profile raises ``ValueError``. ``max_steps`` bounds the number of moves
+    and must be a positive int; a turn without a move costs nothing. Only the
+    payoff columns of the opponents met are read.
     """
     p1, p2 = _check_profile(g, d, kind, start)
     if type(max_steps) is not int:  # exact type: bool is rejected too
@@ -510,6 +512,8 @@ def best_response_dynamics(
     if allowed is None:
         choices = tuple(g.vertices)
     else:
+        if not isinstance(allowed, Collection):
+            raise ValueError(f"allowed {allowed!r} is not a collection of vertices")
         for v in allowed:
             _check_vertex(g.n, v, "allowed vertex")
         choices = tuple(sorted(allowed))

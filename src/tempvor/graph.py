@@ -117,9 +117,10 @@ class TemporalGraph:
         return range(1, self.n + 1)
 
     def layer(self, t: int) -> tuple[Edge, ...]:
-        """Edges active at time step t >= 1; repeats the last layer past tau."""
-        if t < 1:
-            raise ValueError(f"time step must be >= 1, got {t}")
+        """Edges active at time step t >= 1; repeats the last layer past tau.
+        Raises ``ValueError`` unless t is an int >= 1."""
+        if type(t) is not int or t < 1:  # exact type: bool is rejected too
+            raise ValueError(f"time step must be an int >= 1, got {t!r}")
         return self.layers[min(t, self.tau) - 1]
 
 

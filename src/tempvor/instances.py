@@ -58,11 +58,9 @@ INSTANCE_NAMES: tuple[str, ...] = tuple(_FIXTURES)
 
 
 def build_instance(name: str) -> Fixture:
-    """The named bundled instance; raises ValueError for unknown names."""
-    try:
-        n, first, second, ne_exists, witnesses = _FIXTURES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown instance {name!r}; known: {', '.join(INSTANCE_NAMES)}"
-        ) from None
+    """The named bundled instance; raises ValueError for any other name,
+    a name that is not a str included."""
+    if name not in INSTANCE_NAMES:  # a tuple: an unhashable name is not found either
+        raise ValueError(f"unknown instance {name!r}; known: {', '.join(INSTANCE_NAMES)}")
+    n, first, second, ne_exists, witnesses = _FIXTURES[name]
     return Fixture(name, TemporalGraph(n, (first, second)), dict(ne_exists), dict(witnesses))

@@ -254,15 +254,17 @@ def _claim_kpartite_threshold(seed: int) -> str:
 
 
 def _claim_completions(seed: int) -> str:
-    cycle7 = build_instance("grow_cycle_7").graph
+    # kpartite_completion checks that its completions stay equilibrium-free;
+    # clique_completion states no such thing, so the claim checks it here
+    clique = clique_completion(build_instance("grow_cycle_7").graph)
+    found = enumerate_nash(clique, all_pairs(clique), "rvor")
+    _expect(found == [], "clique completion gained an equilibrium")
     grid6 = build_instance("grow_grid_6").graph
-    cases = [("clique", clique_completion(cycle7))]
+    cases = [("clique", clique)]
     cases += [(f"complete_k_partite({k})", kpartite_completion(grid6, k)) for k in (2, 3, 4)]
     for label, q in cases:
         _expect(is_monotone(q)[0], f"{label} completion lost monotone growth")
         _expect(label in classify_underlying(underlying(q)), f"{label} completion has another class")
-        dq = all_pairs(q)
-        _expect(enumerate_nash(q, dq, "rvor") == [], f"{label} completion gained an equilibrium")
     return (
         "clique completion of the growing 7-cycle and k-partite completions "
         "(k=2,3,4) of the growing grid keep distances and stay equilibrium-free"
@@ -314,12 +316,11 @@ CLAIM_IDS: tuple[str, ...] = tuple(CLAIMS)
 
 
 def run_claim(claim_id: str, seed: int = DEFAULT_SEED) -> ClaimResult:
+    """Run one claim; raises ``ValueError`` for any name not in ``CLAIM_IDS``."""
+    if claim_id not in CLAIM_IDS:  # a tuple: an unhashable name is not found either
+        raise ValueError(f"unknown claim {claim_id!r}")
     try:
-        check = CLAIMS[claim_id]
-    except KeyError:
-        raise ValueError(f"unknown claim {claim_id!r}") from None
-    try:
-        return ClaimResult(claim_id, True, check(seed))
+        return ClaimResult(claim_id, True, CLAIMS[claim_id](seed))
     except _ClaimFailed as exc:
         return ClaimResult(claim_id, False, str(exc))
     except Exception as exc:  # builder/internal errors count as failures
@@ -330,9 +331,11 @@ def run_claims(target: str = "all", seed: int = DEFAULT_SEED) -> list[ClaimResul
     """Run the claims selected by ``target``: "all", a claim id, or a prefix.
 
     A bundled instance name like ``grow_cycle_7`` selects every claim about
-    that instance.
+    that instance. A target that selects nothing, a non-str one included,
+    raises ``ValueError``.
     """
-    selected = [c for c in CLAIM_IDS if target in ("all", c) or c.startswith(target + ".")]
+    names = CLAIM_IDS if isinstance(target, str) else ()
+    selected = [c for c in names if target in ("all", c) or c.startswith(target + ".")]
     if not selected:
         raise ValueError(f"no claims match {target!r}")
     return [run_claim(cid, seed) for cid in selected]

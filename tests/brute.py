@@ -5,8 +5,10 @@ reusing library algorithms: temporal distances come from literal enumeration
 of temporal walks or from a layer sweep run one source at a time, equilibria
 from a double loop over profiles and deviations, payoff columns from one
 comparison per entry, and class recognition from exhaustive search over
-partitions, subsets and vertex bijections, and sweep records from a dict
-encoded with sorted keys. Apart from the sweep, the columns and the records,
+partitions, subsets and vertex bijections. The one exception is a sweep
+record: it is decided one instance at a time by the library's per-instance
+functions, which the sweep's batch kernels must agree with, and encoded as a
+dict with sorted keys. Apart from the sweep, the columns and the records,
 only usable on small instances.
 """
 
@@ -16,7 +18,17 @@ import json
 from itertools import combinations, permutations, product
 from operator import lt
 
-from tempvor import INF, StaticGraph, TemporalGraph, to_json_obj
+from tempvor import (
+    INF,
+    ClassReport,
+    StaticGraph,
+    TemporalGraph,
+    all_pairs,
+    build_class_report,
+    first_nash,
+    graph_from_obj,
+    to_json_obj,
+)
 
 
 def enumerate_walk_arrivals(g: TemporalGraph, source: int) -> tuple[float, ...]:
@@ -395,18 +407,41 @@ def lifetime_run(n: int, sentinels) -> list[TemporalGraph]:
     ]
 
 
-def oracle_record_line(o, kind: str) -> str:
-    """The record line of one sweep instance (an ``InstanceOutcome``) without
-    its newline: the record as a dict, encoded by ``json.dumps`` with sorted
-    keys and compact separators. The reference for ``write_outcome``, which
-    frames the same bytes from pieces."""
+def record_line(g: TemporalGraph, report: ClassReport, witness, kind: str) -> str:
+    """The record line of instance ``g`` with the given class report and
+    witness (``None`` for no equilibrium) without its newline: the record as
+    a dict, encoded by ``json.dumps`` with sorted keys and compact separators.
+    The reference for ``write_outcome``, which frames the same bytes from
+    pieces."""
     record = {
-        "graph": to_json_obj(o.graph),
-        "n": o.graph.n,
-        "tau": o.graph.tau,
-        "report": o.report.to_json_obj(),
+        "graph": to_json_obj(g),
+        "n": g.n,
+        "tau": g.tau,
+        "report": report.to_json_obj(),
         "game": kind,
-        "has_nash": o.has_nash,
-        "witness": list(o.witness) if o.witness else None,
+        "has_nash": witness is not None,
+        "witness": None if witness is None else list(witness),
     }
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def oracle_record_line(g: TemporalGraph, kind: str) -> str:
+    """The record line of the sweep instance ``g`` without its newline,
+    decided on its own: the :func:`record_line` of the class report and first
+    equilibrium that the per-instance :func:`build_class_report` and
+    :func:`first_nash` give on its :func:`all_pairs` matrix. The reference
+    for ``sweep``, which decides runs of instances in batches."""
+    d = all_pairs(g)
+    return record_line(g, build_class_report(g, d), first_nash(g, d, kind), kind)
+
+
+def parse_record_line(line: str) -> tuple[TemporalGraph, ClassReport, tuple[int, int] | None]:
+    """The (graph, class report, witness) that one ``instances.jsonl`` line records."""
+    record = json.loads(line)
+    report = record["report"]
+    witness = record["witness"]
+    return (
+        graph_from_obj(record["graph"]),
+        ClassReport(**{**report, "underlying_class": tuple(report["underlying_class"])}),
+        None if witness is None else tuple(witness),
+    )

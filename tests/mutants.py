@@ -178,6 +178,13 @@ MUTANTS: tuple[Mutant, ...] = (
         ("tests/test_games.py",),
     ),
     Mutant(
+        "dynamics-allowed-need-not-be-a-collection",
+        "src/tempvor/games.py",
+        "if not isinstance(allowed, Collection):",
+        "if False:",
+        ("tests/test_games.py",),
+    ),
+    Mutant(
         "equilibria-one-sided",
         "src/tempvor/games.py",
         "            if col[p1 - 1] == best:",
@@ -368,6 +375,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "if type(v) is not int:",
         "if not isinstance(v, int):",
         ("tests/test_games.py",),
+    ),
+    Mutant(
+        "layer-accepts-bool-steps",
+        "src/tempvor/graph.py",
+        "if type(t) is not int or t < 1:",
+        "if not isinstance(t, int) or t < 1:",
+        ("tests/test_graph.py",),
     ),
     Mutant(
         "layers-never-shared",
@@ -597,7 +611,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "ne_exists, witnesses)",
         ("tests/test_instances.py",),
     ),
-    # The builder-backed claims of ``reproduce`` rest on these four checks alone.
+    # The builder-backed claims of ``reproduce`` rest on these five checks alone.
     Mutant(
         "builder-equilibrium-check-never-raises",
         "src/tempvor/builders.py",
@@ -610,6 +624,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "src/tempvor/builders.py",
         "if changed := changed_distance(d, d_new):",
         "if changed := None:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "completion-equilibrium-check-never-raises",
+        "src/tempvor/builders.py",
+        'if enumerate_nash(completed, d_new, "rvor"):',
+        "if False:",
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -244,6 +244,23 @@ def test_reproduce_empty_target_is_a_spec_error(capsys, option):
     assert captured.err == "error: no claims match ''\n"
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: build_instance(["x"]), r"unknown instance \['x'\]"),
+        (lambda: build_instance(7), "unknown instance 7"),
+        (lambda: run_claim(["x"]), r"unknown claim \['x'\]"),
+        (lambda: run_claim(None), "unknown claim None"),
+        (lambda: reproduce.run_claims(5), "no claims match 5"),
+        (lambda: reproduce.run_claims(["all"]), r"no claims match \['all'\]"),
+    ],
+    ids=["instance-list", "instance-int", "claim-list", "claim-none", "claims-int", "claims-list"],
+)
+def test_a_name_that_is_not_a_str_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _assert_claim_fails(capsys, claim_id: str, reason: str = "") -> None:
     assert not run_claim(claim_id).ok
     code, out = _run(capsys, ["reproduce", "--claim", claim_id])
@@ -286,6 +303,7 @@ def test_every_fixture_verdict_and_witness_can_fail(monkeypatch, capsys, claim_i
 _FAILING_BUILDER_CHECKS = {
     "is_nash": lambda g, d, kind, s: NashCheck(False, Deviation(1, 1, 0, 1)),
     "changed_distance": lambda d, d_new: (1, 1),
+    "enumerate_nash": lambda g, d, kind: [(1, 1)],
     "split_potential": lambda s, independent, v, w: 0,
     "payoff": lambda g, d, kind, profile: PayoffResult(frozenset(), frozenset(), frozenset()),
 }
@@ -298,6 +316,7 @@ _FAILING_BUILDER_CHECKS = {
         ("trees.rvor.centroid_equilibrium", "is_nash"),
         ("shrinking.rvor.kpartite_threshold_equilibrium", "is_nash"),
         ("completions.rvor.no_equilibrium", "changed_distance"),
+        ("completions.rvor.no_equilibrium", "enumerate_nash"),
         ("shrink_split_8.vor.clique_dynamics", "split_potential"),
         ("trees.rvor.centroid_equilibrium", "payoff"),
     ],
@@ -315,6 +334,8 @@ def test_every_builder_backed_claim_fails_through_its_builder_check(
         ("shrink_split_8.vor.clique_dynamics", 201, 1),  # the claim's one is the fixture's
         ("trees.rvor.centroid_equilibrium", 200, 0),
         ("shrinking.rvor.kpartite_threshold_equilibrium", 400, 0),
+        # two per completion; the claim's one is the clique completion's
+        ("completions.rvor.no_equilibrium", 8, 1),
     ],
 )
 def test_each_random_claim_instance_is_solved_once(monkeypatch, claim_id, in_builders, in_claim):

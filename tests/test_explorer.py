@@ -12,7 +12,14 @@ from itertools import combinations, groupby, islice, product
 
 import pytest
 
-from brute import _cycle_canonical_key, _cycle_orbit, oracle_layer_chains, oracle_record_line
+from brute import (
+    _cycle_canonical_key,
+    _cycle_orbit,
+    oracle_layer_chains,
+    oracle_record_line,
+    parse_record_line,
+    record_line,
+)
 from test_games import batch_sizes
 from test_sweep_pins import FAMILIES
 
@@ -50,6 +57,12 @@ from tempvor.explorer import (
 )
 from tempvor.graph import _clique_edges, _cycle_edges
 from tempvor.reach import _expanded_search
+
+
+def _records(outcome, outdir):
+    """(graph, report, witness) of each line that ``write_outcome`` writes."""
+    records, _ = write_outcome(outcome, outdir)
+    return [parse_record_line(line) for line in records.read_text(encoding="utf-8").splitlines()]
 
 
 def _changes(g):
@@ -497,7 +510,8 @@ def test_sweep_passes_long_runs_in_chunks(monkeypatch):
     outcome = sweep(spec, "vor")
     assert [len(chunk) for chunk, _, _ in chunks] == [1000] * 4 + [95]
     graphs = [g for chunk, _, _ in chunks for g in chunk]
-    assert graphs == [o.graph for o in outcome.outcomes] == list(generate_family(spec))
+    assert outcome.total == len(graphs)
+    assert graphs == list(generate_family(spec))
     for chunk, flat, sentinel in chunks:
         assert sentinel == 2 + 9 + 1
         for k, g in enumerate(chunk):
@@ -536,7 +550,7 @@ def test_a_bad_spec_with_a_good_kind_is_a_spec_error():
         sweep(FamilySpec("blob", (3, 3), (1, 1)), "vor")
 
 
-def test_sweep_decides_long_runs_in_chunks(monkeypatch):
+def test_sweep_decides_long_runs_in_chunks(monkeypatch, tmp_path):
     # The equilibrium batch decides the distance module's chunks: a budget
     # one byte short of 1,001 growing 3 x 3 grids at 675 lane bytes each cuts
     # their run of 4,095 into four chunks of 1,000 and one of 95, for both.
@@ -545,9 +559,10 @@ def test_sweep_decides_long_runs_in_chunks(monkeypatch):
     distances, chunks = _recorded_chunks(monkeypatch), batch_sizes(monkeypatch)
     outcome = sweep(spec, "rvor")
     assert chunks == [len(chunk) for chunk, _, _ in distances] == [1000] * 4 + [95]
-    assert [o.graph for o in outcome.outcomes] == list(generate_family(spec))
-    for o in outcome.outcomes:
-        assert o.witness == first_nash(o.graph, all_pairs(o.graph), "rvor")
+    records = _records(outcome, tmp_path)
+    assert [g for g, _, _ in records] == list(generate_family(spec))
+    for g, _, witness in records:
+        assert witness == first_nash(g, all_pairs(g), "rvor")
 
 
 def test_sweep_calls_the_per_instance_kernels_only_for_short_runs(monkeypatch):
@@ -555,8 +570,7 @@ def test_sweep_calls_the_per_instance_kernels_only_for_short_runs(monkeypatch):
     # (the empty edge sets, with tau = 1) and 2 more hold at most n. Only
     # their instances reach first_nash, and only the lone ones all_pairs;
     # every other run, its tau = 1 instance included, goes to the batches.
-    # Only the graphs first_nash takes are made, each once, and no instance
-    # outcome until the outcomes are read.
+    # Only the graphs first_nash takes are made, each once.
     spec = FamilySpec("threshold", (2, 4), (1, 2), "any")
     runs = [[_Layers(edges).graph(n, c) for c in chains] for n, edges, chains in _family_runs(spec)]
     lone = [g for run in runs if len(run) == 1 for g in run]
@@ -570,10 +584,6 @@ def test_sweep_calls_the_per_instance_kernels_only_for_short_runs(monkeypatch):
     )
     built, of = [], TemporalGraph._of
     monkeypatch.setattr(TemporalGraph, "_of", staticmethod(lambda *a: built.append(a) or of(*a)))
-    outcomes, outcome_ = [], tempvor.explorer.InstanceOutcome
-    monkeypatch.setattr(
-        tempvor.explorer, "InstanceOutcome", lambda *a: outcomes.append(a) or outcome_(*a)
-    )
     for kind in ("vor", "rvor"):
         singles.clear()
         nash.clear()
@@ -582,10 +592,6 @@ def test_sweep_calls_the_per_instance_kernels_only_for_short_runs(monkeypatch):
         assert outcome.total == 1164
         assert (singles, nash) == (lone, short)
         assert len(built) == len(short)
-        assert outcomes == []
-        assert [o.graph for o in outcome.outcomes] == [g for run in runs for g in run]
-        assert len(outcomes) == 1164
-        outcomes.clear()
 
 
 def _distance_bytes() -> int:
@@ -643,27 +649,28 @@ def test_sweep_makes_per_instance_matrices_on_request(monkeypatch):
 )
 def test_sweep_classifies_each_underlying_graph_once(monkeypatch, spec, edge_sets):
     calls = _count_calls(monkeypatch, "classify_underlying")
-    outcome = sweep(spec, "vor")
-    keys = [(o.graph.n, frozenset().union(*o.graph.layers)) for o in outcome.outcomes]
+    sweep(spec, "vor")
+    keys = [(g.n, frozenset().union(*g.layers)) for g in generate_family(spec)]
     assert len(calls) == len(set(keys)) == edge_sets
     assert [(s.n, s.edges) for (s,) in calls] == list(dict.fromkeys(keys))
 
 
 @pytest.mark.parametrize("game", ["vor", "rvor"])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_sweep_reports_match_the_per_instance_report(family, game):
-    for o in sweep(FAMILIES[family], game).outcomes:
-        assert o.report == build_class_report(o.graph, all_pairs(o.graph))
+def test_sweep_reports_match_the_per_instance_report(tmp_path, family, game):
+    records = _records(sweep(FAMILIES[family], game), tmp_path)
+    assert [g for g, _, _ in records] == list(generate_family(FAMILIES[family]))
+    for g, report, _ in records:
+        assert report == build_class_report(g, all_pairs(g))
 
 
 def test_sweep_shares_one_report_per_distinct_report_of_a_run():
     outcome = sweep(FamilySpec("tree", (2, 5), (1, 2), "any"), "vor")
-    runs = groupby(outcome.outcomes, lambda o: (o.graph.n, frozenset().union(*o.graph.layers)))
     shared = 0
-    for _, run in runs:
+    for *_, run_reports in outcome.runs:
         reports = {}
-        for o in run:
-            assert reports.setdefault(o.report, o.report) is o.report
+        for report in run_reports:
+            assert reports.setdefault(report, report) is report
         shared += len(reports)
     assert shared < outcome.total / 10
 
@@ -691,41 +698,39 @@ def test_one_change_cycles_all_have_reverse_equilibria():
     outcome = sweep(FamilySpec("cycle", (3, 9), (1, 3), "any", 1), "rvor")
     assert outcome.total == 35
     assert outcome.without_nash == 0
-    assert outcome.min_counterexample_n() is None
+    assert outcome.summary_obj()["min_counterexample_n"] is None
 
 
-def test_growing_grid_family_has_a_counterexample():
+def test_growing_grid_family_has_a_counterexample(tmp_path):
     outcome = sweep(FamilySpec("grid", (6, 6), (1, 2), "growing"), "rvor")
     assert outcome.without_nash >= 1
     key = build_instance("grow_grid_6").graph
-    assert any(o.graph == key and not o.has_nash for o in outcome.outcomes)
+    assert (key, None) in [(g, witness) for g, _, witness in _records(outcome, tmp_path)]
 
 
-def test_growing_cycle_family_has_a_counterexample():
+def test_growing_cycle_family_has_a_counterexample(tmp_path):
     outcome = sweep(FamilySpec("cycle", (7, 7), (2, 2), "growing", 2), "rvor")
     assert outcome.without_nash >= 1
-    assert outcome.min_counterexample_n() == 7
+    assert outcome.summary_obj()["min_counterexample_n"] == 7
     key = _cycle_canonical_key(build_instance("grow_cycle_7").graph)
-    hits = [o for o in outcome.outcomes if tuple(o.graph.layers) == key]
-    assert len(hits) == 1 and not hits[0].has_nash
+    hits = [witness for g, _, witness in _records(outcome, tmp_path) if g.layers == key]
+    assert hits == [None]
 
 
-def test_shrinking_path_family_contains_the_bundled_counterexample():
+def test_shrinking_path_family_contains_the_bundled_counterexample(tmp_path):
     outcome = sweep(FamilySpec("path", (9, 9), (2, 2), "shrinking", 1), "rvor")
     target = build_instance("shrink_path_9").graph
-    hits = [o for o in outcome.outcomes if o.graph == target]
-    assert len(hits) == 1 and not hits[0].has_nash
+    hits = [witness for g, _, witness in _records(outcome, tmp_path) if g == target]
+    assert hits == [None]
 
 
-def test_sweep_records_are_sound():
+def test_sweep_records_are_sound(tmp_path):
     outcome = sweep(FamilySpec("cycle", (5, 7), (1, 2), "any", 2), "rvor")
-    assert outcome.total > 0
-    for o in outcome.outcomes:
-        d = all_pairs(o.graph)
-        found = enumerate_nash(o.graph, d, "rvor")
-        assert bool(found) == o.has_nash
-        if o.witness is not None:
-            assert o.witness == found[0]
+    records = _records(outcome, tmp_path)
+    assert len(records) == outcome.total > 0
+    for g, _, witness in records:
+        found = enumerate_nash(g, all_pairs(g), "rvor")
+        assert witness == (found[0] if found else None)
 
 
 def test_written_output_is_deterministic(tmp_path):
@@ -758,30 +763,30 @@ RECORD_FAMILIES = [
 ]
 
 
-def _record_cases(outcome):
-    """The edge cases of the framing that the outcome's records contain."""
+def _record_cases(spec, lines):
+    """The edge cases of the framing that a family's record lines contain."""
     cases = set()
-    for o in outcome.outcomes:
-        g = o.graph
+    for g, _, witness in map(parse_record_line, lines):
         cases |= {
             "n=1" if g.layers == ((),) else None,
             "one-edge layer" if any(len(layer) == 1 for layer in g.layers) else None,
-            "no witness" if o.witness is None else None,
+            "no witness" if witness is None else None,
             "n>=10" if g.n >= 10 else None,
-            "budgeted tau=3" if g.tau == 3 and outcome.spec.max_edge_changes else None,
+            "budgeted tau=3" if g.tau == 3 and spec.max_edge_changes else None,
         }
-    return cases - {None} if outcome.outcomes else {"empty"}
+    return cases - {None} if lines else {"empty"}
 
 
 def test_written_records_equal_the_oracle_encoding(tmp_path):
+    # every line is the record that the per-instance kernels decide for the
+    # instance generate_family yields at its place
     cases = set()
     for i, (spec, game) in enumerate(product(RECORD_FAMILIES, ("vor", "rvor"))):
-        outcome = sweep(spec, game)
-        records, _ = write_outcome(outcome, tmp_path / str(i))
+        records, _ = write_outcome(sweep(spec, game), tmp_path / str(i))
         lines = records.read_text(encoding="utf-8").split("\n")
         assert lines.pop() == ""
-        assert lines == [oracle_record_line(o, game) for o in outcome.outcomes], spec
-        cases |= _record_cases(outcome)
+        assert lines == [oracle_record_line(g, game) for g in generate_family(spec)], spec
+        cases |= _record_cases(spec, lines)
     assert cases == {"n=1", "one-edge layer", "no witness", "n>=10", "budgeted tau=3", "empty"}
 
 
@@ -791,8 +796,8 @@ _DENSE = ("clique", "complete_k_partite", "split", "threshold")
 @pytest.mark.parametrize("base", BASE_CLASSES)
 def test_mask_flags_and_records_match_the_instances(tmp_path, base):
     # every monotonicity and budget at tau <= 3: each record's monotone flags
-    # are those of the instance generate_family makes, and the written lines
-    # those of the outcomes built on request
+    # are those of the instance generate_family makes, and each written line
+    # is the encoding of that instance with the sweep's own report and witness
     for mono, budget in product(MONOTONICITY, (None, 0, 1, 2)):
         top = 4 if base in _DENSE else 5
         if (mono, budget) == ("any", None) and (base == "tree" or base in _DENSE):
@@ -801,11 +806,15 @@ def test_mask_flags_and_records_match_the_instances(tmp_path, base):
         outcome = sweep(spec, "vor")
         records, _ = write_outcome(outcome, tmp_path / f"{mono}.{budget}")
         lines = records.read_text(encoding="utf-8").splitlines()
-        flags = [json.loads(line)["report"] for line in lines]
-        assert [(r["monotone_growing"], r["monotone_shrinking"]) for r in flags] == [
-            is_monotone(g) for g in generate_family(spec)
+        graphs = list(generate_family(spec))
+        flags = [parse_record_line(line)[1] for line in lines]
+        assert [(r.monotone_growing, r.monotone_shrinking) for r in flags] == [
+            is_monotone(g) for g in graphs
         ], spec
-        assert lines == [oracle_record_line(o, "vor") for o in outcome.outcomes], spec
+        decided = [(r, w) for *_, ws, rs in outcome.runs for w, r in zip(ws, rs)]
+        assert lines == [
+            record_line(g, r, w, "vor") for g, (r, w) in zip(graphs, decided, strict=True)
+        ], spec
 
 
 def test_writing_streams_the_records(tmp_path):
@@ -829,14 +838,14 @@ def test_writing_streams_the_records(tmp_path):
         assert peak < 256 * 1024, spec
 
 
-def test_summary_counts_agree_with_the_outcomes():
+def test_summary_counts_agree_with_the_outcomes(tmp_path):
     outcome = sweep(FamilySpec("grid", (4, 8), (1, 2), "growing"), "rvor")
-    failed = [o for o in outcome.outcomes if not o.has_nash]
-    min_n = min(o.graph.n for o in failed)
+    records = _records(outcome, tmp_path)
+    failed = [g for g, _, witness in records if witness is None]
+    min_n = min(g.n for g in failed)
     summary = outcome.summary_obj()
-    assert outcome.with_nash == summary["with_nash"] == outcome.total - len(failed)
+    assert summary["instances"] == outcome.total == len(records)
+    assert summary["with_nash"] == len(records) - len(failed)
     assert outcome.without_nash == summary["without_nash"] == len(failed) > 0
-    assert outcome.min_counterexample_n() == summary["min_counterexample_n"] == min_n
-    assert summary["minimal_counterexamples"] == [
-        to_json_obj(o.graph) for o in failed if o.graph.n == min_n
-    ]
+    assert summary["min_counterexample_n"] == min_n
+    assert summary["minimal_counterexamples"] == [to_json_obj(g) for g in failed if g.n == min_n]

@@ -676,6 +676,15 @@ def test_dynamics_rejects_a_budget_that_is_not_an_int(steps):
         best_response_dynamics(g, d, "vor", (1, 1), max_steps=steps)
 
 
+@pytest.mark.parametrize(
+    "allowed", [5, 4.5, (v for v in (4, 5))], ids=["int", "float", "generator"]
+)
+def test_dynamics_rejects_an_allowed_set_that_is_not_a_collection(allowed):
+    g, d = _ctx("shrink_split_8")
+    with pytest.raises(ValueError, match="is not a collection of vertices"):
+        best_response_dynamics(g, d, "vor", (4, 5), allowed=allowed)
+
+
 def test_dynamics_restricted_to_allowed_set():
     g, d = _ctx("shrink_split_8")
     result = best_response_dynamics(g, d, "vor", (6, 7), allowed=frozenset({4, 5, 6, 7}))

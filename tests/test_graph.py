@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations, product
 
 import pytest
@@ -264,6 +265,15 @@ def test_layer_repeats_past_tau():
     assert g.layer(2) == g.layer(5) == g.layer(100)
     with pytest.raises(ValueError):
         g.layer(0)
+
+
+@pytest.mark.parametrize("t", [-1, True, 1.5, 2.0, "1", None], ids=repr)
+def test_layer_takes_only_an_int_step_from_one(t):
+    # an int check by isinstance would read True as step 1
+    g = build_instance("grow_cycle_7").graph
+    message = f"time step must be an int >= 1, got {re.escape(repr(t))}"
+    with pytest.raises(ValueError, match=message):
+        g.layer(t)
 
 
 def test_canonical_json_round_trip_is_bit_exact():
